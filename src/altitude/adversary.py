@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 from .graphs import Graph
 from .orderings import EdgeOrdering, coloring_ordering, greedy_edge_coloring, random_ordering
-from .paths import longest_increasing_path
+from .paths import SoundnessError, longest_increasing_path
 from .pedestrian import sqrt_degree_floor
-
-_LOG_CAP = 1000
 
 
 @dataclass(frozen=True)
@@ -43,7 +41,6 @@ class SearchTrace:
     best_ordering: EdgeOrdering
     verified: bool
     best_history: tuple[tuple[int, int], ...]
-    log: tuple[tuple[int, int, int, bool, int], ...]
 
 
 @dataclass(frozen=True)
@@ -55,6 +52,13 @@ class UpperBoundReport:
 
 
 def _trail_len(g: Graph, inverse: list[int]) -> int:
+    """Longest increasing trail of the ordering whose rank-r edge is inverse[r - 1].
+
+    The same relaxation as ``paths._trail_sweep``, kept apart on purpose:
+    the annealer scores every move with it, so it dominates campaign time,
+    and a sweep that also records the breakpoint history costs about twice
+    as much per call.  Only the value is needed here.
+    """
     best = [0] * g.n
     edges = g.edges
     for e in inverse:
@@ -104,10 +108,9 @@ def local_search_min_psi(
     best_psi = exact0 if exact0 is not None else cur_obj
     best_surrogate = cur_obj
     history = [(0, best_psi)]
-    log: list[tuple[int, int, int, bool, int]] = []
 
     if m < 2 or steps <= 0:
-        return SearchTrace(0, best_psi, best_ord, verified, tuple(history), ())
+        return SearchTrace(0, best_psi, best_ord, verified, tuple(history))
 
     moves_per_level = sched.moves_per_level or 100 * m
     t0 = sched.t0
@@ -135,8 +138,6 @@ def local_search_min_psi(
         new_obj = _trail_len(g, inverse)
         delta = new_obj - cur_obj
         accept = delta <= 0 or (temp > 0 and rng.random() < math.exp(-delta / temp))
-        if len(log) < _LOG_CAP:
-            log.append((step, a, b, accept, new_obj))
         if not accept:
             rank[a], rank[b] = ra, rb
             inverse[ra - 1], inverse[rb - 1] = inverse[rb - 1], inverse[ra - 1]
@@ -153,7 +154,7 @@ def local_search_min_psi(
                 verified = exact is not None
                 history.append((step, best_psi))
 
-    return SearchTrace(steps, best_psi, best_ord, verified, tuple(history), tuple(log))
+    return SearchTrace(steps, best_psi, best_ord, verified, tuple(history))
 
 
 def upper_bound_report(
@@ -206,5 +207,6 @@ def upper_bound_report(
     # Prefer verified values at equal bound.
     label, value, ver, witness = min(entries, key=lambda t: (t[1], not t[2]))
     floor = sqrt_degree_floor(g)
-    assert value >= floor, "upper-bound witness below the universal floor"
+    if value < floor:
+        raise SoundnessError(f"upper-bound witness {value} below the universal floor {floor}")
     return UpperBoundReport(value, witness, ver, tuple((l, v, e) for l, v, e, _ in entries))

@@ -14,17 +14,6 @@ import math
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """One evaluated bound: inputs, the bracket, and how it was decided."""
-
-    name: str
-    inputs: tuple[tuple[str, float], ...]
-    lower: float | None
-    upper: float | None
-    certificate: str
-
-
 def graham_kleitman(n: int) -> tuple[float, float]:
     """(sqrt(4n-3) - 1)/2 and 3n/4: the classical bracket for f(K_n).
 

@@ -36,7 +36,6 @@ from .experiments import experiment_gnp, experiment_hypercube
 from .graphs import (
     Graph,
     GraphFormatError,
-    degree_stats,
     hypercube_dimension,
     make_complete,
     make_cycle,
@@ -83,7 +82,6 @@ _DEFAULTS = {
     "k": None,
     "verify": False,
     "greedy": False,
-    "workers": None,
     "psi_budget": 200000,
     "f_budget": 2000000,
     "trials": 3,
@@ -95,37 +93,11 @@ _PER_COMMAND_DEFAULTS = {
     "adversary": {"ordering": "coloring"},
 }
 
+_BUDGETS = ("budget", "psi_budget", "f_budget")
+
+
 def _parse_bool(s: str) -> bool:
     return s.lower() in ("1", "true", "yes", "on")
-
-
-_COERCE = {
-    "seed": int,
-    "budget": int,
-    "steps": int,
-    "restarts": int,
-    "k": int,
-    "n": int,
-    "d": int,
-    "leaves": int,
-    "p": float,
-    "omega": float,
-    "eps": float,
-    "workers": int,
-    "psi_budget": int,
-    "f_budget": int,
-    "trials": int,
-    "d_max": int,
-    "lo": int,
-    "hi": int,
-    "ordering": str,
-    "ks": str,
-    "n_list": str,
-    "schedule": str,
-    "verify": _parse_bool,
-    "greedy": _parse_bool,
-    "portfolio": _parse_bool,
-}
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -141,18 +113,33 @@ def _load_config(path: str) -> dict[str, str]:
     return entries
 
 
-def _merge(args: argparse.Namespace) -> argparse.Namespace:
+def _coercions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """Config-value converters for one subcommand, read off its flags."""
+    sub = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices[command]
+    return {
+        a.dest: _parse_bool if isinstance(a, argparse._StoreConstAction) else a.type or str
+        for a in sub._actions
+    }
+
+
+def _merge(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
     config = _load_config(args.config) if getattr(args, "config", None) else {}
+    coerce = _coercions(parser, args.command) if config else {}
     for dest, raw in config.items():
         if hasattr(args, dest) and getattr(args, dest) is None:
-            coerce = _COERCE.get(dest, str)
-            setattr(args, dest, coerce(raw))
+            setattr(args, dest, coerce.get(dest, str)(raw))
     for dest, value in _PER_COMMAND_DEFAULTS.get(getattr(args, "command", ""), {}).items():
         if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, value)
     for dest, value in _DEFAULTS.items():
         if hasattr(args, dest) and getattr(args, dest) is None:
             setattr(args, dest, value)
+    for dest in _BUDGETS:
+        value = getattr(args, dest, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{dest.replace('_', '-')} must be non-negative, got {value}")
     return args
 
 
@@ -511,7 +498,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             psi_budget=args.psi_budget,
             f_budget=args.f_budget,
             seed=args.seed,
-            workers=args.workers,
         )
     elif args.campaign == "gnp":
         n_list = [int(tok) for tok in _require(args, "n_list").split(",") if tok]
@@ -523,7 +509,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             trials=args.trials,
             seed=args.seed,
             psi_budget=args.psi_budget,
-            workers=args.workers,
         )
     else:
         raise ValueError(f"unknown campaign {args.campaign!r}")
@@ -634,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int)
     sp.add_argument("--psi-budget", dest="psi_budget", type=int)
     sp.add_argument("--f-budget", dest="f_budget", type=int)
-    sp.add_argument("--workers", type=int, help="worker pool size (or ALTITUDE_WORKERS)")
+    sp.add_argument("--workers", type=int, help="accepted for compatibility and ignored")
     _add_common(sp, graph=False)
     sp.set_defaults(func=_cmd_experiment)
 
@@ -648,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        args = _merge(args)
+        args = _merge(args, parser)
         return args.func(args)
     except (GraphFormatError, OrderingFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

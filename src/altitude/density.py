@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graphs import Graph, degree_stats
+from .pedestrian import sqrt_degree_floor
 
 
 @dataclass(frozen=True)
@@ -24,12 +24,6 @@ class ZetaResult:
     witness: tuple[int, ...]
     exact: bool
     explored: int
-
-
-@dataclass(frozen=True)
-class DensityProfile:
-    graph_id: str
-    records: tuple[ZetaResult, ...]
 
 
 def _edges_within(g: Graph, mask: int) -> int:
@@ -160,6 +154,27 @@ def rodl_criterion(g: Graph, k: int, zeta_k: int) -> bool:
     return 2 * zeta_k - k + 1 < stats.average_degree
 
 
+def density_floor(g: Graph, ceiling: int, budget: int | None) -> int:
+    """Largest proved floor on f(G) from the degree floor and the density criterion.
+
+    Starts at ``sqrt_degree_floor(g)``.  On a connected graph it then raises
+    the floor to k = floor + 1, floor + 2, ... while zeta(k), solved exactly
+    within ``budget`` nodes, satisfies the criterion; it stops at the first
+    k that fails or runs out of budget, or past min(n, ceiling).  A
+    disconnected graph keeps the degree floor.
+    """
+    floor = sqrt_degree_floor(g)
+    top = min(g.n, ceiling)
+    if floor >= top or not degree_stats(g).connected:
+        return floor
+    for k in range(floor + 1, top + 1):
+        zr = zeta_exact(g, k, budget=budget)
+        if not zr.exact or not rodl_criterion(g, k, zr.value):
+            break
+        floor = k
+    return floor
+
+
 def hypercube_zeta_bound_check(d: int, k: int, zeta_k: int) -> bool:
     """True iff zeta_k <= k*log2(k)/2, decided exactly.
 
@@ -170,10 +185,3 @@ def hypercube_zeta_bound_check(d: int, k: int, zeta_k: int) -> bool:
     if d < 0 or k < 1 or zeta_k < 0:
         raise ValueError("need d >= 0, k >= 1, zeta_k >= 0")
     return 4**zeta_k <= k**k
-
-
-def density_profile(
-    g: Graph, graph_id: str, ks, budget: int | None = None
-) -> DensityProfile:
-    """zeta records for each requested subset size."""
-    return DensityProfile(graph_id, tuple(zeta_exact(g, k, budget) for k in ks))

@@ -4,18 +4,18 @@ The search assigns ranks 1, 2, ..., m to edges one at a time.  Increasing
 paths live entirely among already-ranked edges, so the partial value can
 only grow as ranks are appended: a branch whose prefix already reaches the
 incumbent is dead.  The incumbent starts at the coloring-ordering value,
-and the square-root-of-average-degree floor certifies optimality early for
-many small graphs.
+and the density floor (square-root-of-average-degree floor raised by the
+density criterion) certifies optimality early for many small graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
+from .density import density_floor
 from .graphs import Graph, hypercube_dimension, is_complete
 from .orderings import EdgeOrdering, coloring_ordering, greedy_edge_coloring, identity_ordering
-from .paths import longest_increasing_path, longest_increasing_trail
+from .paths import SoundnessError, longest_increasing_path, longest_increasing_trail
 from .pedestrian import sqrt_degree_floor
 
 
@@ -137,30 +137,6 @@ def edge_orbits(g: Graph, node_cap: int = 20000) -> tuple[tuple[int, ...], ...]:
 # Minimax search for f
 # ----------------------------------------------------------------------
 
-def _certified_floor(g: Graph, ceiling: int) -> int:
-    """Best proved lower bound on f(G) available without ordering search.
-
-    Starts from the square-root-of-average-degree floor and, on connected
-    graphs, pushes it up with the density criterion while exact zeta values
-    keep certifying, stopping once the floor meets ``ceiling``.
-    """
-    from .density import rodl_criterion, zeta_exact
-    from .graphs import degree_stats
-
-    floor = sqrt_degree_floor(g)
-    if floor >= ceiling:
-        return floor
-    if degree_stats(g).connected:
-        k = floor + 1
-        while k <= min(g.n, ceiling):
-            zr = zeta_exact(g, k, budget=50000)
-            if not zr.exact or not rodl_criterion(g, k, zr.value):
-                break
-            floor = k
-            k += 1
-    return floor
-
-
 def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
     """Minimum over all orderings of the longest increasing path length.
 
@@ -177,10 +153,11 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
 
     phi0 = coloring_ordering(g, greedy_edge_coloring(g), seed=0)
     inc = longest_increasing_path(g, phi0)
-    assert inc.exact
+    if not inc.exact:
+        raise SoundnessError("an unbudgeted psi search returned an inexact value")
     best_val = inc.length
     best_ord = phi0
-    floor = _certified_floor(g, best_val)
+    floor = density_floor(g, best_val, budget=50000)
     if best_val <= floor:
         return AltitudeResult(best_val, best_val, best_ord, 0, True)
 
@@ -261,8 +238,6 @@ def f_bounds_sandwich(g: Graph, psi_budget: int | None = 200000) -> SandwichRepo
     formulas.  Maxima of pedestrian runs are deliberately absent: they
     bound one ordering's value from below, not the minimum over orderings.
     """
-    from .density import rodl_criterion, zeta_exact
-
     if g.n == 0:
         raise ValueError("graph has no vertices")
     lowers: list[tuple[str, int]] = []
@@ -273,18 +248,8 @@ def f_bounds_sandwich(g: Graph, psi_budget: int | None = 200000) -> SandwichRepo
 
     floor = sqrt_degree_floor(g)
     lowers.append(("sqrt-average-degree", floor))
-
-    from .graphs import degree_stats
-
-    stats = degree_stats(g)
-    if stats.connected:
-        k = max(2, floor + 1)
-        while k <= g.n:
-            zr = zeta_exact(g, k, budget=psi_budget)
-            if not zr.exact or not rodl_criterion(g, k, zr.value):
-                break
-            lowers.append((f"density-criterion-k{k}", k))
-            k += 1
+    certified = density_floor(g, g.n, budget=psi_budget)
+    lowers += [(f"density-criterion-k{k}", k) for k in range(floor + 1, certified + 1)]
 
     coloring = greedy_edge_coloring(g)
     uppers.append(("edge-coloring-classes", coloring.num_colors))

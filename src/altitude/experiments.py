@@ -1,24 +1,22 @@
 """Experiment campaigns: the hypercube table and the random-graph sandwich.
 
 Each row is recomputable from its own parameters and seed.  Rows are
-produced by a worker pool but emitted in parameter order, so reruns give
-byte-identical CSV except for the wall-time column, which is always last.
+computed one after another in parameter order, so reruns give byte-identical
+CSV except for the wall-time column, which is always last.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .adversary import upper_bound_report
 from .bounds import gnp_k, gnp_threshold_p, gnp_union_bound_log, hypercube_bounds, hypercube_k
-from .density import rodl_criterion, zeta_exact
+from .density import density_floor
 from .exactf import exact_f
-from .graphs import Graph, degree_stats, make_hypercube, sample_gnp
+from .graphs import degree_stats, make_hypercube, sample_gnp
 from .orderings import coloring_ordering, greedy_edge_coloring, hypercube_dimension_coloring, random_ordering
 from .paths import longest_increasing_path, longest_increasing_trail
 from .pedestrian import run_pedestrian, sqrt_degree_floor
@@ -34,26 +32,6 @@ class ExperimentRow:
     campaign: str
     values: tuple[tuple[str, str], ...]
     wall_ms: int
-
-
-def default_workers() -> int:
-    env = os.environ.get("ALTITUDE_WORKERS")
-    if env:
-        try:
-            w = int(env)
-            if w >= 1:
-                return w
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
-def _pool_map(fn: Callable, tasks: Sequence, workers: int | None) -> list:
-    w = workers if workers is not None else default_workers()
-    if w <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(fn, tasks))
 
 
 def rows_to_csv(schema: str, header: Sequence[str], rows: Iterable[ExperimentRow]) -> str:
@@ -99,8 +77,7 @@ HYPERCUBE_HEADER = (
 )
 
 
-def _hypercube_row(args: tuple[int, int, int, int]) -> ExperimentRow:
-    d, psi_budget, f_budget, seed = args
+def _hypercube_row(d: int, psi_budget: int, f_budget: int, seed: int) -> ExperimentRow:
     t0 = time.perf_counter()
     g = make_hypercube(d)
     lower = hypercube_k(d) if d >= 2 else 1
@@ -110,15 +87,7 @@ def _hypercube_row(args: tuple[int, int, int, int]) -> ExperimentRow:
     res = longest_increasing_path(g, phi, budget=psi_budget)
     coloring_psi = res.length if res.exact else longest_increasing_trail(g, phi).length
 
-    # Density certificates: push the proved floor while exact zeta certifies.
-    cert = sqrt_degree_floor(g)
-    k = cert + 1
-    while k <= g.n:
-        zr = zeta_exact(g, k, budget=psi_budget)
-        if not zr.exact or not rodl_criterion(g, k, zr.value):
-            break
-        cert = k
-        k += 1
+    cert = density_floor(g, g.n, budget=psi_budget)
 
     fval: int | None = None
     fexact: bool | None = None
@@ -154,13 +123,11 @@ def experiment_hypercube(
     psi_budget: int = 200000,
     f_budget: int = 2000000,
     seed: int = 0,
-    workers: int | None = None,
 ) -> str:
     """One row per dimension 2..d_max; returns the CSV text."""
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
-    tasks = [(d, psi_budget, f_budget, seed) for d in range(2, d_max + 1)]
-    rows = _pool_map(_hypercube_row, tasks, workers)
+    rows = [_hypercube_row(d, psi_budget, f_budget, seed) for d in range(2, d_max + 1)]
     return rows_to_csv(SCHEMA_HYPERCUBE, HYPERCUBE_HEADER, rows)
 
 
@@ -188,8 +155,9 @@ GNP_HEADER = (
 )
 
 
-def _gnp_row(args: tuple[int, float, int, int, float, float, int]) -> ExperimentRow:
-    n, p, trial, row_seed, omega, eps, psi_budget = args
+def _gnp_row(
+    n: int, p: float, trial: int, row_seed: int, omega: float, eps: float, psi_budget: int
+) -> ExperimentRow:
     t0 = time.perf_counter()
     g = sample_gnp(n, p, row_seed)
     stats = degree_stats(g)
@@ -252,7 +220,6 @@ def experiment_gnp(
     trials: int,
     seed: int = 0,
     psi_budget: int = 200000,
-    workers: int | None = None,
 ) -> str:
     """Rows over n_list x trials; p=None applies the threshold density rule."""
     if trials < 1:
@@ -266,5 +233,5 @@ def experiment_gnp(
         for t in range(trials):
             tasks.append((n, pn, t, seed + 1000003 * idx, omega, eps, psi_budget))
             idx += 1
-    rows = _pool_map(_gnp_row, tasks, workers)
+    rows = [_gnp_row(*task) for task in tasks]
     return rows_to_csv(SCHEMA_GNP, GNP_HEADER, rows)

@@ -77,10 +77,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Map from canonical pair to edge index (built fresh on each call)."""
-        return {e: i for i, e in enumerate(self.edges)}
-
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":
         """Canonicalize an iterable of pairs: orient u < v, sort, reject dups."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .graphs import Graph
 from .orderings import EdgeOrdering
@@ -37,6 +38,10 @@ class PathResult:
 
 class WitnessError(ValueError):
     """A reported walk fails re-validation."""
+
+
+class SoundnessError(RuntimeError):
+    """A computed value contradicts a proved bound: a defect in the program."""
 
 
 def verify_witness(g: Graph, ordering: EdgeOrdering, result: PathResult) -> bool:
@@ -72,20 +77,23 @@ def verify_witness(g: Graph, ordering: EdgeOrdering, result: PathResult) -> bool
     return True
 
 
-def longest_increasing_trail(g: Graph, ordering: EdgeOrdering) -> PathResult:
-    """Longest increasing trail, by one pass over the edges in rank order.
+def _trail_sweep(
+    g: Graph, edges: Iterable[int], rank: Sequence[int]
+) -> tuple[list[int], list[list[tuple[int, int, int, int]]]]:
+    """Relax both ends of every edge, in the order given; the trail kernel.
 
-    best[v] is the longest increasing trail ending at v among the ranks seen
-    so far; an edge (u, v) relaxes both ends simultaneously from the values
-    it found, so every edge extends some trail and raises best[u] + best[v]
-    by at least 2.
+    best[v] is the longest increasing trail ending (forward sweep) or
+    starting (reverse sweep) at v among the edges swept so far.  An edge
+    (u, v) updates both ends from the values it found, so it extends some
+    trail either way.  hist[v] lists (rank, value, edge, other_end) each
+    time best[v] rises, in sweep order: the breakpoints of v's value.
     """
+    ends = g.edges
     best = [0] * g.n
-    # hist[v]: appended (rank_when_set, trail_length, via_edge, from_vertex)
     hist: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
-    for e in ordering.edges_by_rank():
-        u, v = g.edges[e]
-        r = ordering.rank[e]
+    for e in edges:
+        u, v = ends[e]
+        r = rank[e]
         nu, nv = best[v] + 1, best[u] + 1
         if nu > best[u]:
             best[u] = nu
@@ -93,9 +101,15 @@ def longest_increasing_trail(g: Graph, ordering: EdgeOrdering) -> PathResult:
         if nv > best[v]:
             best[v] = nv
             hist[v].append((r, nv, e, u))
-    end = max(range(g.n), key=lambda v: (best[v], -v)) if g.n else 0
+    return best, hist
+
+
+def longest_increasing_trail(g: Graph, ordering: EdgeOrdering) -> PathResult:
+    """Longest increasing trail, by one sweep over the edges in rank order."""
     if g.n == 0:
         raise ValueError("graph has no vertices")
+    best, hist = _trail_sweep(g, ordering.edges_by_rank(), ordering.rank)
+    end = max(range(g.n), key=lambda v: (best[v], -v))
 
     # Walk the history backwards: the entry that set the current value is the
     # last one recorded strictly before the rank of the edge that used it.
@@ -129,25 +143,14 @@ def longest_increasing_trail(g: Graph, ordering: EdgeOrdering) -> PathResult:
 def _suffix_trail_table(g: Graph, ordering: EdgeOrdering):
     """Breakpoints of S_v(r) = longest increasing trail from v within ranks >= r.
 
-    Built by sweeping ranks downward; per vertex we keep the ranks (in the
-    decreasing order they were set) and the values they set.  S_v(r) bounds
-    any increasing path leaving v on ranks >= r, so it prunes the path DFS.
+    The trail sweep run downwards through the ranks; per vertex we keep the
+    ranks (in the decreasing order they were set) and the values they set.
+    S_v(r) bounds any increasing path leaving v on ranks >= r, so it prunes
+    the path DFS.
     """
-    cur = [0] * g.n
-    neg_ranks: list[list[int]] = [[] for _ in range(g.n)]  # -rank, ascending
-    vals: list[list[int]] = [[] for _ in range(g.n)]
-    for e in reversed(ordering.edges_by_rank()):
-        u, v = g.edges[e]
-        r = ordering.rank[e]
-        nu, nv = cur[v] + 1, cur[u] + 1
-        if nu > cur[u]:
-            cur[u] = nu
-            neg_ranks[u].append(-r)
-            vals[u].append(nu)
-        if nv > cur[v]:
-            cur[v] = nv
-            neg_ranks[v].append(-r)
-            vals[v].append(nv)
+    _, hist = _trail_sweep(g, reversed(ordering.edges_by_rank()), ordering.rank)
+    neg_ranks = [[-h[0] for h in hv] for hv in hist]  # ascending
+    vals = [[h[1] for h in hv] for hv in hist]
 
     def query(v: int, r: int) -> int:
         i = bisect_right(neg_ranks[v], -r)
@@ -172,6 +175,12 @@ def longest_increasing_path(
     if g.m == 0:
         return PathResult("path", 0, (0,), (), True, 0)
 
+    # When the optimal trail happens to repeat no vertex it is a path, and
+    # since paths are trails the two optima coincide: no search needed.
+    trail = longest_increasing_trail(g, ordering)
+    if len(set(trail.vertices)) == len(trail.vertices):
+        return PathResult("path", trail.length, trail.vertices, trail.edges, True, 0)
+
     suffix = _suffix_trail_table(g, ordering)
     # Per-vertex adjacency sorted by rank, for cheap "next rank above r" scans.
     adj_by_rank: list[list[tuple[int, int, int]]] = [
@@ -182,12 +191,6 @@ def longest_increasing_path(
     best_len = 0
     best_vs: tuple[int, ...] = (0,)
     best_es: tuple[int, ...] = ()
-
-    # When the optimal trail happens to repeat no vertex it is a path, and
-    # since paths are trails the two optima coincide: no search needed.
-    trail = longest_increasing_trail(g, ordering)
-    if len(set(trail.vertices)) == len(trail.vertices):
-        return PathResult("path", trail.length, trail.vertices, trail.edges, True, 0)
 
     explored = 0
     exhausted = False

@@ -48,6 +48,23 @@ def brute_trail(g: Graph, ordering: EdgeOrdering) -> int:
     return best
 
 
+def brute_suffix_trail(g: Graph, ordering: EdgeOrdering, v: int, r: int) -> int:
+    """Longest increasing trail leaving v on edges of rank at least r."""
+    best = 0
+
+    def dfs(x: int, last: int, used: frozenset[int], length: int) -> None:
+        nonlocal best
+        if length > best:
+            best = length
+        for w, e in g.adj[x]:
+            rank = ordering.rank[e]
+            if rank > last and e not in used:
+                dfs(w, rank, used | {e}, length + 1)
+
+    dfs(v, r - 1, frozenset(), 0)
+    return best
+
+
 def brute_f(g: Graph) -> int:
     """Altitude by minimising brute_psi over all m! edge-orderings."""
     if g.m == 0:

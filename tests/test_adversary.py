@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 import altitude as alt
+from altitude import adversary
 from corpus import random_graphs
 
 
@@ -20,7 +23,6 @@ def test_best_history_strictly_improves_to_final_value() -> None:
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] == tr.best_psi
     assert tr.best_history[0][0] == 0  # the initial ordering seeds the curve
-    assert len(tr.log) <= 1000
 
 
 def test_hypercube_anneal_lands_in_proved_bracket() -> None:
@@ -91,3 +93,9 @@ def test_report_structure_is_consistent() -> None:
     wit = alt.longest_increasing_path(g, rep.witness)
     if rep.verified:
         assert wit.exact and wit.length == rep.best_psi
+
+
+def test_report_below_floor_raises_soundness_error(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setattr(adversary, "sqrt_degree_floor", lambda g: 10**6)
+    with pytest.raises(alt.SoundnessError):
+        alt.upper_bound_report(alt.make_complete(3), seed=0, steps=50, restarts=1)

@@ -388,3 +388,48 @@ def test_config_file_seed_and_flag_precedence(capsys, q3_file, tmp_path):
         "psi", "--graph", q3_file, "--ordering", "rand", "--config", str(conf), "--seed", "2",
     )
     assert json.loads(out)["seed"] == 2
+
+
+def test_config_file_coerces_int_float_and_bool_keys(capsys, q3_file, tmp_path):
+    # greedy is a store_const flag: "false" must read as False, not as a non-empty string
+    conf = tmp_path / "zeta.conf"
+    conf.write_text("ks=2,3,4\nbudget=0\ngreedy=false\n")
+    rc, out, _ = run(capsys, "zeta", "--graph", q3_file, "--config", str(conf))
+    assert rc == 4 and ",false," in out  # exact search with an int budget of 0 runs out
+    conf.write_text("ks=2,3,4\nbudget=0\ngreedy=true\n")
+    rc, out, _ = run(capsys, "zeta", "--graph", q3_file, "--config", str(conf))
+    assert rc == 0
+
+    conf = tmp_path / "gnp.conf"
+    conf.write_text("n=10000\np=0.05\nomega=5\neps=0.1\n")
+    out_file = tmp_path / "gnp.json"
+    rc, _, _ = run(capsys, "bounds", "--gnp", "--config", str(conf), "--out", str(out_file))
+    assert rc == 0
+    payload = json.loads(out_file.read_text())
+    assert payload["n"] == 10000 and payload["p"] == 0.05
+    assert isinstance(payload["omega"], float) and payload["omega"] == 5.0
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (("psi", "--graph", "{graph}", "--budget", "-1"), None),
+        (("exact-f", "--graph", "{graph}", "--budget", "-2"), None),
+        (("psi", "--graph", "{graph}"), "budget=-1"),
+        (("experiment", "gnp", "--n-list", "12", "--p", "0.3", "--psi-budget", "-3"), None),
+        (("experiment", "hypercube", "--d-max", "2", "--f-budget", "-1"), None),
+        (("experiment", "hypercube", "--d-max", "2"), "psi-budget=-5"),
+    ],
+    ids=["psi-flag", "exact-f-flag", "psi-config", "gnp-psi-budget", "hypercube-f-budget",
+         "hypercube-config"],
+)
+def test_negative_budget_is_rejected(capsys, k3_file, tmp_path, argv, config):
+    argv = [a.replace("{graph}", k3_file) for a in argv]
+    if config is not None:
+        conf = tmp_path / "neg.conf"
+        conf.write_text(config + "\n")
+        argv += ["--config", str(conf)]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "must be non-negative" in err

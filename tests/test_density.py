@@ -7,7 +7,7 @@ import random
 import pytest
 
 import altitude as alt
-from corpus import random_graphs
+from corpus import named_small_graphs, random_graphs
 from oracles import brute_zeta
 
 
@@ -136,9 +136,27 @@ def test_hypercube_zeta_bound_exact_comparison() -> None:
         alt.hypercube_zeta_bound_check(3, 0, 1)
 
 
-def test_density_profile_collects_requested_sizes() -> None:
-    q3 = alt.make_hypercube(3)
-    prof = alt.density_profile(q3, "q3", ks=(2, 3, 4))
-    assert prof.graph_id == "q3"
-    assert tuple(r.k for r in prof.records) == (2, 3, 4)
-    assert tuple(r.value for r in prof.records) == (1, 2, 4)
+def test_density_floor_certifies_only_oracle_backed_sizes() -> None:
+    graphs = [g for _, g in named_small_graphs()] + random_graphs(40, 2, 9, seed=57)
+    graphs += [alt.make_hypercube(3), alt.make_hypercube(4)]  # sparse and girth 4: they climb
+    checked = 0
+    for g in graphs:
+        base = alt.sqrt_degree_floor(g)
+        got = alt.density_floor(g, g.n, budget=None)
+        if not alt.degree_stats(g).connected:
+            assert got == base
+            continue
+        for k in range(base + 1, got + 1):
+            assert alt.rodl_criterion(g, k, brute_zeta(g, k))
+        if got < g.n:
+            assert not alt.rodl_criterion(g, got + 1, brute_zeta(g, got + 1))
+        for ceiling in range(g.n + 1):
+            assert alt.density_floor(g, ceiling, budget=None) == max(base, min(got, ceiling))
+        checked += got > base
+    assert checked
+
+
+def test_density_floor_keeps_degree_floor_on_disconnected_graph() -> None:
+    g = alt.Graph.from_edges(8, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(4, 5)])
+    assert not alt.degree_stats(g).connected
+    assert alt.density_floor(g, g.n, budget=None) == alt.sqrt_degree_floor(g)

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
+
 import altitude as alt
+from altitude import exactf
 from corpus import named_small_graphs, random_graphs
 from oracles import brute_f
 
@@ -92,3 +97,14 @@ def test_exact_f_respects_certified_floor_on_hypercube() -> None:
     res = alt.exact_f(alt.make_hypercube(3))
     # the dimension bound and density certificate pinch the value to 3
     assert res.lower == 3 and res.value == 3 and res.exact
+
+
+def test_inexact_start_value_raises_soundness_error(monkeypatch: pytest.MonkeyPatch) -> None:
+    real = exactf.longest_increasing_path
+
+    def inexact(g, ordering, budget=None):
+        return dataclasses.replace(real(g, ordering, budget), exact=False)
+
+    monkeypatch.setattr(exactf, "longest_increasing_path", inexact)
+    with pytest.raises(alt.SoundnessError):
+        alt.exact_f(alt.make_cycle(5))

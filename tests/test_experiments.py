@@ -13,7 +13,6 @@ from altitude.experiments import (
     SCHEMA_GNP,
     SCHEMA_HYPERCUBE,
     ExperimentRow,
-    default_workers,
     experiment_gnp,
     experiment_hypercube,
     rows_to_csv,
@@ -33,7 +32,7 @@ def _strip_wall(csv: str) -> str:
 
 
 def test_hypercube_campaign_rows() -> None:
-    schema_line, header, rows = _parse(experiment_hypercube(4, seed=0, workers=1))
+    schema_line, header, rows = _parse(experiment_hypercube(4, seed=0))
     assert schema_line == f"# schema={SCHEMA_HYPERCUBE}"
     assert header == list(HYPERCUBE_HEADER) + ["wall_ms"]
     assert [r["d"] for r in rows] == ["2", "3", "4"]
@@ -53,7 +52,7 @@ def test_hypercube_campaign_rows() -> None:
 
 
 def test_hypercube_campaign_dimension_six_bracket() -> None:
-    _, _, rows = _parse(experiment_hypercube(6, seed=0, workers=1))
+    _, _, rows = _parse(experiment_hypercube(6, seed=0))
     d6 = rows[-1]
     assert d6["d"] == "6"
     assert int(d6["cert_lower"]) >= 3  # density certificate from zeta_3 = 2
@@ -63,20 +62,14 @@ def test_hypercube_campaign_dimension_six_bracket() -> None:
 
 
 def test_hypercube_campaign_reproducible() -> None:
-    a = experiment_hypercube(3, seed=5, workers=1)
-    b = experiment_hypercube(3, seed=5, workers=1)
+    a = experiment_hypercube(3, seed=5)
+    b = experiment_hypercube(3, seed=5)
     assert _strip_wall(a) == _strip_wall(b)
-
-
-def test_workers_do_not_change_row_order_or_content() -> None:
-    serial = experiment_hypercube(4, seed=0, workers=1)
-    pooled = experiment_hypercube(4, seed=0, workers=3)
-    assert _strip_wall(serial) == _strip_wall(pooled)
 
 
 def test_gnp_campaign_rows_and_guarantees() -> None:
     schema_line, header, rows = _parse(
-        experiment_gnp([60], 0.2, omega=5.0, eps=0.1, trials=5, seed=0, workers=1)
+        experiment_gnp([60], 0.2, omega=5.0, eps=0.1, trials=5, seed=0)
     )
     assert schema_line == f"# schema={SCHEMA_GNP}"
     assert header == list(GNP_HEADER) + ["wall_ms"]
@@ -93,7 +86,7 @@ def test_gnp_campaign_rows_and_guarantees() -> None:
 def test_gnp_threshold_rule_records_union_bound() -> None:
     # the density rule caps p at 1; at this size the union exponent is negative
     _, _, rows = _parse(
-        experiment_gnp([60], None, omega=3.0, eps=0.1, trials=1, seed=0, psi_budget=20000, workers=1)
+        experiment_gnp([60], None, omega=3.0, eps=0.1, trials=1, seed=0, psi_budget=20000)
     )
     r = rows[0]
     assert r["p"] == "1"
@@ -105,17 +98,17 @@ def test_gnp_threshold_rule_records_union_bound() -> None:
 
 
 def test_gnp_vacuous_rows() -> None:
-    _, _, rows = _parse(experiment_gnp([12], 0.0, omega=5.0, eps=0.1, trials=1, seed=0, workers=1))
+    _, _, rows = _parse(experiment_gnp([12], 0.0, omega=5.0, eps=0.1, trials=1, seed=0))
     r = rows[0]
     assert r["m"] == "0" and r["pedestrian_max"] == "0" and r["sqrt_floor"] == "0"
     assert r["union_exponent"] == "" and r["union_negative"] == ""
     # fixed small p on a sparse instance: k = 0 flags the bound as vacuous
-    _, _, rows2 = _parse(experiment_gnp([60], 0.2, omega=5.0, eps=0.1, trials=1, seed=0, workers=1))
+    _, _, rows2 = _parse(experiment_gnp([60], 0.2, omega=5.0, eps=0.1, trials=1, seed=0))
     assert rows2[0]["gnp_k"] == "0"
 
 
 def test_gnp_campaign_reproducible() -> None:
-    kw = dict(p=0.3, omega=5.0, eps=0.1, trials=2, seed=9, workers=1)
+    kw = dict(p=0.3, omega=5.0, eps=0.1, trials=2, seed=9)
     a = experiment_gnp([14, 18], **kw)
     b = experiment_gnp([14, 18], **kw)
     assert _strip_wall(a) == _strip_wall(b)
@@ -125,15 +118,6 @@ def test_rows_to_csv_rejects_header_mismatch() -> None:
     row = ExperimentRow("x", (("a", "1"),), 0)
     with pytest.raises(ValueError):
         rows_to_csv("s", ("b",), [row])
-
-
-def test_default_workers_env_override(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.setenv("ALTITUDE_WORKERS", "7")
-    assert default_workers() == 7
-    monkeypatch.setenv("ALTITUDE_WORKERS", "bogus")
-    assert default_workers() >= 1
-    monkeypatch.delenv("ALTITUDE_WORKERS")
-    assert default_workers() >= 1
 
 
 def test_campaign_argument_validation() -> None:

@@ -7,8 +7,10 @@ import random
 import pytest
 
 import altitude as alt
+from altitude.adversary import _trail_len
+from altitude.paths import _suffix_trail_table
 from corpus import random_instances
-from oracles import brute_psi, brute_trail
+from oracles import brute_psi, brute_suffix_trail, brute_trail
 
 
 def test_trail_matches_oracle_on_small_instances() -> None:
@@ -17,6 +19,22 @@ def test_trail_matches_oracle_on_small_instances() -> None:
         assert res.length == brute_trail(g, phi)
         assert res.kind == "trail"
         assert alt.verify_witness(g, phi, res)
+
+
+def test_value_only_trail_matches_trail_sweep_and_oracle() -> None:
+    # The annealer's value-only loop must agree with the history-recording sweep.
+    for g, phi in random_instances(150, 2, 9, seed=23, m_max=8):
+        want = brute_trail(g, phi)
+        assert _trail_len(g, list(phi.inverse)) == want
+        assert alt.longest_increasing_trail(g, phi).length == want
+
+
+def test_suffix_trail_table_matches_oracle() -> None:
+    for g, phi in random_instances(60, 2, 8, seed=24, m_max=8):
+        query = _suffix_trail_table(g, phi)
+        for v in range(g.n):
+            for r in range(1, g.m + 2):
+                assert query(v, r) == brute_suffix_trail(g, phi, v, r), (v, r)
 
 
 def test_path_matches_oracle_on_small_instances() -> None:
