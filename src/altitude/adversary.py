@@ -13,8 +13,14 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph
-from .orderings import EdgeOrdering, coloring_ordering, greedy_edge_coloring, random_ordering
+from .graphs import Graph, hypercube_dimension
+from .orderings import (
+    EdgeOrdering,
+    coloring_ordering,
+    greedy_edge_coloring,
+    hypercube_dimension_coloring,
+    random_ordering,
+)
 from .paths import SoundnessError, longest_increasing_path
 from .pedestrian import sqrt_degree_floor
 
@@ -159,17 +165,22 @@ def local_search_min_psi(
 
 def upper_bound_report(
     g: Graph,
-    strategies: tuple[str, ...] = ("coloring", "random", "anneal"),
     seed: int = 0,
     steps: int = 2000,
     restarts: int = 2,
     psi_budget: int | None = 500000,
 ) -> UpperBoundReport:
-    """Least verified ordering value over a strategy portfolio.
+    """Least verified ordering value over the coloring, random and annealed orderings.
 
-    The coloring strategy is always sound to include: its trail value is at
-    most the class count, itself at most max_degree + 1.  Random restarts
-    and annealing only ever lower the report.
+    The first entry, ``coloring``, ranks the classes of a proper edge
+    coloring in blocks, so an increasing path uses at most one edge per
+    class and its value is at most the class count.  The coloring is the
+    dimension coloring (d classes) on a canonically labelled Q_d and the
+    Misra-Gries coloring (at most max_degree + 1 classes) on any other
+    graph.  Its value is the verified psi, or the trail length when the
+    psi budget runs out.  Then come ``restarts`` random orderings and
+    ``restarts`` anneals from the coloring ordering; they only ever lower
+    the report.
     """
     if g.m == 0:
         ident = EdgeOrdering(())
@@ -183,26 +194,19 @@ def upper_bound_report(
         else:
             entries.append((label, _trail_len(g, list(ordering.inverse)), False, ordering))
 
-    from .graphs import hypercube_dimension
-    from .orderings import hypercube_dimension_coloring
-
-    base = coloring_ordering(g, greedy_edge_coloring(g), seed)
     if hypercube_dimension(g) is not None:
-        base = coloring_ordering(g, hypercube_dimension_coloring(g), seed)
-    for s in strategies:
-        if s == "coloring":
-            add("coloring", base)
-        elif s == "random":
-            for i in range(restarts):
-                add(f"random-{i}", random_ordering(g, seed + 7919 * (i + 1)))
-        elif s == "anneal":
-            for i in range(restarts):
-                trace = local_search_min_psi(
-                    g, base, steps, seed + 104729 * (i + 1), psi_budget=psi_budget
-                )
-                entries.append((f"anneal-{i}", trace.best_psi, trace.verified, trace.best_ordering))
-        else:
-            raise ValueError(f"unknown strategy {s!r}")
+        coloring = hypercube_dimension_coloring(g)
+    else:
+        coloring = greedy_edge_coloring(g)
+    base = coloring_ordering(g, coloring, seed)
+    add("coloring", base)
+    for i in range(restarts):
+        add(f"random-{i}", random_ordering(g, seed + 7919 * (i + 1)))
+    for i in range(restarts):
+        trace = local_search_min_psi(
+            g, base, steps, seed + 104729 * (i + 1), psi_budget=psi_budget
+        )
+        entries.append((f"anneal-{i}", trace.best_psi, trace.verified, trace.best_ordering))
 
     # Prefer verified values at equal bound.
     label, value, ver, witness = min(entries, key=lambda t: (t[1], not t[2]))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bounds import hypercube_k
 from .density import density_floor
 from .graphs import Graph, hypercube_dimension, is_complete
 from .orderings import EdgeOrdering, coloring_ordering, greedy_edge_coloring, identity_ordering
@@ -258,8 +259,6 @@ def f_bounds_sandwich(g: Graph, psi_budget: int | None = 200000) -> SandwichRepo
     res = longest_increasing_path(g, phi, budget=psi_budget)
     if res.exact:
         uppers.append(("coloring-ordering-path", res.length))
-
-    from .bounds import hypercube_k
 
     d = hypercube_dimension(g)
     if d is not None and d >= 1:

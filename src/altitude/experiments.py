@@ -13,12 +13,11 @@ from io import StringIO
 from typing import Iterable, Sequence
 
 from .adversary import upper_bound_report
-from .bounds import gnp_k, gnp_threshold_p, gnp_union_bound_log, hypercube_bounds, hypercube_k
+from .bounds import gnp_k, gnp_threshold_p, gnp_union_bound_log, hypercube_k
 from .density import density_floor
 from .exactf import exact_f
 from .graphs import degree_stats, make_hypercube, sample_gnp
-from .orderings import coloring_ordering, greedy_edge_coloring, hypercube_dimension_coloring, random_ordering
-from .paths import longest_increasing_path, longest_increasing_trail
+from .orderings import random_ordering
 from .pedestrian import run_pedestrian, sqrt_degree_floor
 
 SCHEMA_HYPERCUBE = "altitude/experiment-hypercube/1"
@@ -29,7 +28,6 @@ SCHEMA_GNP = "altitude/experiment-gnp/1"
 class ExperimentRow:
     """One campaign row: stable columns first, wall time last."""
 
-    campaign: str
     values: tuple[tuple[str, str], ...]
     wall_ms: int
 
@@ -80,34 +78,31 @@ HYPERCUBE_HEADER = (
 def _hypercube_row(d: int, psi_budget: int, f_budget: int, seed: int) -> ExperimentRow:
     t0 = time.perf_counter()
     g = make_hypercube(d)
-    lower = hypercube_k(d) if d >= 2 else 1
-    upper = hypercube_bounds(d)[1] if d >= 2 else 1
-
-    phi = coloring_ordering(g, hypercube_dimension_coloring(g), seed)
-    res = longest_increasing_path(g, phi, budget=psi_budget)
-    coloring_psi = res.length if res.exact else longest_increasing_trail(g, phi).length
+    # Cubes small enough for the exact f skip the adversary: their report
+    # holds the coloring entry alone.
+    small = g.m <= 12
+    rep = upper_bound_report(
+        g, seed=seed, steps=1500, restarts=0 if small else 1, psi_budget=psi_budget
+    )
+    _, coloring_psi, coloring_exact = rep.strategies[0]
 
     cert = density_floor(g, g.n, budget=psi_budget)
 
-    fval: int | None = None
-    fexact: bool | None = None
-    adv_psi: int | None = None
-    adv_ver: bool | None = None
-    if g.m <= 12:
+    fval = fexact = adv_psi = adv_ver = None
+    if small:
         fres = exact_f(g, budget=f_budget)
         fval, fexact = fres.value, fres.exact
     else:
-        rep = upper_bound_report(g, seed=seed, steps=1500, restarts=1, psi_budget=psi_budget)
         adv_psi, adv_ver = rep.best_psi, rep.verified
 
     vals = (
         ("d", _fmt(d)),
         ("n", _fmt(g.n)),
         ("m", _fmt(g.m)),
-        ("lower_ratio", _fmt(lower)),
-        ("upper_dim", _fmt(upper)),
+        ("lower_ratio", _fmt(hypercube_k(d))),
+        ("upper_dim", _fmt(d)),
         ("coloring_psi", _fmt(coloring_psi)),
-        ("coloring_psi_exact", _fmt(res.exact)),
+        ("coloring_psi_exact", _fmt(coloring_exact)),
         ("cert_lower", _fmt(cert)),
         ("exact_f", _fmt(fval)),
         ("exact_f_is_exact", _fmt(fexact)),
@@ -115,7 +110,7 @@ def _hypercube_row(d: int, psi_budget: int, f_budget: int, seed: int) -> Experim
         ("adversary_verified", _fmt(adv_ver)),
     )
     ms = int((time.perf_counter() - t0) * 1000)
-    return ExperimentRow("hypercube", vals, ms)
+    return ExperimentRow(vals, ms)
 
 
 def experiment_hypercube(
@@ -163,19 +158,9 @@ def _gnp_row(
     stats = degree_stats(g)
     delta1 = stats.max_degree + 1
 
-    if g.m > 0:
-        phi = coloring_ordering(g, greedy_edge_coloring(g), row_seed)
-        res = longest_increasing_path(g, phi, budget=psi_budget)
-        col_psi = res.length if res.exact else longest_increasing_trail(g, phi).length
-        col_exact = res.exact
-        rep = upper_bound_report(g, seed=row_seed, steps=800, restarts=1, psi_budget=psi_budget)
-        adv_psi, adv_ver = rep.best_psi, rep.verified
-        ped = run_pedestrian(g, random_ordering(g, row_seed))
-        ped_max = ped.max_path_edges
-    else:
-        col_psi, col_exact = 0, True
-        adv_psi, adv_ver = 0, True
-        ped_max = 0
+    rep = upper_bound_report(g, seed=row_seed, steps=800, restarts=1, psi_budget=psi_budget)
+    _, col_psi, col_exact = rep.strategies[0]
+    ped_max = run_pedestrian(g, random_ordering(g, row_seed)).max_path_edges
     floor = sqrt_degree_floor(g)
     if ped_max < floor:
         raise AssertionError(f"pedestrian floor violated on n={n} seed={row_seed}")
@@ -199,8 +184,8 @@ def _gnp_row(
         ("delta_plus_1", _fmt(delta1)),
         ("coloring_psi", _fmt(col_psi)),
         ("coloring_psi_exact", _fmt(col_exact)),
-        ("adversary_psi", _fmt(adv_psi)),
-        ("adversary_verified", _fmt(adv_ver)),
+        ("adversary_psi", _fmt(rep.best_psi)),
+        ("adversary_verified", _fmt(rep.verified)),
         ("pedestrian_max", _fmt(ped_max)),
         ("sqrt_floor", _fmt(floor)),
         ("floor_ok", _fmt(ped_max >= floor)),
@@ -209,7 +194,7 @@ def _gnp_row(
         ("union_negative", _fmt(negative)),
     )
     ms = int((time.perf_counter() - t0) * 1000)
-    return ExperimentRow("gnp", vals, ms)
+    return ExperimentRow(vals, ms)
 
 
 def experiment_gnp(

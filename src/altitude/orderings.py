@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .graphs import Graph
+from .graphs import Graph, hypercube_dimension
 
 
 class OrderingFormatError(ValueError):
@@ -210,8 +210,6 @@ def hypercube_dimension_coloring(g: Graph) -> EdgeColoring:
     Yields exactly d perfect-matching classes on Q_d, matching its chromatic
     index.  Rejects graphs that are not a hypercube in canonical labeling.
     """
-    from .graphs import hypercube_dimension
-
     d = hypercube_dimension(g)
     if d is None:
         raise ValueError("graph is not a canonically labeled hypercube")

@@ -99,3 +99,25 @@ def test_report_below_floor_raises_soundness_error(monkeypatch: pytest.MonkeyPat
     monkeypatch.setattr(adversary, "sqrt_degree_floor", lambda g: 10**6)
     with pytest.raises(alt.SoundnessError):
         alt.upper_bound_report(alt.make_complete(3), seed=0, steps=50, restarts=1)
+
+
+def test_report_on_hypercube_builds_no_misra_gries(monkeypatch: pytest.MonkeyPatch) -> None:
+    def refuse(g):
+        raise AssertionError("Misra-Gries coloring built on a canonical hypercube")
+
+    monkeypatch.setattr(adversary, "greedy_edge_coloring", refuse)
+    rep = alt.upper_bound_report(alt.make_hypercube(4), seed=0, steps=100, restarts=1)
+    assert rep.strategies[0] == ("coloring", 4, True)
+
+
+def test_report_strategies_golden() -> None:
+    # recorded before the coloring bound moved wholly into upper_bound_report
+    g = alt.sample_gnp(12, 0.4, seed=2)
+    rep = alt.upper_bound_report(g, seed=0, steps=200, restarts=2)
+    assert rep.strategies == (
+        ("coloring", 6, True),
+        ("random-0", 9, True),
+        ("random-1", 7, True),
+        ("anneal-0", 5, True),
+        ("anneal-1", 5, True),
+    )

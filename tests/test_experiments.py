@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -114,8 +115,59 @@ def test_gnp_campaign_reproducible() -> None:
     assert _strip_wall(a) == _strip_wall(b)
 
 
+# Golden rows, recorded before the campaign rows took their coloring bound
+# from upper_bound_report; the reproducibility tests above compare two runs
+# of one version and cannot catch a refactor that changes rows.
+HYPERCUBE_4_SEED_0 = [
+    "# schema=altitude/experiment-hypercube/1",
+    "d,n,m,lower_ratio,upper_dim,coloring_psi,coloring_psi_exact,cert_lower,"
+    "exact_f,exact_f_is_exact,adversary_psi,adversary_verified",
+    "2,4,4,2,2,2,true,2,2,true,,",
+    "3,8,12,2,3,3,true,3,3,true,,",
+    "4,16,32,2,4,4,true,3,,,4,true",
+]
+
+GNP_14_18_SEED_9 = [
+    "# schema=altitude/experiment-gnp/1",
+    "n,p,trial,seed,m,delta_plus_1,coloring_psi,coloring_psi_exact,adversary_psi,"
+    "adversary_verified,pedestrian_max,sqrt_floor,floor_ok,gnp_k,union_exponent,union_negative",
+    "14,0.3,0,9,33,7,6,true,6,true,7,3,true,0,,",
+    "14,0.3,1,1000012,33,7,6,true,6,true,6,3,true,0,,",
+    "18,0.3,0,2000015,41,9,6,true,6,true,8,3,true,0,,",
+    "18,0.3,1,3000018,49,10,8,true,7,true,8,3,true,0,,",
+]
+
+
+def _golden(csv: str) -> list[str]:
+    return [ln.rsplit(",", 1)[0] for ln in csv.strip().splitlines()]
+
+
+def test_hypercube_campaign_golden() -> None:
+    assert _golden(experiment_hypercube(4, seed=0)) == HYPERCUBE_4_SEED_0
+
+
+def test_gnp_campaign_golden() -> None:
+    csv = experiment_gnp([14, 18], p=0.3, omega=5.0, eps=0.1, trials=2, seed=9)
+    assert _golden(csv) == GNP_14_18_SEED_9
+
+
+def test_gnp_row_builds_one_misra_gries_coloring(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return alt.greedy_edge_coloring(g)
+
+    # every module that bound the name at import, whichever of them a row uses
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("altitude.") and hasattr(mod, "greedy_edge_coloring"):
+            monkeypatch.setattr(mod, "greedy_edge_coloring", counted)
+    experiment_gnp([20], 0.3, omega=5.0, eps=0.1, trials=1, seed=0)
+    assert len(calls) == 1
+
+
 def test_rows_to_csv_rejects_header_mismatch() -> None:
-    row = ExperimentRow("x", (("a", "1"),), 0)
+    row = ExperimentRow((("a", "1"),), 0)
     with pytest.raises(ValueError):
         rows_to_csv("s", ("b",), [row])
 
