@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, hypercube_dimension
+from .graphs import Graph, SoundnessError, hypercube_dimension
 from .orderings import (
     EdgeOrdering,
     coloring_ordering,
@@ -21,7 +21,7 @@ from .orderings import (
     hypercube_dimension_coloring,
     random_ordering,
 )
-from .paths import SoundnessError, longest_increasing_path
+from .paths import longest_increasing_path
 from .pedestrian import sqrt_degree_floor
 
 

@@ -9,8 +9,11 @@ Exit codes: 0 success; 2 usage or parse error; 3 precondition violation
 (bad file, bad parameter, failed verification); 4 budget exhaustion, with
 partial output still emitted.
 
-Option precedence: explicit flags, then ``--config`` file entries (one
-``key=value`` per line, keys named like the long flags), then defaults.
+Each flag declares its default on itself.  ``--config FILE`` (one
+``key=value`` per line, keys named like the long flags, switches as
+true/false) turns its entries into the chosen subcommand's flag defaults, so
+explicit flags still win; keys that name no flag of that subcommand are
+ignored.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from .exactf import exact_f, f_bounds_sandwich
 from .experiments import experiment_gnp, experiment_hypercube
 from .graphs import (
     Graph,
-    GraphFormatError,
     hypercube_dimension,
     make_complete,
     make_cycle,
@@ -49,7 +51,6 @@ from .graphs import (
 )
 from .orderings import (
     EdgeOrdering,
-    OrderingFormatError,
     coloring_ordering,
     greedy_edge_coloring,
     hypercube_dimension_coloring,
@@ -72,27 +73,6 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
-# Central defaults; argparse stores None so config-file values can slot in.
-_DEFAULTS = {
-    "seed": 0,
-    "budget": 200000,
-    "ordering": "identity",
-    "steps": 2000,
-    "restarts": 2,
-    "k": None,
-    "verify": False,
-    "greedy": False,
-    "psi_budget": 200000,
-    "f_budget": 2000000,
-    "trials": 3,
-    "omega": 5.0,
-    "eps": 0.1,
-}
-
-_PER_COMMAND_DEFAULTS = {
-    "adversary": {"ordering": "coloring"},
-}
-
 _BUDGETS = ("budget", "psi_budget", "f_budget")
 
 
@@ -113,34 +93,20 @@ def _load_config(path: str) -> dict[str, str]:
     return entries
 
 
-def _coercions(parser: argparse.ArgumentParser, command: str) -> dict:
-    """Config-value converters for one subcommand, read off its flags."""
-    sub = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    ).choices[command]
-    return {
-        a.dest: _parse_bool if isinstance(a, argparse._StoreConstAction) else a.type or str
-        for a in sub._actions
-    }
+def _set_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Make the ``--config`` entries the chosen subcommand's flag defaults.
 
-
-def _merge(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    coerce = _coercions(parser, args.command) if config else {}
-    for dest, raw in config.items():
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, coerce.get(dest, str)(raw))
-    for dest, value in _PER_COMMAND_DEFAULTS.get(getattr(args, "command", ""), {}).items():
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
-    for dest, value in _DEFAULTS.items():
-        if hasattr(args, dest) and getattr(args, dest) is None:
-            setattr(args, dest, value)
-    for dest in _BUDGETS:
-        value = getattr(args, dest, None)
-        if value is not None and value < 0:
-            raise ValueError(f"--{dest.replace('_', '-')} must be non-negative, got {value}")
-    return args
+    Each value is converted by its flag's own ``type``, or read as a boolean
+    for a switch; keys that name no flag of the subcommand are ignored.
+    """
+    (commands,) = (a for a in parser._actions if a.dest == "command")
+    sub = commands.choices[args.command]
+    flags = {a.dest: a for a in sub._actions}
+    sub.set_defaults(**{
+        key: _parse_bool(raw) if flags[key].nargs == 0 else (flags[key].type or str)(raw)
+        for key, raw in _load_config(args.config).items()
+        if key in flags
+    })
 
 
 def _read_graph(path: str) -> Graph:
@@ -195,10 +161,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         g = make_star(_require(args, "leaves"))
     elif fam == "matching":
         g = make_matching(_require(args, "k"))
-    elif fam == "gnp":
+    else:  # gnp; argparse's choices admit no other family
         g = sample_gnp(_require(args, "n"), _require(args, "p"), args.seed)
-    else:
-        raise ValueError(f"unknown family {fam!r}")
     _emit(serialize_graph(g), args.out)
     return EXIT_OK
 
@@ -306,7 +270,7 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
             r = zeta_exact(g, k, budget=args.budget)
         any_inexact |= not r.exact
         if d is not None and d >= 1:
-            rhs = k * math.log2(k) / 2 if k >= 1 else 0.0
+            rhs = k * math.log2(k) / 2
             holds = hypercube_zeta_bound_check(d, k, r.value) if r.exact else None
             bound_rhs, bound_holds = f"{rhs:.6g}", ("" if holds is None else str(holds).lower())
         else:
@@ -416,11 +380,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         print(str(ok).lower())
         payload.update(name="hypercube-key-inequality", d=args.d, holds=ok)
     elif args.sweep6:
-        lo = args.lo if args.lo is not None else 5
-        hi = args.hi if args.hi is not None else 10**6
-        ok, failures = sweep_inequality_6(lo, hi)
-        print(f"all hold in [{lo}, {hi}]" if ok else f"failures: {failures}")
-        payload.update(name="hypercube-key-inequality-sweep", lo=lo, hi=hi, holds=ok,
+        ok, failures = sweep_inequality_6(args.lo, args.hi)
+        print(f"all hold in [{args.lo}, {args.hi}]" if ok else f"failures: {failures}")
+        payload.update(name="hypercube-key-inequality-sweep", lo=args.lo, hi=args.hi, holds=ok,
                        failures=list(failures))
     elif args.gnp:
         n, p = _require(args, "n"), _require(args, "p")
@@ -466,7 +428,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks.append(("coverage", cov.ok))
     cnt = verify_counting(g, t)
     checks.append(("counting", cnt.holds))
-    floor = sqrt_degree_floor(g) if g.n else 0
+    floor = sqrt_degree_floor(g)
     checks.append(("pedestrian_floor", t.max_path_edges >= floor))
     if res.exact:
         checks.append(("pedestrian_le_path", t.max_path_edges <= res.length))
@@ -499,7 +461,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             f_budget=args.f_budget,
             seed=args.seed,
         )
-    elif args.campaign == "gnp":
+    else:  # gnp; argparse's choices admit no other campaign
         n_list = [int(tok) for tok in _require(args, "n_list").split(",") if tok]
         csv_text = experiment_gnp(
             n_list,
@@ -510,8 +472,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             seed=args.seed,
             psi_budget=args.psi_budget,
         )
-    else:
-        raise ValueError(f"unknown campaign {args.campaign!r}")
     _emit(csv_text, args.out)
     return EXIT_OK
 
@@ -524,7 +484,7 @@ def _add_common(sp: argparse.ArgumentParser, *, graph: bool = True) -> None:
     if graph:
         sp.add_argument("--graph", required=True, help="graph file (n m header + edge lines)")
     sp.add_argument("--config", help="key=value config file (flags take precedence)")
-    sp.add_argument("--seed", type=int, help="RNG seed (default 0)")
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
     sp.add_argument("--out", help="write machine-readable output here instead of stdout")
 
 
@@ -553,36 +513,37 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=f"compute {name} for one (graph, ordering)")
         _add_common(sp)
-        sp.add_argument("--ordering", help="identity | rand | coloring | dimension | file:PATH")
-        sp.add_argument("--verify", action="store_const", const=True,
+        sp.add_argument("--ordering", default="identity",
+                        help="identity | rand | coloring | dimension | file:PATH")
+        sp.add_argument("--verify", action="store_true",
                         help="re-validate the result independently")
         if extra:
-            sp.add_argument("--budget", type=int, help="search node budget")
+            sp.add_argument("--budget", type=int, default=200000, help="search node budget")
         sp.set_defaults(func=func)
 
     sp = sub.add_parser("zeta", help="densest k-subset edge counts")
     _add_common(sp)
     sp.add_argument("--k", type=int)
     sp.add_argument("--ks", help="comma-separated list of k values")
-    sp.add_argument("--budget", type=int)
-    sp.add_argument("--greedy", action="store_const", const=True,
+    sp.add_argument("--budget", type=int, default=200000)
+    sp.add_argument("--greedy", action="store_true",
                     help="greedy lower bound instead of exact search")
     sp.set_defaults(func=_cmd_zeta)
 
     sp = sub.add_parser("exact-f", help="exact altitude for tiny graphs")
     _add_common(sp)
-    sp.add_argument("--budget", type=int)
+    sp.add_argument("--budget", type=int, default=200000)
     sp.add_argument("--ordering-out", help="write the witness ordering file here")
     sp.set_defaults(func=_cmd_exact_f)
 
     sp = sub.add_parser("adversary", help="heuristic ordering minimization")
     _add_common(sp)
-    sp.add_argument("--ordering", help="initial ordering spec (default coloring)")
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--restarts", type=int)
-    sp.add_argument("--budget", type=int, help="exact-psi verification budget")
+    sp.add_argument("--ordering", default="coloring", help="initial ordering spec")
+    sp.add_argument("--steps", type=int, default=2000)
+    sp.add_argument("--restarts", type=int, default=2)
+    sp.add_argument("--budget", type=int, default=200000, help="exact-psi verification budget")
     sp.add_argument("--schedule", help="annealing schedule, e.g. decay=0.95,moves=1200")
-    sp.add_argument("--portfolio", action="store_const", const=True,
+    sp.add_argument("--portfolio", action="store_true",
                     help="run the full strategy portfolio")
     sp.add_argument("--ordering-out", help="write the best ordering file here")
     sp.set_defaults(func=_cmd_adversary)
@@ -596,17 +557,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--d", type=int)
     sp.add_argument("--p", type=float)
-    sp.add_argument("--omega", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--lo", type=int)
-    sp.add_argument("--hi", type=int)
+    sp.add_argument("--omega", type=float, default=5.0)
+    sp.add_argument("--eps", type=float, default=0.1)
+    sp.add_argument("--lo", type=int, default=5)
+    sp.add_argument("--hi", type=int, default=10**6)
     _add_common(sp, graph=False)
     sp.set_defaults(func=_cmd_bounds)
 
     sp = sub.add_parser("verify", help="full verification battery on one (graph, ordering)")
     _add_common(sp)
-    sp.add_argument("--ordering", help="identity | rand | coloring | dimension | file:PATH")
-    sp.add_argument("--budget", type=int)
+    sp.add_argument("--ordering", default="identity",
+                    help="identity | rand | coloring | dimension | file:PATH")
+    sp.add_argument("--budget", type=int, default=200000)
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("experiment", help="CSV campaigns")
@@ -614,11 +576,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--d-max", dest="d_max", type=int)
     sp.add_argument("--n-list", dest="n_list", help="comma-separated n values")
     sp.add_argument("--p", type=float, help="fixed edge density (omit for the threshold rule)")
-    sp.add_argument("--omega", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--trials", type=int)
-    sp.add_argument("--psi-budget", dest="psi_budget", type=int)
-    sp.add_argument("--f-budget", dest="f_budget", type=int)
+    sp.add_argument("--omega", type=float, default=5.0)
+    sp.add_argument("--eps", type=float, default=0.1)
+    sp.add_argument("--trials", type=int, default=3)
+    sp.add_argument("--psi-budget", dest="psi_budget", type=int, default=200000)
+    sp.add_argument("--f-budget", dest="f_budget", type=int, default=2000000)
     sp.add_argument("--workers", type=int, help="accepted for compatibility and ignored")
     _add_common(sp, graph=False)
     sp.set_defaults(func=_cmd_experiment)
@@ -633,9 +595,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        args = _merge(args, parser)
+        if args.config:
+            _set_config_defaults(parser, args)
+            args = parser.parse_args(argv)  # the same flags again, so explicit ones win
+        for dest in _BUDGETS:
+            value = getattr(args, dest, 0)
+            if value < 0:
+                raise ValueError(f"--{dest.replace('_', '-')} must be non-negative, got {value}")
         return args.func(args)
-    except (GraphFormatError, OrderingFormatError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .bounds import hypercube_k
 from .density import density_floor
-from .graphs import Graph, hypercube_dimension, is_complete
+from .graphs import Graph, SoundnessError, hypercube_dimension, is_complete
 from .orderings import EdgeOrdering, coloring_ordering, greedy_edge_coloring, identity_ordering
-from .paths import SoundnessError, longest_increasing_path, longest_increasing_trail
+from .paths import longest_increasing_path, longest_increasing_trail
 from .pedestrian import sqrt_degree_floor
 
 

@@ -16,7 +16,7 @@ from .adversary import upper_bound_report
 from .bounds import gnp_k, gnp_threshold_p, gnp_union_bound_log, hypercube_k
 from .density import density_floor
 from .exactf import exact_f
-from .graphs import degree_stats, make_hypercube, sample_gnp
+from .graphs import SoundnessError, degree_stats, make_hypercube, sample_gnp
 from .orderings import random_ordering
 from .pedestrian import run_pedestrian, sqrt_degree_floor
 
@@ -163,7 +163,7 @@ def _gnp_row(
     ped_max = run_pedestrian(g, random_ordering(g, row_seed)).max_path_edges
     floor = sqrt_degree_floor(g)
     if ped_max < floor:
-        raise AssertionError(f"pedestrian floor violated on n={n} seed={row_seed}")
+        raise SoundnessError(f"pedestrian floor violated on n={n} seed={row_seed}")
 
     if p > 0 and n >= 2:
         kval = gnp_k(n, p, omega, eps)

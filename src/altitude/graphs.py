@@ -34,6 +34,10 @@ class LoopError(GraphFormatError):
     pass
 
 
+class SoundnessError(RuntimeError):
+    """A computed value contradicts a proved bound: a defect in the program."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .graphs import Graph, hypercube_dimension
+from .graphs import Graph, SoundnessError, hypercube_dimension
 
 
 class OrderingFormatError(ValueError):
@@ -112,7 +112,7 @@ def greedy_edge_coloring(g: Graph) -> EdgeColoring:
         for c in range(palette):
             if c not in used:
                 return c
-        raise AssertionError("palette exhausted")  # impossible: deg(v) <= delta
+        raise SoundnessError("palette exhausted")  # impossible: deg(v) <= delta
 
     def other_end(e: int, x: int) -> int:
         u, v = g.edges[e]
@@ -177,7 +177,8 @@ def greedy_edge_coloring(g: Graph) -> EdgeColoring:
             if d not in at[x]:
                 w_idx = i
                 break
-        assert w_idx is not None, "fan lemma violated"
+        if w_idx is None:
+            raise SoundnessError("fan lemma violated")
         # Rotate the prefix: edge i takes edge (i+1)'s color, the tip takes d.
         # Two phases, since the old and new slots overlap at u.
         affected = fan_edges[: w_idx + 1]

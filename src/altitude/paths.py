@@ -40,10 +40,6 @@ class WitnessError(ValueError):
     """A reported walk fails re-validation."""
 
 
-class SoundnessError(RuntimeError):
-    """A computed value contradicts a proved bound: a defect in the program."""
-
-
 def verify_witness(g: Graph, ordering: EdgeOrdering, result: PathResult) -> bool:
     """Re-validate a witness from scratch; raises WitnessError on any defect.
 

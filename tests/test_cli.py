@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from altitude import cli
 from altitude.cli import main
 from altitude.graphs import (
     make_complete,
@@ -391,7 +392,7 @@ def test_config_file_seed_and_flag_precedence(capsys, q3_file, tmp_path):
 
 
 def test_config_file_coerces_int_float_and_bool_keys(capsys, q3_file, tmp_path):
-    # greedy is a store_const flag: "false" must read as False, not as a non-empty string
+    # greedy is a switch: "false" must read as False, not as a non-empty string
     conf = tmp_path / "zeta.conf"
     conf.write_text("ks=2,3,4\nbudget=0\ngreedy=false\n")
     rc, out, _ = run(capsys, "zeta", "--graph", q3_file, "--config", str(conf))
@@ -408,6 +409,21 @@ def test_config_file_coerces_int_float_and_bool_keys(capsys, q3_file, tmp_path):
     payload = json.loads(out_file.read_text())
     assert payload["n"] == 10000 and payload["p"] == 0.05
     assert isinstance(payload["omega"], float) and payload["omega"] == 5.0
+
+    conf = tmp_path / "bad.conf"
+    conf.write_text("seed=abc\n")
+    rc, out, err = run(capsys, "psi", "--graph", q3_file, "--config", str(conf))
+    assert rc == 3 and out == "" and "error:" in err
+    # trials is a flag of experiment, not of psi: ignored, as is the unknown key
+    conf = tmp_path / "foreign.conf"
+    conf.write_text("trials=4\nno_such_flag=1\n")
+    rc, out, _ = run(capsys, "psi", "--graph", q3_file, "--config", str(conf))
+    assert rc == 0 and (rc, out) == run(capsys, "psi", "--graph", q3_file)[:2]
+    # a bounds mode switch set from the file selects that mode
+    conf = tmp_path / "gk.conf"
+    conf.write_text("gk=true\nn=7\n")
+    rc, out, _ = run(capsys, "bounds", "--config", str(conf))
+    assert rc == 0 and out.strip() == "2, 5.25"
 
 
 @pytest.mark.parametrize(
@@ -433,3 +449,72 @@ def test_negative_budget_is_rejected(capsys, k3_file, tmp_path, argv, config):
     assert rc == 3
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "must be non-negative" in err
+
+
+@pytest.mark.parametrize("flag", ["--graph", "--config", "--out"])
+def test_unreadable_path_exits_3_without_traceback(capsys, q3_file, tmp_path, flag):
+    argv = ["psi", "--graph", q3_file, flag, str(tmp_path)]  # a directory, not a file
+    rc, out, err = run(capsys, *argv)
+    assert rc == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
+_COMMON = {"config": None, "seed": 0, "out": None}
+_SEARCH = {**_COMMON, "graph": "g.txt", "ordering": "identity", "verify": False}
+
+# Namespaces each handler receives when only the required flags are given.
+_DEFAULT_NAMESPACES = {
+    "gen": (
+        ["gen", "--family", "path"],
+        {**_COMMON, "family": "path", "n": None, "d": None, "leaves": None, "k": None,
+         "p": None},
+    ),
+    "psi": (["psi", "--graph", "g.txt"], {**_SEARCH, "budget": 200000}),
+    "trail": (["trail", "--graph", "g.txt"], _SEARCH),
+    "pedestrian": (["pedestrian", "--graph", "g.txt"], _SEARCH),
+    "zeta": (
+        ["zeta", "--graph", "g.txt"],
+        {**_COMMON, "graph": "g.txt", "k": None, "ks": None, "budget": 200000, "greedy": False},
+    ),
+    "exact_f": (
+        ["exact-f", "--graph", "g.txt"],
+        {**_COMMON, "graph": "g.txt", "budget": 200000, "ordering_out": None},
+    ),
+    "adversary": (
+        ["adversary", "--graph", "g.txt"],
+        {**_COMMON, "graph": "g.txt", "ordering": "coloring", "steps": 2000, "restarts": 2,
+         "budget": 200000, "schedule": None, "portfolio": False, "ordering_out": None},
+    ),
+    "bounds": (
+        ["bounds"],
+        {**_COMMON, "gk": False, "hypercube": False, "ineq6": False, "sweep6": False,
+         "gnp": False, "n": None, "d": None, "p": None, "omega": 5.0, "eps": 0.1, "lo": 5,
+         "hi": 1000000},
+    ),
+    "verify": (
+        ["verify", "--graph", "g.txt"],
+        {**_COMMON, "graph": "g.txt", "ordering": "identity", "budget": 200000},
+    ),
+    "experiment": (
+        ["experiment", "gnp"],
+        {**_COMMON, "campaign": "gnp", "d_max": None, "n_list": None, "p": None, "omega": 5.0,
+         "eps": 0.1, "trials": 3, "psi_budget": 200000, "f_budget": 2000000, "workers": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("handler", sorted(_DEFAULT_NAMESPACES))
+def test_flag_defaults(monkeypatch, handler):
+    argv, want = _DEFAULT_NAMESPACES[handler]
+    seen = {}
+
+    def capture(args):
+        seen.update(vars(args))
+        return 0
+
+    monkeypatch.setattr(cli, f"_cmd_{handler}", capture)
+    assert main(argv) == 0
+    del seen["func"], seen["command"]
+    assert seen == want
+    assert all(type(seen[k]) is type(v) for k, v in want.items())
