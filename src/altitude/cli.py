@@ -34,7 +34,7 @@ from .bounds import (
     verify_inequality_6,
 )
 from .density import hypercube_zeta_bound_check, zeta_exact, zeta_greedy
-from .exactf import exact_f, f_bounds_sandwich
+from .exactf import exact_f
 from .experiments import experiment_gnp, experiment_hypercube
 from .graphs import (
     Graph,
@@ -77,6 +77,8 @@ _BUDGETS = ("budget", "psi_budget", "f_budget")
 
 
 def _parse_bool(s: str) -> bool:
+    if s.lower() not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"expected a switch value (true/false, yes/no, on/off, 1/0), got {s!r}")
     return s.lower() in ("1", "true", "yes", "on")
 
 
@@ -286,7 +288,6 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
 def _cmd_exact_f(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     res = exact_f(g, budget=args.budget)
-    sandwich = f_bounds_sandwich(g)
     print(f"f={res.value}" + ("" if res.exact else f" (bracket [{res.lower}, {res.value}])"))
     print("witness: " + " ".join(str(r) for r in res.witness.rank))
     payload = {
@@ -299,10 +300,10 @@ def _cmd_exact_f(args: argparse.Namespace) -> int:
         "explored": res.explored,
         "witness_ranks": list(res.witness.rank),
         "sandwich": {
-            "lower": sandwich.lower,
-            "upper": sandwich.upper,
-            "lower_candidates": [[s, v] for s, v in sandwich.lower_candidates],
-            "upper_candidates": [[s, v] for s, v in sandwich.upper_candidates],
+            "lower": res.bounds.lower,
+            "upper": res.bounds.upper,
+            "lower_candidates": [[s, v] for s, v in res.bounds.lower_candidates],
+            "upper_candidates": [[s, v] for s, v in res.bounds.upper_candidates],
         },
     }
     if args.out:

@@ -3,9 +3,10 @@
 The search assigns ranks 1, 2, ..., m to edges one at a time.  Increasing
 paths live entirely among already-ranked edges, so the partial value can
 only grow as ranks are appended: a branch whose prefix already reaches the
-incumbent is dead.  The incumbent starts at the coloring-ordering value,
-and the density floor (square-root-of-average-degree floor raised by the
-density criterion) certifies optimality early for many small graphs.
+incumbent is dead.  The search starts from the ``f_bounds_sandwich``
+bracket: its coloring ordering and that ordering's exact value are the
+incumbent, and its proved lower bound (degree floor, density criterion,
+family formulas) is the floor, which settles many small graphs at once.
 """
 
 from __future__ import annotations
@@ -21,12 +22,25 @@ from .pedestrian import sqrt_degree_floor
 
 
 @dataclass(frozen=True)
+class SandwichReport:
+    """Best known bracket on f(G) with labeled sources, plus the coloring
+    ordering behind the coloring upper bounds and its exact value ``psi``."""
+
+    lower: int
+    upper: int
+    lower_candidates: tuple[tuple[str, int], ...]
+    upper_candidates: tuple[tuple[str, int], ...]
+    ordering: EdgeOrdering
+    psi: int
+
+
+@dataclass(frozen=True)
 class AltitudeResult:
     """f(G) with a witness ordering.
 
     When exact, value == lower and the witness achieves it.  On budget
     exhaustion, value is the best incumbent (an upper bound), lower a
-    proved floor, and exact is False.
+    proved floor, and exact is False.  ``bounds`` is the starting bracket.
     """
 
     value: int
@@ -34,16 +48,7 @@ class AltitudeResult:
     witness: EdgeOrdering
     explored: int
     exact: bool
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    """Best known bracket on f(G) with labeled sources."""
-
-    lower: int
-    upper: int
-    lower_candidates: tuple[tuple[str, int], ...]
-    upper_candidates: tuple[tuple[str, int], ...]
+    bounds: SandwichReport
 
 
 # ----------------------------------------------------------------------
@@ -143,24 +148,16 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
 
     Branch-and-bound over rank assignments with the prefix value as the
     pruning key; first-level branches range over one representative per
-    edge orbit.  ``budget`` caps node expansions; exhaustion returns the
-    bracket [proved floor, incumbent] flagged inexact.
+    edge orbit.  The incumbent starts at the sandwich's coloring ordering
+    and its exact value, the floor at the sandwich's lower bound, every
+    candidate of which is proved.  ``budget`` caps node expansions;
+    exhaustion returns the bracket [floor, incumbent] flagged inexact.
     """
+    bounds = f_bounds_sandwich(g)
     m = g.m
-    if g.n == 0:
-        raise ValueError("graph has no vertices")
-    if m == 0:
-        return AltitudeResult(0, 0, identity_ordering(g), 0, True)
-
-    phi0 = coloring_ordering(g, greedy_edge_coloring(g), seed=0)
-    inc = longest_increasing_path(g, phi0)
-    if not inc.exact:
-        raise SoundnessError("an unbudgeted psi search returned an inexact value")
-    best_val = inc.length
-    best_ord = phi0
-    floor = density_floor(g, best_val, budget=50000)
+    best_val, best_ord, floor = bounds.psi, bounds.ordering, bounds.lower
     if best_val <= floor:
-        return AltitudeResult(best_val, best_val, best_ord, 0, True)
+        return AltitudeResult(best_val, best_val, best_ord, 0, True, bounds)
 
     rank_of = [0] * m  # 0 = unranked; otherwise the assigned rank
     explored = 0
@@ -221,45 +218,44 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
 
     rec(0, 0, list(range(m)))
     if exhausted:
-        return AltitudeResult(best_val, floor, best_ord, explored, False)
-    return AltitudeResult(best_val, best_val, best_ord, explored, True)
+        return AltitudeResult(best_val, floor, best_ord, explored, False, bounds)
+    return AltitudeResult(best_val, best_val, best_ord, explored, True, bounds)
 
 
 # ----------------------------------------------------------------------
 # Bound collection
 # ----------------------------------------------------------------------
 
-def f_bounds_sandwich(g: Graph, psi_budget: int | None = 200000) -> SandwichReport:
+def f_bounds_sandwich(g: Graph) -> SandwichReport:
     """Best lower and upper bounds on f(G) from every cheap source.
 
-    Lower: the square-root-of-average-degree floor, the density criterion
-    at growing k (connected graphs), and family formulas for hypercubes and
-    complete graphs.  Upper: class count of a proper coloring, the trail
-    value of its ordering, its exact path value when affordable, and family
-    formulas.  Maxima of pedestrian runs are deliberately absent: they
-    bound one ordering's value from below, not the minimum over orderings.
+    Upper: class count of a proper coloring, the trail value of its
+    ordering, the exact (unbudgeted) path value of that ordering, and
+    family formulas.  Lower: the square-root-of-average-degree floor, the
+    density criterion at growing k (connected graphs) up to the best upper
+    bound, since no k above it can pass, and family formulas for
+    hypercubes and complete graphs.  Maxima of pedestrian runs are
+    deliberately absent: they bound one ordering's value from below, not
+    the minimum over orderings.  The coloring ordering and its value are
+    returned as well; ``exact_f`` starts its search from them.
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
-    lowers: list[tuple[str, int]] = []
-    uppers: list[tuple[str, int]] = []
-
     if g.m == 0:
-        return SandwichReport(0, 0, (("empty", 0),), (("empty", 0),))
-
-    floor = sqrt_degree_floor(g)
-    lowers.append(("sqrt-average-degree", floor))
-    certified = density_floor(g, g.n, budget=psi_budget)
-    lowers += [(f"density-criterion-k{k}", k) for k in range(floor + 1, certified + 1)]
+        return SandwichReport(0, 0, (("empty", 0),), (("empty", 0),), identity_ordering(g), 0)
 
     coloring = greedy_edge_coloring(g)
-    uppers.append(("edge-coloring-classes", coloring.num_colors))
     phi = coloring_ordering(g, coloring, seed=0)
-    uppers.append(("coloring-ordering-trail", longest_increasing_trail(g, phi).length))
-    res = longest_increasing_path(g, phi, budget=psi_budget)
-    if res.exact:
-        uppers.append(("coloring-ordering-path", res.length))
-
+    res = longest_increasing_path(g, phi)
+    if not res.exact:
+        raise SoundnessError("an unbudgeted psi search returned an inexact value")
+    uppers = [
+        ("edge-coloring-classes", coloring.num_colors),
+        ("coloring-ordering-trail", longest_increasing_trail(g, phi).length),
+        ("coloring-ordering-path", res.length),
+    ]
+    floor = sqrt_degree_floor(g)
+    lowers = [("sqrt-average-degree", floor)]
     d = hypercube_dimension(g)
     if d is not None and d >= 1:
         lowers.append(("hypercube-ratio", 1 if d == 1 else hypercube_k(d)))
@@ -273,6 +269,9 @@ def f_bounds_sandwich(g: Graph, psi_budget: int | None = 200000) -> SandwichRepo
         lowers.append(("complete-sqrt", L))
         uppers.append(("complete-three-quarters", (3 * n) // 4))
 
-    lo = max(v for _, v in lowers)
     hi = min(v for _, v in uppers)
-    return SandwichReport(lo, hi, tuple(lowers), tuple(uppers))
+    certified = density_floor(g, hi, budget=200000)
+    # the density labels follow the degree floor, ahead of the family formulas
+    lowers[1:1] = [(f"density-criterion-k{k}", k) for k in range(floor + 1, certified + 1)]
+    lo = max(v for _, v in lowers)
+    return SandwichReport(lo, hi, tuple(lowers), tuple(uppers), phi, res.length)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .graphs import Graph
@@ -162,7 +163,8 @@ def longest_increasing_path(
 
     Branches on the starting edge in rank order, then extends by edges of
     higher rank to unvisited vertices.  A branch is cut when its length plus
-    the suffix-trail bound from its endpoint cannot beat the incumbent.
+    the suffix-trail bound from its endpoint cannot beat the incumbent.  The
+    search keeps its own stack, so no recursion limit caps the path length.
     ``budget`` caps node expansions; on exhaustion the incumbent is returned
     with exact=False (a valid lower bound).
     """
@@ -187,49 +189,49 @@ def longest_increasing_path(
     best_len = 0
     best_vs: tuple[int, ...] = (0,)
     best_es: tuple[int, ...] = ()
-
     explored = 0
     exhausted = False
-    stack_vs: list[int] = []
-    stack_es: list[int] = []
-
-    def dfs(v: int, mask: int, r: int) -> None:
-        nonlocal explored, exhausted, best_len, best_vs, best_es
-        explored += 1
-        if budget is not None and explored > budget:
-            exhausted = True
-            return
-        length = len(stack_es)
-        if length > best_len:
-            best_len = length
-            best_vs = tuple(stack_vs)
-            best_es = tuple(stack_es)
-        if length + suffix(v, r + 1) <= best_len:
-            return
-        a = adj_by_rank[v]
-        for i in range(bisect_right(ranks_only[v], r), len(a)):
-            rr, e, w = a[i]
-            if mask >> w & 1:
-                continue
-            stack_vs.append(w)
-            stack_es.append(e)
-            dfs(w, mask | (1 << w), rr)
-            stack_vs.pop()
-            stack_es.pop()
-            if exhausted:
-                return
-
-    for e in ordering.edges_by_rank():
-        if exhausted:
-            break
-        r = ordering.rank[e]
-        u, v = g.edges[e]
-        for a, b in ((u, v), (v, u)):
-            if 1 + suffix(b, r + 1) <= best_len:
-                continue
-            stack_vs[:] = [a, b]
-            stack_es[:] = [e]
-            dfs(b, (1 << a) | (1 << b), r)
+    ends = g.edges
+    starts = ((e, a, b) for e in ordering.edges_by_rank() for a, b in (ends[e], ends[e][::-1]))
+    for e0, a0, b0 in starts:
+        r0 = ordering.rank[e0]
+        if 1 + suffix(b0, r0 + 1) <= best_len:
+            continue
+        # Depth-first with an explicit stack.  A frame holds an open vertex's
+        # untried higher-ranked edges and the visited mask; the first frame
+        # holds a0 with the single edge e0.  A vertex is counted, scored and
+        # bounded when its parent's frame reaches it, and gets a frame of its
+        # own only if the bound does not cut it.
+        stack_vs: list[int] = [a0]
+        stack_es: list[int] = []
+        frames = [(iter(((r0, e0, b0),)), 1 << a0)]
+        while frames:
+            edges_left, mask = frames[-1]
+            for r, e, w in edges_left:
+                if mask >> w & 1:
+                    continue
+                explored += 1
+                if budget is not None and explored > budget:
+                    exhausted = True
+                    break
+                length = len(stack_es) + 1
+                if length > best_len:
+                    best_len = length
+                    best_vs = (*stack_vs, w)
+                    best_es = (*stack_es, e)
+                if length + suffix(w, r + 1) > best_len:
+                    stack_vs.append(w)
+                    stack_es.append(e)
+                    tail = islice(adj_by_rank[w], bisect_right(ranks_only[w], r), None)
+                    frames.append((tail, mask | (1 << w)))
+                    break
+            else:  # every edge of the frame tried: step back
+                frames.pop()
+                stack_vs.pop()
+                if stack_es:
+                    stack_es.pop()
             if exhausted:
                 break
+        if exhausted:
+            break
     return PathResult("path", best_len, best_vs, best_es, not exhausted, explored)

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from altitude import cli
+from altitude import cli, exactf
 from altitude.cli import main
 from altitude.graphs import (
+    Graph,
     make_complete,
     make_cycle,
     make_hypercube,
@@ -25,7 +26,7 @@ from altitude.graphs import (
     sample_gnp,
     serialize_graph,
 )
-from altitude.orderings import parse_ordering
+from altitude.orderings import EdgeOrdering, parse_ordering, serialize_ordering
 from oracles import brute_psi
 
 
@@ -133,6 +134,23 @@ def test_psi_budget_exhaustion_exits_4(capsys, tmp_path):
     assert json.loads(out)["exact"] is False
 
 
+def test_psi_on_a_path_2000_edges_deep_has_no_recursion_limit(capsys, tmp_path):
+    # The path edges of C_2000 ranked 1..1999 along the path and the closing
+    # edge 2000: the best trail returns to vertex 0, so the search must walk
+    # 1999 edges deep.
+    g = make_cycle(2000)
+    ranks = [2000 if (a, b) == (0, 1999) else a + 1 for a, b in g.edges]
+    graph, order = tmp_path / "c2000.txt", tmp_path / "c2000.ord"
+    graph.write_text(serialize_graph(g))
+    order.write_text(serialize_ordering(EdgeOrdering(tuple(ranks))))
+    rc, out, err = run(capsys, "psi", "--graph", str(graph), "--ordering", f"file:{order}",
+                       "--verify")
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["length"] == 1999 and doc["exact"] is True
+    assert doc["vertices"] == list(range(2000))
+
+
 # pedestrian
 
 
@@ -220,6 +238,95 @@ def test_exact_f_budget_exhaustion_exits_4(capsys, tmp_path):
     rc, out, _ = run(capsys, "exact-f", "--graph", str(p), "--budget", "3")
     assert rc == 4
     assert "bracket" in out  # inexact result reports the surviving interval
+
+
+@pytest.mark.parametrize("graph", [make_complete(5), make_hypercube(3)], ids=["k5", "q3"])
+def test_exact_f_builds_its_bracket_once(monkeypatch, capsys, tmp_path, graph):
+    path = tmp_path / "g.txt"
+    path.write_text(serialize_graph(graph))
+    calls = dict.fromkeys(("greedy_edge_coloring", "longest_increasing_path", "density_floor"), 0)
+
+    def counted(name):
+        real = getattr(exactf, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(exactf, name, counted(name))
+    rc, _, _ = run(capsys, "exact-f", "--graph", str(path), "--out", str(tmp_path / "f.json"))
+    assert rc == 0
+    assert calls == dict.fromkeys(calls, 1)
+
+
+def _sandwich(lower, upper, lowers, uppers):
+    return {"lower": lower, "upper": upper, "lower_candidates": lowers,
+            "upper_candidates": uppers}
+
+
+_COLORING_UPPERS = [["edge-coloring-classes", 3], ["coloring-ordering-trail", 3],
+                    ["coloring-ordering-path", 3]]
+
+# stdout and --out JSON of `exact-f` (fields after "m"), recorded before the
+# bracket was built once per run.
+_EXACT_F_GOLDEN = {
+    "k5": (
+        make_complete(5),
+        "f=3\nwitness: 1 3 7 8 5 9 4 2 10 6\n",
+        {"f": 3, "lower": 3, "exact": True, "explored": 2097,
+         "witness_ranks": [1, 3, 7, 8, 5, 9, 4, 2, 10, 6],
+         "sandwich": _sandwich(
+             2, 3, [["sqrt-average-degree", 2], ["complete-sqrt", 2]],
+             [["edge-coloring-classes", 5], ["coloring-ordering-trail", 5],
+              ["coloring-ordering-path", 4], ["complete-three-quarters", 3]])},
+    ),
+    "c7": (
+        make_cycle(7),
+        "f=3\nwitness: 1 4 6 5 2 3 7\n",
+        {"f": 3, "lower": 3, "exact": True, "explored": 410,
+         "witness_ranks": [1, 4, 6, 5, 2, 3, 7],
+         "sandwich": _sandwich(2, 3, [["sqrt-average-degree", 2]], _COLORING_UPPERS)},
+    ),
+    "q3": (
+        make_hypercube(3),
+        "f=3\nwitness: 6 9 1 11 3 5 8 7 4 10 12 2\n",
+        {"f": 3, "lower": 3, "exact": True, "explored": 0,
+         "witness_ranks": [6, 9, 1, 11, 3, 5, 8, 7, 4, 10, 12, 2],
+         "sandwich": _sandwich(
+             3, 3,
+             [["sqrt-average-degree", 2], ["density-criterion-k3", 3], ["hypercube-ratio", 2]],
+             [["edge-coloring-classes", 4], ["coloring-ordering-trail", 3],
+              ["coloring-ordering-path", 3], ["hypercube-dimension", 3]])},
+    ),
+    "gnp-8-0.4": (
+        sample_gnp(8, 0.4, seed=6),
+        "f=2\nwitness: 1 5 6 2 3 4 8 7\n",
+        {"f": 2, "lower": 2, "exact": True, "explored": 263,
+         "witness_ranks": [1, 5, 6, 2, 3, 4, 8, 7],
+         "sandwich": _sandwich(2, 3, [["sqrt-average-degree", 2]], _COLORING_UPPERS)},
+    ),
+    "triangle-and-path": (
+        Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6)]),
+        "f=2\nwitness: 1 4 5 2 6 3\n",
+        {"f": 2, "lower": 2, "exact": True, "explored": 7,
+         "witness_ranks": [1, 4, 5, 2, 6, 3],
+         "sandwich": _sandwich(2, 3, [["sqrt-average-degree", 2]], _COLORING_UPPERS)},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXACT_F_GOLDEN))
+def test_exact_f_golden_outputs(capsys, tmp_path, case):
+    graph, want_out, want_doc = _EXACT_F_GOLDEN[case]
+    path, out_file = tmp_path / "g.txt", tmp_path / "f.json"
+    path.write_text(serialize_graph(graph))
+    rc, out, _ = run(capsys, "exact-f", "--graph", str(path), "--out", str(out_file))
+    assert (rc, out) == (0, want_out)
+    doc = json.loads(out_file.read_text())
+    assert doc == {"schema": "altitude/exact-f/1", "n": graph.n, "m": graph.m, **want_doc}
 
 
 # adversary
@@ -400,6 +507,11 @@ def test_config_file_coerces_int_float_and_bool_keys(capsys, q3_file, tmp_path):
     conf.write_text("ks=2,3,4\nbudget=0\ngreedy=true\n")
     rc, out, _ = run(capsys, "zeta", "--graph", q3_file, "--config", str(conf))
     assert rc == 0
+    # a mistyped switch is an error, not a silent false
+    conf.write_text("ks=2,3,4\nbudget=0\ngreedy=ture\n")
+    rc, out, err = run(capsys, "zeta", "--graph", q3_file, "--config", str(conf))
+    assert (rc, out) == (3, "")
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:") and "ture" in err
 
     conf = tmp_path / "gnp.conf"
     conf.write_text("n=10000\np=0.05\nomega=5\neps=0.1\n")
