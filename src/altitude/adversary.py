@@ -30,12 +30,22 @@ class AnnealSchedule:
     """Geometric cooling: temperature = t0 * decay ** (step // moves_per_level).
 
     t0=None calibrates the start so a median uphill move is accepted with
-    probability about one half; moves_per_level=None uses 100 * m.
+    probability about one half; moves_per_level=None uses 100 * m.  Raises
+    ValueError unless 0 < decay <= 1, moves_per_level >= 1 and t0 >= 0, so
+    the temperature can neither grow nor overflow.
     """
 
     t0: float | None = None
     decay: float = 0.95
     moves_per_level: int | None = None
+
+    def __post_init__(self) -> None:
+        if not 0 < self.decay <= 1:
+            raise ValueError(f"schedule decay must lie in (0, 1], got {self.decay}")
+        if self.moves_per_level is not None and not self.moves_per_level >= 1:
+            raise ValueError(f"schedule moves must be at least 1, got {self.moves_per_level}")
+        if self.t0 is not None and not self.t0 >= 0:
+            raise ValueError(f"schedule t0 must be at least 0, got {self.t0}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+_SWEEP_BLOCK = 1 << 20  # d values per vectorized block of sweep_inequality_6
+
 
 def graham_kleitman(n: int) -> tuple[float, float]:
     """(sqrt(4n-3) - 1)/2 and 3n/4: the classical bracket for f(K_n).
@@ -68,22 +70,26 @@ def sweep_inequality_6(lo: int = 5, hi: int = 10**6) -> tuple[bool, tuple[int, .
 
     Vectorized float evaluation decides the comfortable cases; any d whose
     k-rounding or inequality margin is within a conservative tolerance is
-    re-decided exactly, so the outcome matches the exact sweep.
+    re-decided exactly, so the outcome matches the exact sweep.  The range
+    is swept in blocks of ``_SWEEP_BLOCK`` values, so memory stays bounded
+    however large hi is.
     """
     import numpy as np
 
     if lo < 5 or hi < lo:
         raise ValueError("need 5 <= lo <= hi")
-    d = np.arange(lo, hi + 1, dtype=np.float64)
-    ratio = d / np.log2(d)
-    k = np.ceil(ratio)
-    # A ratio within float noise of an integer could round the wrong way.
-    k_unsafe = np.abs(ratio - np.rint(ratio)) < 1e-9
-    lhs = k * np.log2(k) - k + 1.0
-    margin = np.abs(lhs - d) <= 1e-6 * (np.abs(lhs) + d + 1.0)
-    float_false = lhs >= d
-    suspects = np.nonzero(k_unsafe | margin | float_false)[0]
-    failures = [int(d[i]) for i in suspects if not verify_inequality_6(int(d[i]))]
+    failures = []
+    for start in range(lo, hi + 1, _SWEEP_BLOCK):
+        d = np.arange(start, min(start + _SWEEP_BLOCK, hi + 1), dtype=np.float64)
+        ratio = d / np.log2(d)
+        k = np.ceil(ratio)
+        # A ratio within float noise of an integer could round the wrong way.
+        k_unsafe = np.abs(ratio - np.rint(ratio)) < 1e-9
+        lhs = k * np.log2(k) - k + 1.0
+        margin = np.abs(lhs - d) <= 1e-6 * (np.abs(lhs) + d + 1.0)
+        float_false = lhs >= d
+        suspects = np.nonzero(k_unsafe | margin | float_false)[0]
+        failures += [int(d[i]) for i in suspects if not verify_inequality_6(int(d[i]))]
     return (not failures, tuple(failures))
 
 

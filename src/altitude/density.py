@@ -79,7 +79,11 @@ def zeta_exact(g: Graph, k: int, budget: int | None = None) -> ZetaResult:
     completion cannot beat the incumbent: chosen edges, plus the best t
     values of (edges into chosen) summed, plus min of C(t,2) and half the
     best t remaining-side degrees, where t is the number of open slots.
-    With a budget, exhaustion returns the incumbent flagged inexact.
+    The search keeps its own stack of (chosen, its edges, remaining, t)
+    nodes, pushing the exclude child under the include child, so nodes are
+    visited depth-first, include-first, with no recursion limit; it stops
+    early once the incumbent reaches C(k, 2).  With a budget, exhaustion
+    returns the incumbent flagged inexact.
     """
     n = g.n
     if not 1 <= k <= n:
@@ -92,22 +96,18 @@ def zeta_exact(g: Graph, k: int, budget: int | None = None) -> ZetaResult:
         best_mask |= 1 << v
     cap = k * (k - 1) // 2
     explored = 0
-    exhausted = False
-
-    def rec(S: int, e_S: int, R: int, t: int) -> None:
-        nonlocal best, best_mask, explored, exhausted
-        if exhausted or best == cap:
-            return
+    stack = [(0, 0, (1 << n) - 1, k)]
+    while stack and best < cap:
+        S, e_S, R, t = stack.pop()
         explored += 1
         if budget is not None and explored > budget:
-            exhausted = True
-            return
+            break
         if t == 0:
             if e_S > best:
                 best, best_mask = e_S, S
-            return
+            continue
         if R.bit_count() < t:
-            return
+            continue
         # One pass over R: per-vertex counts for the bound and the branch pick.
         into_S: list[int] = []
         coupled: list[int] = []  # 2*into_S + degree within R
@@ -129,14 +129,13 @@ def zeta_exact(g: Graph, k: int, budget: int | None = None) -> ZetaResult:
         twice_a = 2 * e_S + sum(coupled[:t])
         twice_b = 2 * e_S + 2 * sum(into_S[:t]) + t * (t - 1)
         if min(twice_a, twice_b) <= 2 * best:
-            return
+            continue
         bit = 1 << pick
-        rec(S | bit, e_S + (masks[pick] & S).bit_count(), R ^ bit, t - 1)
-        rec(S, e_S, R ^ bit, t)
-
-    rec(0, 0, (1 << n) - 1, k)
+        stack.append((S, e_S, R ^ bit, t))
+        stack.append((S | bit, e_S + (masks[pick] & S).bit_count(), R ^ bit, t - 1))
     witness = tuple(v for v in range(n) if best_mask >> v & 1)
-    return ZetaResult(k, best, witness, exact=not exhausted, explored=explored)
+    exact = budget is None or explored <= budget
+    return ZetaResult(k, best, witness, exact=exact, explored=explored)
 
 
 def rodl_criterion(g: Graph, k: int, zeta_k: int) -> bool:

@@ -20,6 +20,9 @@ from .orderings import EdgeOrdering, coloring_ordering, greedy_edge_coloring, id
 from .paths import longest_increasing_path, longest_increasing_trail
 from .pedestrian import sqrt_degree_floor
 
+_ORBIT_NODE_CAP = 20000
+_ORBIT_MAP_CAP = 120
+
 
 @dataclass(frozen=True)
 class SandwichReport:
@@ -69,13 +72,17 @@ def _refine_colors(g: Graph) -> list[int]:
     return col
 
 
-def edge_orbits(g: Graph, node_cap: int = 20000) -> tuple[tuple[int, ...], ...]:
+def edge_orbits(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Partition edge indices into classes merged only by real automorphisms.
 
-    Backtracking over color-preserving vertex bijections, capped by a node
-    budget; every complete bijection found merges each edge with its image.
-    The cap can only leave classes too fine, never too coarse, so callers
-    may treat same-class edges as interchangeable.
+    Backtracking over color-preserving vertex bijections, mapping vertices in
+    order of rising color-class size.  A stack holds, per level, an iterator
+    over the images not yet tried, in increasing vertex order, so no
+    recursion limit applies.  Every complete bijection found merges each
+    edge with its image.  The search stops after ``_ORBIT_NODE_CAP`` nodes
+    or ``_ORBIT_MAP_CAP`` automorphisms; the caps can only leave classes
+    too fine, never too coarse, so callers may treat same-class edges as
+    interchangeable.
     """
     n, m = g.n, g.m
     if m == 0:
@@ -83,6 +90,7 @@ def edge_orbits(g: Graph, node_cap: int = 20000) -> tuple[tuple[int, ...], ...]:
     col = _refine_colors(g)
     order = sorted(range(n), key=lambda v: (col.count(col[v]), v))
     eidx = {e: i for i, e in enumerate(g.edges)}
+    masks = g.adj_mask
 
     parent = list(range(m))
 
@@ -92,47 +100,40 @@ def edge_orbits(g: Graph, node_cap: int = 20000) -> tuple[tuple[int, ...], ...]:
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    nodes = 0
-    found = 0
     image = [-1] * n
     used = [False] * n
-
-    def bt(level: int) -> None:
-        nonlocal nodes, found
-        if nodes > node_cap or found >= 120:
-            return
-        nodes += 1
-        if level == n:
-            found += 1
-            for (a, b), e in eidx.items():
-                ia, ib = image[a], image[b]
-                union(e, eidx[(ia, ib) if ia < ib else (ib, ia)])
-            return
+    nodes, found = 1, 0
+    untried = [iter(range(n))]  # untried images of order[level], level = len - 1
+    while untried and nodes <= _ORBIT_NODE_CAP and found < _ORBIT_MAP_CAP:
+        level = len(untried) - 1
         v = order[level]
-        for w in range(n):
+        if image[v] >= 0:  # step back from the image tried last
+            used[image[v]] = False
+            image[v] = -1
+        for w in untried[-1]:
             if used[w] or col[w] != col[v]:
                 continue
-            ok = True
             for u in order[:level]:
-                if (g.adj_mask[v] >> u & 1) != (g.adj_mask[w] >> image[u] & 1):
-                    ok = False
+                if (masks[v] >> u & 1) != (masks[w] >> image[u] & 1):
                     break
-            if not ok:
-                continue
-            image[v] = w
-            used[w] = True
-            bt(level + 1)
-            used[w] = False
-            image[v] = -1
-            if nodes > node_cap or found >= 120:
-                return
+            else:
+                break
+        else:
+            untried.pop()
+            continue
+        image[v] = w
+        used[w] = True
+        nodes += 1
+        if level + 1 < n:
+            untried.append(iter(range(n)))
+            continue
+        found += 1
+        for (a, b), e in eidx.items():
+            ia, ib = image[a], image[b]
+            ra, rb = find(e), find(eidx[(ia, ib) if ia < ib else (ib, ia)])
+            if ra != rb:
+                parent[ra] = rb
 
-    bt(0)
     groups: dict[int, list[int]] = {}
     for e in range(m):
         groups.setdefault(find(e), []).append(e)
@@ -150,8 +151,12 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
     pruning key; first-level branches range over one representative per
     edge orbit.  The incumbent starts at the sandwich's coloring ordering
     and its exact value, the floor at the sandwich's lower bound, every
-    candidate of which is proved.  ``budget`` caps node expansions;
-    exhaustion returns the bracket [floor, incumbent] flagged inexact.
+    candidate of which is proved.  The search keeps its own stack of
+    (prefix value, rank, edge) children, pushed in descending order so they
+    are expanded depth-first by ascending (value, edge); a child whose value
+    has reached the incumbent by the time it is popped is skipped.
+    ``budget`` caps node expansions; exhaustion returns the bracket
+    [floor, incumbent] flagged inexact.
     """
     bounds = f_bounds_sandwich(g)
     m = g.m
@@ -160,8 +165,8 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
         return AltitudeResult(best_val, best_val, best_ord, 0, True, bounds)
 
     rank_of = [0] * m  # 0 = unranked; otherwise the assigned rank
+    ranked: list[int] = []  # ranked[i] holds rank i + 1 on the current branch
     explored = 0
-    exhausted = False
     adj = g.adj
 
     def longest_ending_at(e: int, r: int) -> int:
@@ -181,43 +186,39 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
 
         return 1 + max(back(u, r, base), back(v, r, base))
 
-    def rec(depth: int, prefix_psi: int, unranked: list[int]) -> None:
-        nonlocal best_val, best_ord, explored, exhausted
-        if exhausted or best_val <= floor:
-            return
+    stack = [(0, 0, -1)]  # the root ranks no edge
+    while stack and best_val > floor:
+        val, r, e = stack.pop()
+        if val >= best_val:  # the incumbent improved since this child was pushed
+            continue
+        while len(ranked) >= r > 0:
+            rank_of[ranked.pop()] = 0
+        if r:
+            rank_of[e] = r
+            ranked.append(e)
         explored += 1
         if budget is not None and explored > budget:
-            exhausted = True
-            return
-        if depth == m:
-            best_val = prefix_psi
-            best_ord = EdgeOrdering(tuple(rank_of))
-            return
-        if depth == 0:
-            candidates = [orb[0] for orb in edge_orbits(g)]
+            break
+        if r == m:
+            best_val, best_ord = val, EdgeOrdering(tuple(rank_of))
+            continue
+        if r:
+            candidates = [x for x in range(m) if not rank_of[x]]
         else:
-            candidates = unranked
-        scored = []
-        r = depth + 1
-        for e in candidates:
-            rank_of[e] = r
-            child_psi = max(prefix_psi, longest_ending_at(e, r))
-            rank_of[e] = 0
-            if child_psi < best_val:
-                scored.append((child_psi, e))
-        scored.sort()
-        for child_psi, e in scored:
-            if child_psi >= best_val:
-                continue
-            rank_of[e] = r
-            rest = [x for x in unranked if x != e]
-            rec(depth + 1, child_psi, rest)
-            rank_of[e] = 0
-            if exhausted or best_val <= floor:
-                return
-
-    rec(0, 0, list(range(m)))
-    if exhausted:
+            candidates = [orb[0] for orb in edge_orbits(g)]
+        r += 1
+        children = []
+        for x in candidates:
+            rank_of[x] = r
+            child = longest_ending_at(x, r)
+            rank_of[x] = 0
+            if child < val:
+                child = val
+            if child < best_val:
+                children.append((child, r, x))
+        children.sort(reverse=True)
+        stack += children
+    if budget is not None and explored > budget:
         return AltitudeResult(best_val, floor, best_ord, explored, False, bounds)
     return AltitudeResult(best_val, best_val, best_ord, explored, True, bounds)
 

@@ -66,6 +66,16 @@ def test_anneal_schedule_overrides_accepted() -> None:
     assert tr.best_psi >= 3
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"decay": 0.0}, {"decay": 1.5}, {"moves_per_level": 0}, {"t0": -1.0}],
+    ids=["decay-0", "decay-1.5", "moves-0", "t0-negative"],
+)
+def test_anneal_schedule_rejects_growing_or_overflowing_temperature(bad) -> None:
+    with pytest.raises(ValueError):
+        alt.AnnealSchedule(**bad)
+
+
 def test_report_hits_dimension_bound_on_hypercubes() -> None:
     for d in (2, 3, 4):
         rep = alt.upper_bound_report(alt.make_hypercube(d), seed=0, steps=300, restarts=1)

@@ -7,6 +7,7 @@ import math
 import pytest
 
 import altitude as alt
+from altitude import bounds
 
 
 def test_complete_graph_bounds_exact_values() -> None:
@@ -51,6 +52,19 @@ def test_inequality_six_sweep_clean() -> None:
     ok, failures = alt.sweep_inequality_6(5, 10**5)
     assert ok
     assert failures == ()
+
+
+def test_inequality_six_sweep_blocks_see_each_d_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Every float suspect then fails, so each d the sweep re-decides shows up.
+    monkeypatch.setattr(bounds, "verify_inequality_6", lambda d: False)
+    one_block = bounds.sweep_inequality_6(5, 20000)
+    assert one_block == (False, (16, 256))
+    monkeypatch.setattr(bounds, "_SWEEP_BLOCK", 97)
+    assert bounds.sweep_inequality_6(5, 20000) == one_block
+    # 16 and 256 fall on the first and the last place of a block for these sizes.
+    for size in (1, 2, 3, 4, 11, 12, 251, 252):
+        monkeypatch.setattr(bounds, "_SWEEP_BLOCK", size)
+        assert bounds.sweep_inequality_6(5, 300) == one_block
 
 
 def test_gnp_k_values_and_validation() -> None:

@@ -373,6 +373,16 @@ def test_adversary_schedule_flag(capsys, k3_file):
     assert json.loads(out)["best_psi"] == 2
 
 
+@pytest.mark.parametrize("spec", ["moves=-1", "decay=1.5,moves=1", "moves=0"])
+def test_adversary_rejects_bad_schedule(capsys, k3_file, spec):
+    rc, out, err = run(
+        capsys, "adversary", "--graph", k3_file, "--steps", "20000", "--schedule", spec
+    )
+    assert rc == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
 # bounds
 
 

@@ -160,3 +160,79 @@ def test_density_floor_keeps_degree_floor_on_disconnected_graph() -> None:
     g = alt.Graph.from_edges(8, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(4, 5)])
     assert not alt.degree_stats(g).connected
     assert alt.density_floor(g, g.n, budget=None) == alt.sqrt_degree_floor(g)
+
+
+# (value, witness, exact, explored) at k = 3..6 with budgets None, 5 and 50,
+# recorded before the search moved from recursion to an explicit stack: the
+# search must visit the same nodes in the same order.
+ZETA_GOLDEN = {
+    "q4": [
+        [(2, (0, 1, 2), True, 57), (2, (0, 1, 2), False, 6), (2, (0, 1, 2), False, 51)],
+        [(4, (0, 1, 2, 3), True, 51), (4, (0, 1, 2, 3), False, 6), (4, (0, 1, 2, 3), False, 51)],
+        [(5, (0, 1, 2, 3, 4), True, 233), (5, (0, 1, 2, 3, 4), False, 6),
+         (5, (0, 1, 2, 3, 4), False, 51)],
+        [(7, (0, 1, 2, 3, 4, 5), True, 385), (7, (0, 1, 2, 3, 4, 5), False, 6),
+         (7, (0, 1, 2, 3, 4, 5), False, 51)],
+    ],
+    "q5": [
+        [(2, (0, 1, 2), True, 153), (2, (0, 1, 2), False, 6), (2, (0, 1, 2), False, 51)],
+        [(4, (0, 1, 2, 3), True, 145), (4, (0, 1, 2, 3), False, 6), (4, (0, 1, 2, 3), False, 51)],
+        [(5, (0, 1, 2, 3, 4), True, 1223), (5, (0, 1, 2, 3, 4), False, 6),
+         (5, (0, 1, 2, 3, 4), False, 51)],
+        [(7, (0, 1, 2, 3, 4, 5), True, 2729), (7, (0, 1, 2, 3, 4, 5), False, 6),
+         (7, (0, 1, 2, 3, 4, 5), False, 51)],
+    ],
+    "c9": [
+        [(2, (0, 1, 2), True, 17), (2, (0, 1, 2), False, 6), (2, (0, 1, 2), True, 17)],
+        [(3, (0, 1, 2, 3), True, 21), (3, (0, 1, 2, 3), False, 6), (3, (0, 1, 2, 3), True, 21)],
+        [(4, (0, 1, 2, 3, 4), True, 31), (4, (0, 1, 2, 3, 4), False, 6),
+         (4, (0, 1, 2, 3, 4), True, 31)],
+        [(5, (0, 1, 2, 3, 4, 5), True, 33), (5, (0, 1, 2, 3, 4, 5), False, 6),
+         (5, (0, 1, 2, 3, 4, 5), True, 33)],
+    ],
+    "k6": [
+        [(3, (0, 1, 2), True, 0), (3, (0, 1, 2), True, 0), (3, (0, 1, 2), True, 0)],
+        [(6, (0, 1, 2, 3), True, 0), (6, (0, 1, 2, 3), True, 0), (6, (0, 1, 2, 3), True, 0)],
+        [(10, (0, 1, 2, 3, 4), True, 0), (10, (0, 1, 2, 3, 4), True, 0),
+         (10, (0, 1, 2, 3, 4), True, 0)],
+        [(15, (0, 1, 2, 3, 4, 5), True, 0), (15, (0, 1, 2, 3, 4, 5), True, 0),
+         (15, (0, 1, 2, 3, 4, 5), True, 0)],
+    ],
+    "gnp-12-0.4-3": [
+        [(3, (0, 3, 6), True, 0), (3, (0, 3, 6), True, 0), (3, (0, 3, 6), True, 0)],
+        [(5, (0, 3, 6, 11), True, 17), (5, (0, 3, 6, 11), False, 6), (5, (0, 3, 6, 11), True, 17)],
+        [(7, (0, 3, 6, 10, 11), True, 23), (7, (0, 3, 6, 10, 11), False, 6),
+         (7, (0, 3, 6, 10, 11), True, 23)],
+        [(9, (0, 2, 3, 6, 10, 11), True, 31), (9, (0, 2, 3, 6, 10, 11), False, 6),
+         (9, (0, 2, 3, 6, 10, 11), True, 31)],
+    ],
+    "gnp-16-0.3-7": [
+        [(3, (0, 7, 9), True, 0), (3, (0, 7, 9), True, 0), (3, (0, 7, 9), True, 0)],
+        [(6, (0, 7, 9, 12), True, 0), (6, (0, 7, 9, 12), True, 0), (6, (0, 7, 9, 12), True, 0)],
+        [(9, (0, 2, 7, 9, 12), True, 35), (9, (0, 2, 7, 9, 12), False, 6),
+         (9, (0, 2, 7, 9, 12), True, 35)],
+        [(11, (0, 2, 7, 9, 11, 12), True, 71), (11, (0, 2, 7, 9, 11, 12), False, 6),
+         (11, (0, 2, 7, 9, 11, 12), False, 51)],
+    ],
+}
+ZETA_GRAPHS = {
+    "q4": lambda: alt.make_hypercube(4),
+    "q5": lambda: alt.make_hypercube(5),
+    "c9": lambda: alt.make_cycle(9),
+    "k6": lambda: alt.make_complete(6),
+    "gnp-12-0.4-3": lambda: alt.sample_gnp(12, 0.4, 3),
+    "gnp-16-0.3-7": lambda: alt.sample_gnp(16, 0.3, 7),
+}
+
+
+@pytest.mark.parametrize("name", ZETA_GOLDEN)
+def test_zeta_exact_golden_search(name: str) -> None:
+    g = ZETA_GRAPHS[name]()
+    got = [
+        [
+            (r.value, r.witness, r.exact, r.explored)
+            for r in (alt.zeta_exact(g, k, budget=b) for b in (None, 5, 50))
+        ]
+        for k in range(3, 7)
+    ]
+    assert got == ZETA_GOLDEN[name]

@@ -61,6 +61,26 @@ def test_edge_orbits_on_symmetric_families() -> None:
     assert alt.edge_orbits(alt.make_path(4)) == ((1,), (0, 2))
 
 
+# Recorded before the search moved from recursion to an explicit stack.  On
+# K_6 the 120-automorphism cap binds, so the partition is finer than the
+# single true orbit and pins where the search stops.
+ORBIT_GOLDEN = [
+    (lambda: alt.make_path(6), ((2,), (1, 3), (0, 4))),
+    (lambda: alt.make_complete(4), ((0, 1, 2, 3, 4, 5),)),
+    (lambda: alt.make_complete(6), ((0, 1, 2, 3, 4), (5, 6, 7, 8, 9, 10, 11, 12, 13, 14))),
+    (lambda: alt.make_hypercube(3), (tuple(range(12)),)),
+    (
+        lambda: alt.sample_gnp(9, 0.4, 16),
+        ((0,), (1,), (3,), (4,), (2, 5), (6,), (9,), (10,), (11,), (7, 12), (13,), (8, 14), (15,)),
+    ),
+]
+
+
+@pytest.mark.parametrize("make, orbits", ORBIT_GOLDEN, ids=["p6", "k4", "k6", "q3", "gnp-9-0.4-16"])
+def test_edge_orbits_golden_partitions(make, orbits) -> None:
+    assert alt.edge_orbits(make()) == orbits
+
+
 def test_edge_orbits_partition_all_edges() -> None:
     for g in random_graphs(30, 2, 10, seed=73):
         orbits = alt.edge_orbits(g)

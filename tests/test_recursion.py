@@ -1,21 +1,28 @@
 """No new recursion in ``src/altitude``: a search that calls itself by name hits
 Python's recursion limit on deep inputs, so searches use explicit stacks.  The
-functions that still recurse are listed below until each is converted (stdlib
-``ast``; no linter is required)."""
+one function that still recurses is listed below with its depth bound (stdlib
+``ast``; no linter is required).  The searches that were converted run here
+under a recursion limit only 60 frames above the caller."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
+
+import altitude as alt
+from altitude.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "altitude"
 
 # "enclosing.function" for nested functions, "function" at module level.
 STILL_RECURSIVE = {
-    "density.py": ["zeta_exact.rec"],
-    "exactf.py": ["edge_orbits.bt", "exact_f.rec", "longest_ending_at.back"],
+    # One frame per edge of an increasing path among already ranked edges,
+    # so its depth is at most the prefix value, which is below the incumbent
+    # (at most max degree + 1) at every live search node.
+    "exactf.py": ["longest_ending_at.back"],
 }
 
 
@@ -57,3 +64,37 @@ def test_checker_finds_self_calls() -> None:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_listed_functions_recurse(path: Path) -> None:
     assert self_calling_functions(path.read_text()) == STILL_RECURSIVE.get(path.name, [])
+
+
+def _frames_above(extra: int) -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth + extra
+
+
+def _zeta_cli(tmp_path: Path) -> None:
+    graph = tmp_path / "c120.txt"
+    graph.write_text(alt.serialize_graph(alt.make_cycle(120)))
+    assert main(["zeta", "--graph", str(graph), "--k", "5"]) == 0
+
+
+LOW_LIMIT_RUNS = {
+    "zeta_exact": lambda _: alt.zeta_exact(alt.make_cycle(120), 5),
+    "edge_orbits": lambda _: alt.edge_orbits(alt.make_path(120)),
+    "exact_f": lambda _: alt.exact_f(alt.sample_gnp(30, 0.2, 0), budget=300),
+    "zeta-cli": _zeta_cli,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOW_LIMIT_RUNS))
+def test_search_runs_under_a_low_recursion_limit(
+    name: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames_above(60))
+    try:
+        LOW_LIMIT_RUNS[name](tmp_path)
+    finally:
+        sys.setrecursionlimit(old)
+    assert capsys.readouterr().err == ""
