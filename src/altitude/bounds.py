@@ -11,9 +11,11 @@ govern the hypercube quantities, natural logarithms the random-graph ones.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-_SWEEP_BLOCK = 1 << 20  # d values per vectorized block of sweep_inequality_6
+_TIE = 1e-13  # relative margin within which a float comparison is settled exactly
+_LOG2_E = 1 / math.log(2)
 
 
 def graham_kleitman(n: int) -> tuple[float, float]:
@@ -65,31 +67,58 @@ def verify_inequality_6(d: int) -> bool:
     return k**k < (1 << (d + k - 1))
 
 
-def sweep_inequality_6(lo: int = 5, hi: int = 10**6) -> tuple[bool, tuple[int, ...]]:
-    """Check the d-range [lo, hi] quickly; returns (all hold, failures).
+def _k_runs(lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (k, first, last) for each maximal run of d in [lo, hi], lo >= 5,
+    that shares k = ceil(d/log2 d).
 
-    Vectorized float evaluation decides the comfortable cases; any d whose
-    k-rounding or inequality margin is within a conservative tolerance is
-    re-decided exactly, so the outcome matches the exact sweep.  The range
-    is swept in blocks of ``_SWEEP_BLOCK`` values, so memory stays bounded
-    however large hi is.
+    d/log2 d rises by less than 1 per step, so k rises by one per run, and the
+    run of k ends at floor(x) for the root of x = k*log2(x), which Newton finds
+    from the previous root moved on by dx/dk, usually in one step.  A root
+    within ``_TIE``*x of an integer is settled exactly.  Float rounding of
+    lo/log2 lo may overshoot k by one, so the walk starts a run early and
+    skips the runs that end before lo.
     """
-    import numpy as np
+    log2 = math.log2
+    k = math.ceil(lo / log2(lo)) - 1
+    x, first = float(lo), lo
+    lg = log2(x)
+    while first <= hi:
+        tol = _TIE * x
+        x += lg * lg / (lg - _LOG2_E)
+        while True:
+            lg = log2(x)
+            step = (x - k * lg) / (1 - k * _LOG2_E / x)
+            x -= step
+            if step * step < tol:  # the error left is about step**2/x
+                break
+        last = int(x)
+        if x - last <= tol and hypercube_k(last) > k:
+            last -= 1
+        elif last + 1 - x <= tol and hypercube_k(last + 1) == k:
+            last += 1
+        if last >= first:
+            yield k, first, (last if last < hi else hi)
+            first = last + 1
+        k += 1
 
+
+def sweep_inequality_6(lo: int = 5, hi: int = 10**6) -> tuple[bool, tuple[int, ...]]:
+    """Check the d-range [lo, hi]; returns (all hold, failures).
+
+    Walks the runs of constant k = ceil(d/log2 d) in O(1) memory, about
+    (hi - lo)/log2 hi steps.  Within a run the left side k*log2(k) - k + 1 is
+    fixed, so only the d up to it can fail; ``verify_inequality_6`` decides
+    those exactly, and a margin of ``_TIE`` covers float error, so the
+    outcome matches the exact per-d sweep.
+    """
     if lo < 5 or hi < lo:
         raise ValueError("need 5 <= lo <= hi")
     failures = []
-    for start in range(lo, hi + 1, _SWEEP_BLOCK):
-        d = np.arange(start, min(start + _SWEEP_BLOCK, hi + 1), dtype=np.float64)
-        ratio = d / np.log2(d)
-        k = np.ceil(ratio)
-        # A ratio within float noise of an integer could round the wrong way.
-        k_unsafe = np.abs(ratio - np.rint(ratio)) < 1e-9
-        lhs = k * np.log2(k) - k + 1.0
-        margin = np.abs(lhs - d) <= 1e-6 * (np.abs(lhs) + d + 1.0)
-        float_false = lhs >= d
-        suspects = np.nonzero(k_unsafe | margin | float_false)[0]
-        failures += [int(d[i]) for i in suspects if not verify_inequality_6(int(d[i]))]
+    for k, first, last in _k_runs(lo, hi):
+        top = k * math.log2(k) - k + 1 + _TIE * first  # the largest d that may fail
+        if top >= first:
+            top = min(last, int(top))
+            failures += [d for d in range(first, top + 1) if not verify_inequality_6(d)]
     return (not failures, tuple(failures))
 
 

@@ -61,6 +61,7 @@ from .orderings import (
 )
 from .paths import longest_increasing_path, longest_increasing_trail, verify_witness
 from .pedestrian import (
+    PedestrianTranscript,
     check_invariants,
     run_pedestrian,
     sqrt_degree_floor,
@@ -145,26 +146,45 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit(json.dumps(payload, indent=2), out)
 
 
+def _graph_and_ordering(args: argparse.Namespace, schema: str) -> tuple[Graph, EdgeOrdering, dict]:
+    """Read --graph, resolve --ordering, and start the command's JSON payload."""
+    g = _read_graph(args.graph)
+    phi = _resolve_ordering(g, args.ordering, args.seed)
+    return g, phi, {
+        "schema": f"altitude/{schema}/1",
+        "n": g.n,
+        "m": g.m,
+        "ordering": args.ordering,
+        "seed": args.seed,
+    }
+
+
+def _pedestrian_battery(g: Graph, phi: EdgeOrdering, t: PedestrianTranscript) -> tuple:
+    """Check the invariants; return the coverage and counting reports and the
+    sqrt-degree floor."""
+    check_invariants(g, phi, t)
+    return verify_coverage(g, t), verify_counting(g, t), sqrt_degree_floor(g)
+
+
 # ----------------------------------------------------------------------
 # Subcommand handlers
 # ----------------------------------------------------------------------
 
+# gen --family: the constructor and the flags it takes, in order
+_FAMILIES = {
+    "complete": (make_complete, ("n",)),
+    "hypercube": (make_hypercube, ("d",)),
+    "path": (make_path, ("n",)),
+    "cycle": (make_cycle, ("n",)),
+    "star": (make_star, ("leaves",)),
+    "matching": (make_matching, ("k",)),
+    "gnp": (sample_gnp, ("n", "p", "seed")),
+}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
-    fam = args.family
-    if fam == "complete":
-        g = make_complete(_require(args, "n"))
-    elif fam == "hypercube":
-        g = make_hypercube(_require(args, "d"))
-    elif fam == "path":
-        g = make_path(_require(args, "n"))
-    elif fam == "cycle":
-        g = make_cycle(_require(args, "n"))
-    elif fam == "star":
-        g = make_star(_require(args, "leaves"))
-    elif fam == "matching":
-        g = make_matching(_require(args, "k"))
-    else:  # gnp; argparse's choices admit no other family
-        g = sample_gnp(_require(args, "n"), _require(args, "p"), args.seed)
+    make, flags = _FAMILIES[args.family]
+    g = make(*[_require(args, name) for name in flags])
     _emit(serialize_graph(g), args.out)
     return EXIT_OK
 
@@ -177,68 +197,43 @@ def _require(args: argparse.Namespace, name: str):
 
 
 def _cmd_psi(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    phi = _resolve_ordering(g, args.ordering, args.seed)
+    g, phi, payload = _graph_and_ordering(args, "psi")
     res = longest_increasing_path(g, phi, budget=args.budget)
     if args.verify:
         verify_witness(g, phi, res)
-    payload = {
-        "schema": "altitude/psi/1",
-        "n": g.n,
-        "m": g.m,
-        "ordering": args.ordering,
-        "seed": args.seed,
-        "length": res.length,
-        "exact": res.exact,
-        "explored": res.explored,
-        "vertices": list(res.vertices),
-        "edges": list(res.edges),
-    }
+    payload.update(
+        length=res.length,
+        exact=res.exact,
+        explored=res.explored,
+        vertices=list(res.vertices),
+        edges=list(res.edges),
+    )
     _emit_json(payload, args.out)
     return EXIT_OK if res.exact else EXIT_BUDGET
 
 
 def _cmd_trail(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    phi = _resolve_ordering(g, args.ordering, args.seed)
+    g, phi, payload = _graph_and_ordering(args, "trail")
     res = longest_increasing_trail(g, phi)
     if args.verify:
         verify_witness(g, phi, res)
-    payload = {
-        "schema": "altitude/trail/1",
-        "n": g.n,
-        "m": g.m,
-        "ordering": args.ordering,
-        "seed": args.seed,
-        "length": res.length,
-        "vertices": list(res.vertices),
-        "edges": list(res.edges),
-    }
+    payload.update(length=res.length, vertices=list(res.vertices), edges=list(res.edges))
     _emit_json(payload, args.out)
     return EXIT_OK
 
 
 def _cmd_pedestrian(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    phi = _resolve_ordering(g, args.ordering, args.seed)
+    g, phi, payload = _graph_and_ordering(args, "pedestrian")
     t = run_pedestrian(g, phi)
-    payload = {
-        "schema": "altitude/pedestrian/1",
-        "n": g.n,
-        "m": g.m,
-        "ordering": args.ordering,
-        "seed": args.seed,
-        "paths": [list(p) for p in t.paths],
-        "swap_log": [[e, s] for e, s in t.swap_log],
-        "final_position": list(t.final_position),
-        "max_path_edges": t.max_path_edges,
-    }
+    payload.update(
+        paths=[list(p) for p in t.paths],
+        swap_log=[[e, s] for e, s in t.swap_log],
+        final_position=list(t.final_position),
+        max_path_edges=t.max_path_edges,
+    )
     status = EXIT_OK
     if args.verify:
-        check_invariants(g, phi, t)
-        cov = verify_coverage(g, t)
-        cnt = verify_counting(g, t)
-        floor = sqrt_degree_floor(g)
+        cov, cnt, floor = _pedestrian_battery(g, phi, t)
         payload["verification"] = {
             "coverage": cov.ok,
             "counting_lhs": cnt.lhs,
@@ -362,11 +357,15 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         }
     _emit_json(payload, args.out)
     if args.ordering_out:
-        Path(args.ordering_out).write_text(serialize_ordering(witness))
+        _emit(serialize_ordering(witness), args.ordering_out)
     return EXIT_OK if verified else EXIT_BUDGET
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    modes = ("gk", "hypercube", "ineq6", "sweep6", "gnp")
+    chosen = [mode for mode in modes if getattr(args, mode)]
+    if len(chosen) != 1:
+        raise ValueError(f"pick one of --{', --'.join(modes)}; {len(chosen)} given")
     payload: dict = {"schema": "altitude/bounds/1"}
     if args.gk:
         lo, hi = graham_kleitman(_require(args, "n"))
@@ -385,7 +384,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         print(f"all hold in [{args.lo}, {args.hi}]" if ok else f"failures: {failures}")
         payload.update(name="hypercube-key-inequality-sweep", lo=args.lo, hi=args.hi, holds=ok,
                        failures=list(failures))
-    elif args.gnp:
+    else:  # --gnp, the one mode left
         n, p = _require(args, "n"), _require(args, "p")
         k = gnp_k(n, p, args.omega, args.eps)
         payload.update(name="gnp-lower", n=n, p=p, omega=args.omega, eps=args.eps, k=k)
@@ -401,53 +400,40 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                 binomial_exponent=ub.binomial_exponent,
                 certifies=ub.certifies,
             )
-    else:
-        raise ValueError("pick one of --gk, --hypercube, --ineq6, --sweep6, --gnp")
     if args.out:
         _emit_json(payload, args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    phi = _resolve_ordering(g, args.ordering, args.seed)
-    checks: list[tuple[str, bool]] = []
-
+    g, phi, payload = _graph_and_ordering(args, "verify")
     trail = longest_increasing_trail(g, phi)
     verify_witness(g, phi, trail)
-    checks.append(("trail_witness", True))
-
     res = longest_increasing_path(g, phi, budget=args.budget)
     verify_witness(g, phi, res)
-    checks.append(("path_witness", True))
-    checks.append(("path_le_trail", res.length <= trail.length))
-
     t = run_pedestrian(g, phi)
-    check_invariants(g, phi, t)
-    checks.append(("pedestrian_invariants", True))
-    cov = verify_coverage(g, t)
-    checks.append(("coverage", cov.ok))
-    cnt = verify_counting(g, t)
-    checks.append(("counting", cnt.holds))
-    floor = sqrt_degree_floor(g)
-    checks.append(("pedestrian_floor", t.max_path_edges >= floor))
-    if res.exact:
-        checks.append(("pedestrian_le_path", t.max_path_edges <= res.length))
-
-    ok = all(flag for _, flag in checks)
-    payload = {
-        "schema": "altitude/verify/1",
-        "n": g.n,
-        "m": g.m,
-        "ordering": args.ordering,
-        "seed": args.seed,
-        "psi": res.length,
-        "psi_exact": res.exact,
-        "trail": trail.length,
-        "pedestrian_max": t.max_path_edges,
-        "checks": {name: flag for name, flag in checks},
-        "ok": ok,
+    cov, cnt, floor = _pedestrian_battery(g, phi, t)
+    # the witness and invariant checks raise on failure, so reaching here passes them
+    checks = {
+        "trail_witness": True,
+        "path_witness": True,
+        "path_le_trail": res.length <= trail.length,
+        "pedestrian_invariants": True,
+        "coverage": cov.ok,
+        "counting": cnt.holds,
+        "pedestrian_floor": t.max_path_edges >= floor,
     }
+    if res.exact:
+        checks["pedestrian_le_path"] = t.max_path_edges <= res.length
+    ok = all(checks.values())
+    payload.update(
+        psi=res.length,
+        psi_exact=res.exact,
+        trail=trail.length,
+        pedestrian_max=t.max_path_edges,
+        checks=checks,
+        ok=ok,
+    )
     _emit_json(payload, args.out)
     if not ok:
         return EXIT_PRECONDITION
@@ -497,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen", help="generate a graph file")
-    sp.add_argument("--family", required=True,
-                    choices=["complete", "hypercube", "path", "cycle", "star", "matching", "gnp"])
+    sp.add_argument("--family", required=True, choices=list(_FAMILIES))
     sp.add_argument("--n", type=int)
     sp.add_argument("--d", type=int)
     sp.add_argument("--leaves", type=int)
@@ -604,7 +589,7 @@ def main(argv: list[str] | None = None) -> int:
             if value < 0:
                 raise ValueError(f"--{dest.replace('_', '-')} must be non-negative, got {value}")
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -26,17 +26,6 @@ class ZetaResult:
     explored: int
 
 
-def _edges_within(g: Graph, mask: int) -> int:
-    total = 0
-    m = mask
-    while m:
-        b = m & -m
-        v = b.bit_length() - 1
-        m ^= b
-        total += (g.adj_mask[v] & mask).bit_count()
-    return total // 2
-
-
 def _greedy_fill(g: Graph, start: int, k: int) -> tuple[int, int]:
     """Grow a k-set from `start`, always adding the vertex densest into it."""
     mask = 1 << start

@@ -209,14 +209,11 @@ def experiment_gnp(
     """Rows over n_list x trials; p=None applies the threshold density rule."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    tasks = []
-    idx = 0
+    rows = []
     for n in n_list:
         pn = gnp_threshold_p(n, omega) if p is None else p
         if pn > 1:
             pn = 1.0
         for t in range(trials):
-            tasks.append((n, pn, t, seed + 1000003 * idx, omega, eps, psi_budget))
-            idx += 1
-    rows = [_gnp_row(*task) for task in tasks]
+            rows.append(_gnp_row(n, pn, t, seed + 1000003 * len(rows), omega, eps, psi_budget))
     return rows_to_csv(SCHEMA_GNP, GNP_HEADER, rows)

@@ -54,17 +54,33 @@ def test_inequality_six_sweep_clean() -> None:
     assert failures == ()
 
 
-def test_inequality_six_sweep_blocks_see_each_d_once(monkeypatch: pytest.MonkeyPatch) -> None:
-    # Every float suspect then fails, so each d the sweep re-decides shows up.
-    monkeypatch.setattr(bounds, "verify_inequality_6", lambda d: False)
-    one_block = bounds.sweep_inequality_6(5, 20000)
-    assert one_block == (False, (16, 256))
-    monkeypatch.setattr(bounds, "_SWEEP_BLOCK", 97)
-    assert bounds.sweep_inequality_6(5, 20000) == one_block
-    # 16 and 256 fall on the first and the last place of a block for these sizes.
-    for size in (1, 2, 3, 4, 11, 12, 251, 252):
-        monkeypatch.setattr(bounds, "_SWEEP_BLOCK", size)
-        assert bounds.sweep_inequality_6(5, 300) == one_block
+def test_inequality_six_sweep_matches_per_d_exact_answer_on_sub_ranges() -> None:
+    # (6) holds on all of [5, 3000], so this set is empty; the sweep must not
+    # report a d the exact test passes, whatever sub-range it starts in.
+    failing = {d for d in range(5, 3001) if not alt.verify_inequality_6(d)}
+    for lo in range(5, 399, 3):
+        for hi in (lo, lo + 1, lo + 53, 2500):
+            want = tuple(sorted(d for d in failing if lo <= d <= hi))
+            assert bounds.sweep_inequality_6(lo, hi) == (not want, want), (lo, hi)
+
+
+def test_k_runs_agree_with_hypercube_k() -> None:
+    want: list[list[int]] = []
+    for d in range(5, 20001):
+        k = alt.hypercube_k(d)
+        if want and want[-1][0] == k:
+            want[-1][2] = d
+        else:
+            want.append([k, d, d])
+    assert list(bounds._k_runs(5, 20000)) == [tuple(run) for run in want]
+    # d/log2 d is an integer at 16, 256 and 65536: runs that start or end there
+    for lo in (15, 16, 17, 255, 256, 257, 65535, 65536, 65537):
+        hi = lo + 60
+        runs = list(bounds._k_runs(lo, hi))
+        assert [k for k, first, last in runs for _ in range(first, last + 1)] == [
+            alt.hypercube_k(d) for d in range(lo, hi + 1)
+        ], lo
+        assert all(k2 == k1 + 1 for (k1, _, _), (k2, _, _) in zip(runs, runs[1:]))
 
 
 def test_gnp_k_values_and_validation() -> None:

@@ -425,6 +425,47 @@ def test_bounds_bad_domain(capsys):
     assert rc == 3 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--gk", "--hypercube", "--n", "7", "--d", "5"], None),
+        (["--sweep6", "--gnp", "--n", "100", "--p", "0.5", "--hi", "100"], None),
+        (["--hypercube", "--n", "7", "--d", "5"], "gk=true\n"),
+    ],
+    ids=["gk-hypercube", "sweep6-gnp", "config-gk-hypercube"],
+)
+def test_bounds_rejects_more_than_one_mode(capsys, tmp_path, argv, config):
+    if config is not None:
+        cfg = tmp_path / "bounds.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    rc, out, err = run(capsys, "bounds", *argv)
+    assert rc == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
+_BIG = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--gnp", "--n", "2", "--p", "1", "--omega", "1e-320"],
+        ["--hypercube", "--d", _BIG],
+        ["--gk", "--n", _BIG],
+        ["--ineq6", "--d", _BIG],
+    ],
+    ids=["gnp-tiny-omega", "hypercube-huge-d", "gk-huge-n", "ineq6-huge-d"],
+)
+def test_bounds_overflow_exits_3_without_traceback(capsys, argv):
+    rc, out, err = run(capsys, "bounds", *argv)
+    assert rc == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
 # verify
 
 
@@ -441,6 +482,52 @@ def test_verify_battery_all_checks(capsys, q3_file):
     assert doc["ok"] is True
     assert doc["psi"] <= doc["trail"]
     assert doc["pedestrian_max"] <= doc["psi"]
+
+
+# stdout of the (graph, ordering) commands on K_3 and Q_3 (fields after
+# "seed"), recorded before they shared one code path.
+_ALL_CHECKS_PASS = {
+    "trail_witness": True, "path_witness": True, "path_le_trail": True,
+    "pedestrian_invariants": True, "coverage": True, "counting": True,
+    "pedestrian_floor": True, "pedestrian_le_path": True,
+}
+_GOLDEN_GRAPH_COMMANDS = {
+    ("k3", "psi"): {"length": 2, "exact": True, "explored": 4, "vertices": [0, 1, 2],
+                    "edges": [0, 2]},
+    ("k3", "trail"): {"length": 3, "vertices": [1, 0, 2, 1], "edges": [0, 1, 2]},
+    ("k3", "pedestrian"): {
+        "paths": [[0, 1], [1, 0, 2], [2, 0]],
+        "swap_log": [[0, True], [1, True], [2, False]],
+        "final_position": [1, 2, 0], "max_path_edges": 2,
+        "verification": {"coverage": True, "counting_lhs": 3, "counting_rhs": "3",
+                         "counting_holds": True, "sqrt_floor": 2, "floor_ok": True}},
+    ("k3", "verify"): {"psi": 2, "psi_exact": True, "trail": 3, "pedestrian_max": 2,
+                       "checks": _ALL_CHECKS_PASS, "ok": True},
+    ("q3", "psi"): {"length": 5, "exact": True, "explored": 0,
+                    "vertices": [0, 1, 3, 2, 6, 4], "edges": [0, 3, 5, 6, 9]},
+    ("q3", "trail"): {"length": 5, "vertices": [0, 1, 3, 2, 6, 4], "edges": [0, 3, 5, 6, 9]},
+    ("q3", "pedestrian"): {
+        "paths": [[0, 1, 3, 2, 6, 4], [1, 0, 2, 3, 7, 5], [2, 0, 4, 5, 7, 6],
+                  [3, 1, 5, 4, 6, 7], [4, 0], [5, 1], [6, 2], [7, 3]],
+        "swap_log": [[e, True] for e in range(12)],
+        "final_position": [4, 5, 6, 7, 0, 1, 2, 3], "max_path_edges": 5,
+        "verification": {"coverage": True, "counting_lhs": 12, "counting_rhs": "20",
+                         "counting_holds": True, "sqrt_floor": 2, "floor_ok": True}},
+    ("q3", "verify"): {"psi": 5, "psi_exact": True, "trail": 5, "pedestrian_max": 5,
+                       "checks": _ALL_CHECKS_PASS, "ok": True},
+}
+
+
+@pytest.mark.parametrize("graph, command", sorted(_GOLDEN_GRAPH_COMMANDS), ids=lambda v: v)
+def test_graph_ordering_commands_golden_outputs(capsys, k3_file, q3_file, graph, command):
+    path = {"k3": k3_file, "q3": q3_file}[graph]
+    extra = ["--verify"] if command == "pedestrian" else []
+    rc, out, err = run(capsys, command, "--graph", path, *extra)
+    assert rc == 0 and err == ""
+    n, m = (3, 3) if graph == "k3" else (8, 12)
+    want = {"schema": f"altitude/{command}/1", "n": n, "m": m, "ordering": "identity",
+            "seed": 0, **_GOLDEN_GRAPH_COMMANDS[graph, command]}
+    assert out == json.dumps(want, indent=2) + "\n"
 
 
 # experiment

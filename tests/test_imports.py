@@ -1,8 +1,10 @@
-"""Every import in ``src/altitude`` is used (stdlib ``ast``; no linter is required)."""
+"""Every import in ``src/altitude`` is used and comes from the package or the
+standard library (stdlib ``ast``; no linter is required)."""
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +42,29 @@ def test_checker_flags_unused_names() -> None:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path: Path) -> None:
     assert unused_imports(path.read_text()) == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Top-level names of the absolute imports outside the standard library,
+    function-local imports included; relative imports are the package's own."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - sys.stdlib_module_names)
+
+
+def test_checker_flags_non_stdlib_imports() -> None:
+    src = (
+        "from __future__ import annotations\nimport math, os.path\nimport numpy as np\n"
+        "from collections.abc import Iterator\nfrom scipy import sparse\nfrom . import graphs\n"
+        "from .paths import psi\ndef f():\n    import networkx\n    from json import dumps\n"
+    )
+    assert non_stdlib_imports(src) == ["networkx", "numpy", "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_the_standard_library(path: Path) -> None:
+    assert non_stdlib_imports(path.read_text()) == []
