@@ -34,12 +34,16 @@ def graham_kleitman(n: int) -> tuple[float, float]:
 def hypercube_k(d: int) -> int:
     """ceil(d / log2 d) decided exactly: the least k with d**k >= 2**d.
 
-    Starts just below the float estimate and settles the boundary with a
-    couple of integer power comparisons.
+    Returns the float ceiling when d / log2 d lies farther than ``_TIE`` of
+    itself from an integer.  Otherwise starts just below the float estimate
+    and settles the boundary with a couple of integer power comparisons.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
-    k = max(1, math.ceil(d / math.log2(d)) - 2)
+    x = d / math.log2(d)
+    if abs(x - round(x)) > _TIE * x:
+        return math.ceil(x)
+    k = max(1, math.ceil(x) - 2)
     target = 1 << d
     while d**k < target:
         k += 1
@@ -58,12 +62,16 @@ def hypercube_bounds(d: int) -> tuple[float, int]:
 def verify_inequality_6(d: int) -> bool:
     """Exact truth of k*log2(k) - k + 1 < d at k = ceil(d/log2 d), d >= 5.
 
-    Equivalent to the integer comparison k**k < 2**(d + k - 1), so the
-    verdict involves no floating point at all.
+    Decided in floating point when the two sides differ by more than
+    ``_TIE``*d, and otherwise by the equivalent integer comparison
+    k**k < 2**(d + k - 1), so the verdict never rests on rounding.
     """
     if d < 5:
         raise ValueError("the inequality is asserted for d >= 5 only")
     k = hypercube_k(d)
+    y = k * math.log2(k) - k + 1
+    if abs(y - d) > _TIE * d:
+        return y < d
     return k**k < (1 << (d + k - 1))
 
 

@@ -40,10 +40,6 @@ class EdgeOrdering:
     def m(self) -> int:
         return len(self.rank)
 
-    def edges_by_rank(self):
-        """Edge indices from rank 1 to rank m."""
-        return self.inverse
-
 
 @dataclass(frozen=True)
 class EdgeColoring:

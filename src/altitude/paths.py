@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graphs import Graph
 from .orderings import EdgeOrdering
@@ -74,57 +74,56 @@ def verify_witness(g: Graph, ordering: EdgeOrdering, result: PathResult) -> bool
     return True
 
 
-def _trail_sweep(
-    g: Graph, edges: Iterable[int], rank: Sequence[int]
-) -> tuple[list[int], list[list[tuple[int, int, int, int]]]]:
+def _trail_sweep(g: Graph, edges: Iterable[int]) -> tuple[list[int], list[tuple[int, int]]]:
     """Relax both ends of every edge, in the order given; the trail kernel.
 
     best[v] is the longest increasing trail ending (forward sweep) or
     starting (reverse sweep) at v among the edges swept so far.  An edge
     (u, v) updates both ends from the values it found, so it extends some
-    trail either way.  hist[v] lists (rank, value, edge, other_end) each
-    time best[v] rises, in sweep order: the breakpoints of v's value.
+    trail either way.  For e = (u, v), u < v, before[e] = (best[u], best[v])
+    as the sweep found them on reaching e.  The forward sweep's trail
+    witness reads from it which ends e raised: end x, with other end y, rose
+    when before[e][y > x] >= before[e][x > y].  In the reverse sweep before[e]
+    is (S_u(r+1), S_v(r+1)) for e's rank r, where S_x(r) is the longest
+    increasing trail leaving x on ranks >= r: the path search's bound.
     """
     ends = g.edges
     best = [0] * g.n
-    hist: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
+    before = [(0, 0)] * g.m
     for e in edges:
         u, v = ends[e]
-        r = rank[e]
-        nu, nv = best[v] + 1, best[u] + 1
-        if nu > best[u]:
-            best[u] = nu
-            hist[u].append((r, nu, e, v))
-        if nv > best[v]:
-            best[v] = nv
-            hist[v].append((r, nv, e, u))
-    return best, hist
+        bu, bv = best[u], best[v]
+        before[e] = (bu, bv)
+        if bv + 1 > bu:
+            best[u] = bv + 1
+        if bu + 1 > bv:
+            best[v] = bu + 1
+    return best, before
 
 
 def longest_increasing_trail(g: Graph, ordering: EdgeOrdering) -> PathResult:
-    """Longest increasing trail, by one sweep over the edges in rank order."""
+    """Longest increasing trail, by one sweep over the edges in rank order.
+
+    The forward sweep's ``before`` gives the witness: walking the ranks
+    downwards from the end vertex v, the edge that set v's value is the
+    highest-ranked edge below the last one taken whose sweep raised v.
+    """
     if g.n == 0:
         raise ValueError("graph has no vertices")
-    best, hist = _trail_sweep(g, ordering.edges_by_rank(), ordering.rank)
+    best, before = _trail_sweep(g, ordering.inverse)
     end = max(range(g.n), key=lambda v: (best[v], -v))
 
-    # Walk the history backwards: the entry that set the current value is the
-    # last one recorded strictly before the rank of the edge that used it.
+    ends = g.edges
     verts = [end]
     edges_rev = []
-    v, bound = end, g.m + 1
-    while True:
-        entry = None
-        for rec in reversed(hist[v]):
-            if rec[0] < bound:
-                entry = rec
-                break
-        if entry is None:
-            break
-        _, _, e, frm = entry
-        edges_rev.append(e)
-        verts.append(frm)
-        v, bound = frm, entry[0]
+    v = end
+    for e in reversed(ordering.inverse):
+        a, b = ends[e]
+        ba, bb = before[e]
+        if (v == a and bb >= ba) or (v == b and ba >= bb):
+            v = a + b - v
+            edges_rev.append(e)
+            verts.append(v)
     verts.reverse()
     edges_rev.reverse()
     return PathResult(
@@ -137,25 +136,6 @@ def longest_increasing_trail(g: Graph, ordering: EdgeOrdering) -> PathResult:
     )
 
 
-def _suffix_trail_table(g: Graph, ordering: EdgeOrdering):
-    """Breakpoints of S_v(r) = longest increasing trail from v within ranks >= r.
-
-    The trail sweep run downwards through the ranks; per vertex we keep the
-    ranks (in the decreasing order they were set) and the values they set.
-    S_v(r) bounds any increasing path leaving v on ranks >= r, so it prunes
-    the path DFS.
-    """
-    _, hist = _trail_sweep(g, reversed(ordering.edges_by_rank()), ordering.rank)
-    neg_ranks = [[-h[0] for h in hv] for hv in hist]  # ascending
-    vals = [[h[1] for h in hv] for hv in hist]
-
-    def query(v: int, r: int) -> int:
-        i = bisect_right(neg_ranks[v], -r)
-        return vals[v][i - 1] if i else 0
-
-    return query
-
-
 def longest_increasing_path(
     g: Graph, ordering: EdgeOrdering, budget: int | None = None
 ) -> PathResult:
@@ -163,7 +143,9 @@ def longest_increasing_path(
 
     Branches on the starting edge in rank order, then extends by edges of
     higher rank to unvisited vertices.  A branch is cut when its length plus
-    the suffix-trail bound from its endpoint cannot beat the incumbent.  The
+    the trail bound S_w(r+1) at the vertex w it reaches by an edge e of rank
+    r cannot beat the incumbent; the reverse sweep's before[e] holds that
+    bound for both ends of e, and the adjacency lists carry it.  The
     search keeps its own stack, so no recursion limit caps the path length.
     ``budget`` caps node expansions; on exhaustion the incumbent is returned
     with exact=False (a valid lower bound).
@@ -179,10 +161,12 @@ def longest_increasing_path(
     if len(set(trail.vertices)) == len(trail.vertices):
         return PathResult("path", trail.length, trail.vertices, trail.edges, True, 0)
 
-    suffix = _suffix_trail_table(g, ordering)
-    # Per-vertex adjacency sorted by rank, for cheap "next rank above r" scans.
-    adj_by_rank: list[list[tuple[int, int, int]]] = [
-        sorted((ordering.rank[e], e, w) for w, e in g.adj[v]) for v in range(g.n)
+    _, before = _trail_sweep(g, reversed(ordering.inverse))
+    # Per-vertex adjacency sorted by rank, for cheap "next rank above r" scans;
+    # each entry (rank, edge, other end w, S_w(rank + 1)).
+    adj_by_rank: list[list[tuple[int, int, int, int]]] = [
+        sorted((ordering.rank[e], e, w, before[e][w > v]) for w, e in g.adj[v])
+        for v in range(g.n)
     ]
     ranks_only: list[list[int]] = [[t[0] for t in a] for a in adj_by_rank]
 
@@ -192,10 +176,11 @@ def longest_increasing_path(
     explored = 0
     exhausted = False
     ends = g.edges
-    starts = ((e, a, b) for e in ordering.edges_by_rank() for a, b in (ends[e], ends[e][::-1]))
+    starts = ((e, a, b) for e in ordering.inverse for a, b in (ends[e], ends[e][::-1]))
     for e0, a0, b0 in starts:
         r0 = ordering.rank[e0]
-        if 1 + suffix(b0, r0 + 1) <= best_len:
+        s0 = before[e0][b0 > a0]
+        if 1 + s0 <= best_len:
             continue
         # Depth-first with an explicit stack.  A frame holds an open vertex's
         # untried higher-ranked edges and the visited mask; the first frame
@@ -204,10 +189,10 @@ def longest_increasing_path(
         # own only if the bound does not cut it.
         stack_vs: list[int] = [a0]
         stack_es: list[int] = []
-        frames = [(iter(((r0, e0, b0),)), 1 << a0)]
+        frames = [(iter(((r0, e0, b0, s0),)), 1 << a0)]
         while frames:
             edges_left, mask = frames[-1]
-            for r, e, w in edges_left:
+            for r, e, w, s in edges_left:
                 if mask >> w & 1:
                     continue
                 explored += 1
@@ -219,7 +204,7 @@ def longest_increasing_path(
                     best_len = length
                     best_vs = (*stack_vs, w)
                     best_es = (*stack_es, e)
-                if length + suffix(w, r + 1) > best_len:
+                if length + s > best_len:
                     stack_vs.append(w)
                     stack_es.append(e)
                     tail = islice(adj_by_rank[w], bisect_right(ranks_only[w], r), None)

@@ -88,7 +88,7 @@ def run_pedestrian(g: Graph, ordering: EdgeOrdering) -> PedestrianTranscript:
     visited: list[set[int]] = [{i} for i in range(n)]
     edge_sets: list[set[int]] = [set() for _ in range(n)]
     swap_log: list[tuple[int, bool]] = []
-    for e in ordering.edges_by_rank():
+    for e in ordering.inverse:
         u, v = g.edges[e]
         i, j = who[u], who[v]
         swap = v not in visited[i] and u not in visited[j]
@@ -133,7 +133,7 @@ def check_invariants(g: Graph, ordering: EdgeOrdering, t: PedestrianTranscript) 
     pos = list(range(n))
     paths: list[list[int]] = [[i] for i in range(n)]
     visited: list[set[int]] = [{i} for i in range(n)]
-    for step, e in enumerate(ordering.edges_by_rank()):
+    for step, e in enumerate(ordering.inverse):
         u, v = g.edges[e]
         i, j = who[u], who[v]
         swap = v not in visited[i] and u not in visited[j]

@@ -48,6 +48,16 @@ def test_inequality_six_single_points() -> None:
         alt.verify_inequality_6(4)
 
 
+def test_float_screens_match_exact_power_rules() -> None:
+    # d / log2 d is an integer at d = 2, 4, 16, 256 and 65536, where the
+    # float screen must hand over to the exact comparisons.
+    for d in [*range(2, 5001), *(2**j for j in range(1, 21))]:
+        k = alt.hypercube_k(d)
+        assert d**k >= 2**d and (k == 1 or d ** (k - 1) < 2**d), d
+        if d >= 5:
+            assert alt.verify_inequality_6(d) == (k**k < 2 ** (d + k - 1)), d
+
+
 def test_inequality_six_sweep_clean() -> None:
     ok, failures = alt.sweep_inequality_6(5, 10**5)
     assert ok

@@ -383,6 +383,16 @@ def test_adversary_rejects_bad_schedule(capsys, k3_file, spec):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("mode", [[], ["--portfolio"]], ids=["anneal", "portfolio"])
+def test_adversary_on_graph_without_vertices_exits_3(capsys, tmp_path, mode):
+    null = tmp_path / "null.txt"
+    null.write_text("0 0\n")
+    rc, out, err = run(capsys, "adversary", "--graph", str(null), *mode)
+    assert rc == 3
+    assert out == ""
+    assert err == "error: graph has no vertices\n"
+
+
 # bounds
 
 

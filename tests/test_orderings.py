@@ -25,7 +25,6 @@ def test_ordering_bijection_validation() -> None:
 def test_inverse_and_edges_by_rank() -> None:
     phi = alt.EdgeOrdering((3, 1, 2))
     assert phi.inverse == (1, 2, 0)
-    assert phi.edges_by_rank() == (1, 2, 0)
     assert phi.m == 3
 
 

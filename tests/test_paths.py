@@ -8,7 +8,7 @@ import pytest
 
 import altitude as alt
 from altitude.adversary import _trail_len
-from altitude.paths import _suffix_trail_table
+from altitude.paths import _trail_sweep
 from corpus import random_instances
 from oracles import brute_psi, brute_suffix_trail, brute_trail
 
@@ -22,19 +22,21 @@ def test_trail_matches_oracle_on_small_instances() -> None:
 
 
 def test_value_only_trail_matches_trail_sweep_and_oracle() -> None:
-    # The annealer's value-only loop must agree with the history-recording sweep.
+    # The annealer's value-only loop must agree with the trail sweep.
     for g, phi in random_instances(150, 2, 9, seed=23, m_max=8):
         want = brute_trail(g, phi)
         assert _trail_len(g, list(phi.inverse)) == want
         assert alt.longest_increasing_trail(g, phi).length == want
 
 
-def test_suffix_trail_table_matches_oracle() -> None:
+def test_reverse_sweep_before_matches_oracle() -> None:
+    # The path search's bound on crossing e of rank r: S_u(r+1) and S_v(r+1).
     for g, phi in random_instances(60, 2, 8, seed=24, m_max=8):
-        query = _suffix_trail_table(g, phi)
-        for v in range(g.n):
-            for r in range(1, g.m + 2):
-                assert query(v, r) == brute_suffix_trail(g, phi, v, r), (v, r)
+        _, before = _trail_sweep(g, reversed(phi.inverse))
+        for e, (u, v) in enumerate(g.edges):
+            r = phi.rank[e]
+            want = (brute_suffix_trail(g, phi, u, r + 1), brute_suffix_trail(g, phi, v, r + 1))
+            assert before[e] == want, (e, r)
 
 
 def test_path_matches_oracle_on_small_instances() -> None:
@@ -78,6 +80,131 @@ def test_known_path_values() -> None:
     assert res.length == 0 and res.exact
     assert res.edges == ()
     assert alt.verify_witness(empty, alt.identity_ordering(empty), res)
+
+
+# Recorded from the breakpoint-history implementation of the trail sweep.
+# Each case: graph, seed of its random ordering, the trail (length,
+# vertices, edges) and the path (length, vertices, edges, exact, explored)
+# at budgets None, 1, 40 and 2000.  Every optimal trail but C_9's repeats a
+# vertex, so the search runs there.
+_GOLDEN_SEARCH = {
+    "K6": (
+        lambda: alt.make_complete(6), 5,
+        (8, (5, 1, 0, 2, 5, 4, 3, 0, 5), (8, 0, 1, 11, 14, 12, 2, 4)),
+        {
+            None: (5, (1, 5, 3, 2, 4, 0), (8, 13, 9, 10, 3), True, 109),
+            1: (1, (1, 5), (8,), False, 2),
+            40: (5, (1, 5, 3, 2, 4, 0), (8, 13, 9, 10, 3), False, 41),
+            2000: (5, (1, 5, 3, 2, 4, 0), (8, 13, 9, 10, 3), True, 109),
+        },
+    ),
+    "Q4": (
+        lambda: alt.make_hypercube(4), 3,
+        (7, (8, 9, 1, 0, 4, 6, 2, 0), (20, 6, 0, 2, 13, 8, 1)),
+        {
+            None: (7, (9, 8, 12, 14, 10, 2, 6, 7), (20, 22, 29, 26, 9, 8, 17), True, 26),
+            1: (1, (8, 9), (20,), False, 2),
+            40: (7, (9, 8, 12, 14, 10, 2, 6, 7), (20, 22, 29, 26, 9, 8, 17), True, 26),
+            2000: (7, (9, 8, 12, 14, 10, 2, 6, 7), (20, 22, 29, 26, 9, 8, 17), True, 26),
+        },
+    ),
+    "C9": (
+        lambda: alt.make_cycle(9), 2,
+        (4, (0, 1, 2, 3, 4), (0, 2, 3, 4)),
+        {
+            None: (4, (0, 1, 2, 3, 4), (0, 2, 3, 4), True, 0),
+            1: (4, (0, 1, 2, 3, 4), (0, 2, 3, 4), True, 0),
+            40: (4, (0, 1, 2, 3, 4), (0, 2, 3, 4), True, 0),
+            2000: (4, (0, 1, 2, 3, 4), (0, 2, 3, 4), True, 0),
+        },
+    ),
+    "G14": (
+        lambda: alt.sample_gnp(14, 0.4, 7), 11,
+        (9, (2, 4, 13, 8, 7, 0, 4, 1, 8, 11), (15, 26, 33, 29, 4, 2, 9, 10, 32)),
+        {
+            None: (8, (4, 2, 12, 0, 6, 3, 1, 8, 11), (15, 19, 7, 3, 21, 8, 10, 32), True, 134),
+            1: (1, (2, 4), (15,), False, 2),
+            40: (7, (2, 4, 13, 1, 0, 9, 8, 11), (15, 26, 13, 0, 5, 31, 32), False, 41),
+            2000: (8, (4, 2, 12, 0, 6, 3, 1, 8, 11), (15, 19, 7, 3, 21, 8, 10, 32), True, 134),
+        },
+    ),
+    "G22": (
+        lambda: alt.sample_gnp(22, 0.25, 8), 12,
+        (
+            16,
+            (9, 11, 5, 1, 19, 10, 5, 12, 19, 8, 2, 20, 6, 15, 13, 8, 18),
+            (49, 32, 10, 13, 51, 31, 33, 52, 48, 14, 18, 40, 38, 53, 46, 47),
+        ),
+        {
+            None: (
+                12,
+                (9, 11, 5, 1, 19, 10, 2, 20, 6, 15, 13, 8, 18),
+                (49, 32, 10, 13, 51, 15, 18, 40, 38, 53, 46, 47),
+                True,
+                98,
+            ),
+            1: (1, (9, 11), (49,), False, 2),
+            40: (
+                12,
+                (9, 11, 5, 1, 19, 10, 2, 20, 6, 15, 13, 8, 18),
+                (49, 32, 10, 13, 51, 15, 18, 40, 38, 53, 46, 47),
+                False,
+                41,
+            ),
+            2000: (
+                12,
+                (9, 11, 5, 1, 19, 10, 2, 20, 6, 15, 13, 8, 18),
+                (49, 32, 10, 13, 51, 15, 18, 40, 38, 53, 46, 47),
+                True,
+                98,
+            ),
+        },
+    ),
+    "G30": (
+        lambda: alt.sample_gnp(30, 0.15, 9), 13,
+        (
+            11,
+            (25, 0, 5, 8, 28, 20, 4, 19, 13, 16, 1, 13),
+            (5, 1, 31, 47, 74, 27, 26, 58, 56, 9, 8),
+        ),
+        {
+            None: (
+                10,
+                (25, 0, 5, 8, 28, 20, 4, 19, 13, 17, 22),
+                (5, 1, 31, 47, 74, 27, 26, 58, 57, 68),
+                True,
+                85,
+            ),
+            1: (1, (0, 25), (5,), False, 2),
+            40: (
+                9,
+                (25, 0, 5, 8, 27, 26, 4, 29, 13, 1),
+                (5, 1, 31, 46, 78, 28, 30, 61, 8),
+                False,
+                41,
+            ),
+            2000: (
+                10,
+                (25, 0, 5, 8, 28, 20, 4, 19, 13, 17, 22),
+                (5, 1, 31, 47, 74, 27, 26, 58, 57, 68),
+                True,
+                85,
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_SEARCH))
+def test_path_golden_search(name: str) -> None:
+    build, seed, trail, paths = _GOLDEN_SEARCH[name]
+    g = build()
+    phi = alt.random_ordering(g, seed)
+    t = alt.longest_increasing_trail(g, phi)
+    assert (t.length, t.vertices, t.edges) == trail
+    for budget, want in paths.items():
+        r = alt.longest_increasing_path(g, phi, budget=budget)
+        assert (r.length, r.vertices, r.edges, r.exact, r.explored) == want, budget
 
 
 def test_budget_yields_sound_partial_result() -> None:
