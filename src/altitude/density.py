@@ -3,7 +3,14 @@
 zeta(k) is the maximum number of edges induced by k vertices.  Its role: if
 2*zeta(k) - k + 1 is strictly below the average degree of a connected graph,
 then every edge-ordering admits an increasing path with at least k edges.
-For hypercubes, zeta(k) <= k*log2(k)/2, which feeds the dimension bound.
+
+On the hypercube Q_d, zeta(k) is known exactly: the edge-isoperimetric
+theorem of Harper (1964) and Bernstein (1967) says that the first k binary
+numbers induce a densest k-vertex subgraph, with sum_{i<k} popcount(i)
+edges.  ``density_floor`` takes zeta from that closed form on graphs that
+``hypercube_dimension`` recognises, and from ``zeta_exact`` elsewhere.
+The paper uses only its weak form, zeta(k) <= k*log2(k)/2, which feeds the
+dimension bound.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import Graph, degree_stats
+from .graphs import DegreeStats, Graph, degree_stats, hypercube_dimension
 from .pedestrian import sqrt_degree_floor
 
 
@@ -127,6 +134,29 @@ def zeta_exact(g: Graph, k: int, budget: int | None = None) -> ZetaResult:
     return ZetaResult(k, best, witness, exact=exact, explored=explored)
 
 
+def hypercube_zeta(k: int) -> int:
+    """Exact zeta(k) on any hypercube Q_d with 2**d >= k: sum_{i<k} popcount(i).
+
+    By the edge-isoperimetric theorem of Harper (1964) and Bernstein (1967),
+    the vertices 0..k-1 induce the most edges of any k vertices of Q_d: one
+    edge down from each member per set bit.  Counted per bit j, each full
+    block of 2**(j+1) numbers holds 2**j with bit j set, and the partial
+    block holds the rest.  O(log k) integer operations.
+    """
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    total, j = 0, 0
+    while 1 << j < k:
+        total += (k >> (j + 1)) << j
+        total += max(0, k % (2 << j) - (1 << j))
+        j += 1
+    return total
+
+
+def _criterion_holds(stats: DegreeStats, k: int, zeta_k: int) -> bool:
+    return 2 * zeta_k - k + 1 < stats.average_degree
+
+
 def rodl_criterion(g: Graph, k: int, zeta_k: int) -> bool:
     """True iff 2*zeta(k) - k + 1 < average degree, certifying f(G) >= k.
 
@@ -139,25 +169,37 @@ def rodl_criterion(g: Graph, k: int, zeta_k: int) -> bool:
     stats = degree_stats(g)
     if not stats.connected:
         raise ValueError("criterion applies to connected graphs only")
-    return 2 * zeta_k - k + 1 < stats.average_degree
+    return _criterion_holds(stats, k, zeta_k)
 
 
 def density_floor(g: Graph, ceiling: int, budget: int | None) -> int:
     """Largest proved floor on f(G) from the degree floor and the density criterion.
 
     Starts at ``sqrt_degree_floor(g)``.  On a connected graph it then raises
-    the floor to k = floor + 1, floor + 2, ... while zeta(k), solved exactly
-    within ``budget`` nodes, satisfies the criterion; it stops at the first
-    k that fails or runs out of budget, or past min(n, ceiling).  A
-    disconnected graph keeps the degree floor.
+    the floor to k = floor + 1, floor + 2, ... while zeta(k) satisfies the
+    criterion; it stops at the first k that fails, or past min(n, ceiling).
+    On a graph that ``hypercube_dimension`` recognises, zeta(k) is Harper's
+    closed form ``hypercube_zeta(k)``; elsewhere it is solved exactly by
+    ``zeta_exact`` within ``budget`` nodes, and a k whose search runs out of
+    budget also stops the loop.  A disconnected graph keeps the degree floor.
     """
     floor = sqrt_degree_floor(g)
     top = min(g.n, ceiling)
-    if floor >= top or not degree_stats(g).connected:
+    if floor >= top:
         return floor
+    stats = degree_stats(g)
+    if not stats.connected:
+        return floor
+    cube = hypercube_dimension(g) is not None
     for k in range(floor + 1, top + 1):
-        zr = zeta_exact(g, k, budget=budget)
-        if not zr.exact or not rodl_criterion(g, k, zr.value):
+        if cube:
+            zeta_k = hypercube_zeta(k)
+        else:
+            zr = zeta_exact(g, k, budget=budget)
+            if not zr.exact:
+                break
+            zeta_k = zr.value
+        if not _criterion_holds(stats, k, zeta_k):
             break
         floor = k
     return floor

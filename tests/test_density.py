@@ -136,6 +136,81 @@ def test_hypercube_zeta_bound_exact_comparison() -> None:
         alt.hypercube_zeta_bound_check(3, 0, 1)
 
 
+def test_hypercube_zeta_equals_popcount_sum() -> None:
+    sums = [0]
+    for i in range((1 << 20) + 1):
+        sums.append(sums[-1] + i.bit_count())  # sums[k] = sum of popcount(i), i < k
+    for k in range(5001):
+        assert alt.hypercube_zeta(k) == sums[k]
+    for j in range(1, 21):
+        for k in ((1 << j) - 1, (1 << j) + 1):
+            assert alt.hypercube_zeta(k) == sums[k], k
+    with pytest.raises(ValueError):
+        alt.hypercube_zeta(-1)
+
+
+def test_hypercube_zeta_equals_searched_and_brute_zeta() -> None:
+    # Harper's theorem against the branch-and-bound and the subset oracle
+    for d in range(5):
+        qd = alt.make_hypercube(d)
+        for k in range(1, qd.n + 1):
+            assert alt.hypercube_zeta(k) == alt.zeta_exact(qd, k).value, (d, k)
+    q5 = alt.make_hypercube(5)
+    for k in range(1, 13):
+        assert alt.hypercube_zeta(k) == alt.zeta_exact(q5, k).value, k
+    for d in (2, 3):
+        qd = alt.make_hypercube(d)
+        for k in range(1, qd.n + 1):
+            assert alt.hypercube_zeta(k) == brute_zeta(qd, k), (d, k)
+
+
+def _relabelled(g: alt.Graph, seed: int) -> alt.Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return alt.Graph.from_edges(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+def test_density_floor_on_hypercubes_needs_no_search(monkeypatch: pytest.MonkeyPatch) -> None:
+    def no_search(*_args, **_kwargs):
+        raise AssertionError("zeta_exact called on a recognised hypercube")
+
+    with monkeypatch.context() as m:
+        m.setattr(alt.density, "zeta_exact", no_search)
+        floors = [alt.density_floor(alt.make_hypercube(d), 2**d, 200000) for d in range(1, 9)]
+    assert floors == [1, 2, 3, 3, 3, 4, 5, 5]
+
+    # a relabelled cube is not recognised and still gets the same floor by search
+    searched = []
+    real = alt.density.zeta_exact
+
+    def counting(g, k, budget=None):
+        searched.append(k)
+        return real(g, k, budget=budget)
+
+    monkeypatch.setattr(alt.density, "zeta_exact", counting)
+    for d in (4, 5):
+        g = _relabelled(alt.make_hypercube(d), seed=d)
+        assert alt.hypercube_dimension(g) is None
+        searched.clear()
+        assert alt.density_floor(g, g.n, 200000) == 3
+        assert searched
+
+
+def test_density_floor_builds_degree_stats_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = []
+    real = alt.density.degree_stats
+
+    def counting(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(alt.density, "degree_stats", counting)
+    for g in (alt.make_hypercube(8), alt.make_cycle(9), alt.sample_gnp(12, 0.4, 3)):
+        calls.clear()
+        alt.density_floor(g, g.n, budget=None)
+        assert len(calls) == 1
+
+
 def test_density_floor_certifies_only_oracle_backed_sizes() -> None:
     graphs = [g for _, g in named_small_graphs()] + random_graphs(40, 2, 9, seed=57)
     graphs += [alt.make_hypercube(3), alt.make_hypercube(4)]  # sparse and girth 4: they climb

@@ -62,6 +62,28 @@ def test_hypercube_campaign_dimension_six_bracket() -> None:
     assert int(d6["coloring_psi"]) <= 6
 
 
+# experiment_hypercube(6, seed=0) without wall_ms, recorded with zeta on
+# cubes from the branch-and-bound search: Harper's closed form must match it
+HYPERCUBE_D6_SEED0 = """\
+# schema=altitude/experiment-hypercube/1
+d,n,m,lower_ratio,upper_dim,coloring_psi,coloring_psi_exact,cert_lower,exact_f,exact_f_is_exact,adversary_psi,adversary_verified
+2,4,4,2,2,2,true,2,2,true,,
+3,8,12,2,3,3,true,3,3,true,,
+4,16,32,2,4,4,true,3,,,4,true
+5,32,80,3,5,5,true,3,,,5,true
+6,64,192,3,6,6,true,4,,,6,true"""
+
+
+def test_hypercube_campaign_golden_to_dimension_eight() -> None:
+    csv = experiment_hypercube(8, seed=0)
+    lines = [ln if ln.startswith("#") else ln.rsplit(",", 1)[0] for ln in csv.strip().splitlines()]
+    assert "\n".join(lines[:7]) == HYPERCUBE_D6_SEED0
+    _, _, rows = _parse(csv)
+    assert [r["d"] for r in rows] == [str(d) for d in range(2, 9)]
+    assert [int(r["cert_lower"]) for r in rows] == [2, 3, 3, 3, 4, 5, 5]
+    assert [int(r["lower_ratio"]) for r in rows] == [2, 2, 2, 3, 3, 3, 3]
+
+
 def test_hypercube_campaign_reproducible() -> None:
     a = experiment_hypercube(3, seed=5)
     b = experiment_hypercube(3, seed=5)
