@@ -7,6 +7,17 @@ incumbent is dead.  The search starts from the ``f_bounds_sandwich``
 bracket: its coloring ordering and that ordering's exact value are the
 incumbent, and its proved lower bound (degree floor, density criterion,
 family formulas) is the floor, which settles many small graphs at once.
+
+A child appends edge (u, v) with the top rank, so every increasing path
+through it ends with it: the child's value is 1 + the longer of the longest
+path ending at u that avoids v and the one ending at v that avoids u.  The
+branch keeps, per vertex w, ``din[w]``, the longest increasing path among
+the ranked edges that ends at w, and ``wit[w]``, the vertex mask of one such
+path.  Where wit[u] avoids v, the u side is exactly din[u]: no path ending
+at u is longer, and this one avoids v.  Only a witness through v sends that
+side to the backward search ``longest_ending_at.back``, whose depth is at
+most din[u].  Ranking an edge changes din and wit only at its two ends, and
+backtracking restores them from an undo record.
 """
 
 from __future__ import annotations
@@ -144,6 +155,106 @@ def edge_orbits(g: Graph) -> tuple[tuple[int, ...], ...]:
 # Minimax search for f
 # ----------------------------------------------------------------------
 
+class _RankedPrefix:
+    """The ranked edges of one search branch, with path-end values per vertex.
+
+    ``din[w]`` is the length of the longest increasing path among the ranked
+    edges that ends at vertex w, and ``wit[w]`` the vertex bitmask of one
+    such path (w alone while din[w] is 0).  Ranks are appended on top, so a
+    path that uses the newest edge ends with it: ranking (a, b) can only
+    raise din at a and b, and ``rank`` keeps the old pairs there as an undo
+    record that ``unrank`` pops.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        self.edges, self.adj = g.edges, g.adj
+        self.rank_of = [0] * g.m  # 0 = unranked; otherwise the assigned rank
+        self.ranked: list[int] = []  # ranked[i] holds rank i + 1
+        self.din = [0] * g.n
+        self.wit = [1 << w for w in range(g.n)]
+        self.undo: list[tuple[int, int, int, int]] = []  # beside ranked
+
+    def longest_ending_at(self, x: int, avoid: int) -> tuple[int, int]:
+        """Longest increasing path among ranked edges that ends at vertex x
+        and avoids vertex ``avoid``, with its vertex mask.
+
+        Callers first try the witness rule: if wit[x] avoids that vertex,
+        din[x] and wit[x] are the answer.  Only a witness through it brings
+        them here, where ``back`` searches backwards from x along falling
+        ranks.  Its depth is at most din[x].  No path back from a vertex y is
+        longer than din[y], so it skips a neighbour whose din cannot beat the
+        best path so far and leaves y once that path reaches din[y].
+        """
+        adj, rank_of, din = self.adj, self.rank_of, self.din
+
+        def back(y: int, below: int, mask: int) -> tuple[int, int]:
+            out, out_mask = 0, mask
+            for w, e2 in adj[y]:
+                r2 = rank_of[e2]
+                if 0 < r2 < below and din[w] >= out and not mask >> w & 1:
+                    got, got_mask = back(w, r2, mask | (1 << w))
+                    if got >= out:
+                        out, out_mask = got + 1, got_mask
+                        if out == din[y]:
+                            break
+            return out, out_mask
+
+        length, mask = back(x, len(self.ranked) + 1, (1 << x) | (1 << avoid))
+        return length, mask & ~(1 << avoid)
+
+    def top_values(self, candidates: list[int], floor: int) -> list[int]:
+        """For each unranked candidate edge, the longest increasing path that
+        ends with it once it takes the next rank above the prefix, raised to
+        ``floor``.
+
+        The larger din goes first, and a side whose din cannot lift the
+        value is not evaluated at all.
+        """
+        din, wit, edges, end = self.din, self.wit, self.edges, self.longest_ending_at
+        out = []
+        for x in candidates:
+            u, v = edges[x]
+            if din[u] < din[v]:
+                u, v = v, u
+            side = floor - 1
+            if din[u] > side:
+                side = max(side, end(u, v)[0]) if wit[u] >> v & 1 else din[u]
+            if din[v] > side:
+                side = max(side, end(v, u)[0]) if wit[v] >> u & 1 else din[v]
+            out.append(side + 1)
+        return out
+
+    def rank(self, e: int) -> None:
+        """Give edge e the next rank and raise din/wit at its two ends.
+
+        A path ending at one end, extended by e, lifts the other end only if
+        it outgrows that end's din, so an end with the smaller din is not
+        evaluated.
+        """
+        a, b = self.edges[e]
+        din, wit, end = self.din, self.wit, self.longest_ending_at
+        da, db, wa, wb = din[a], din[b], wit[a], wit[b]
+        self.undo.append((da, wa, db, wb))
+        sa = sb = -1  # -1: that end cannot lift the other
+        if db >= da:
+            sb, mb = end(b, a) if wb >> a & 1 else (db, wb)
+        if da >= db:
+            sa, ma = end(a, b) if wa >> b & 1 else (da, wa)
+        if sb >= da:
+            din[a], wit[a] = sb + 1, mb | (1 << a)
+        if sa >= db:
+            din[b], wit[b] = sa + 1, ma | (1 << b)
+        self.ranked.append(e)
+        self.rank_of[e] = len(self.ranked)
+
+    def unrank(self) -> None:
+        """Remove the top-ranked edge and restore din/wit at its ends."""
+        e = self.ranked.pop()
+        self.rank_of[e] = 0
+        a, b = self.edges[e]
+        self.din[a], self.wit[a], self.din[b], self.wit[b] = self.undo.pop()
+
+
 def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
     """Minimum over all orderings of the longest increasing path length.
 
@@ -157,6 +268,16 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
     has reached the incumbent by the time it is popped is skipped.
     ``budget`` caps node expansions; exhaustion returns the bracket
     [floor, incumbent] flagged inexact.
+
+    A child (u, v) takes the top rank, so its value is the larger of the
+    prefix value and 1 + the longest paths ending at u avoiding v and at v
+    avoiding u.  ``_RankedPrefix`` keeps din/wit along the branch: the u
+    side is din[u] when wit[u] avoids v, and only a witness through v runs
+    the backward search ``back``.  The values equal those of a backward
+    search for every child, so the nodes and the witness do not depend on
+    how often that happens.  A witness the search found, rather than the
+    coloring ordering, is rechecked once by an unbudgeted psi search, and a
+    mismatch raises ``SoundnessError``.
     """
     bounds = f_bounds_sandwich(g)
     m = g.m
@@ -164,27 +285,9 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
     if best_val <= floor:
         return AltitudeResult(best_val, best_val, best_ord, 0, True, bounds)
 
-    rank_of = [0] * m  # 0 = unranked; otherwise the assigned rank
-    ranked: list[int] = []  # ranked[i] holds rank i + 1 on the current branch
+    prefix = _RankedPrefix(g)
+    rank_of, ranked = prefix.rank_of, prefix.ranked
     explored = 0
-    adj = g.adj
-
-    def longest_ending_at(e: int, r: int) -> int:
-        """Longest increasing path among ranked edges that ends with edge e."""
-        u, v = g.edges[e]
-        base = (1 << u) | (1 << v)
-
-        def back(x: int, below: int, mask: int) -> int:
-            out = 0
-            for w, e2 in adj[x]:
-                r2 = rank_of[e2]
-                if 0 < r2 < below and not mask >> w & 1:
-                    got = 1 + back(w, r2, mask | (1 << w))
-                    if got > out:
-                        out = got
-            return out
-
-        return 1 + max(back(u, r, base), back(v, r, base))
 
     stack = [(0, 0, -1)]  # the root ranks no edge
     while stack and best_val > floor:
@@ -192,10 +295,9 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
         if val >= best_val:  # the incumbent improved since this child was pushed
             continue
         while len(ranked) >= r > 0:
-            rank_of[ranked.pop()] = 0
+            prefix.unrank()
         if r:
-            rank_of[e] = r
-            ranked.append(e)
+            prefix.rank(e)
         explored += 1
         if budget is not None and explored > budget:
             break
@@ -208,16 +310,17 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
             candidates = [orb[0] for orb in edge_orbits(g)]
         r += 1
         children = []
-        for x in candidates:
-            rank_of[x] = r
-            child = longest_ending_at(x, r)
-            rank_of[x] = 0
-            if child < val:
-                child = val
+        for child, x in zip(prefix.top_values(candidates, val), candidates):
             if child < best_val:
                 children.append((child, r, x))
         children.sort(reverse=True)
         stack += children
+    if best_ord is not bounds.ordering:
+        check = longest_increasing_path(g, best_ord)
+        if not check.exact or check.length != best_val:
+            raise SoundnessError(
+                f"exact_f reported {best_val} for a witness whose psi is {check.length}"
+            )
     if budget is not None and explored > budget:
         return AltitudeResult(best_val, floor, best_ord, explored, False, bounds)
     return AltitudeResult(best_val, best_val, best_ord, explored, True, bounds)

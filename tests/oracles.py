@@ -65,6 +65,29 @@ def brute_suffix_trail(g: Graph, ordering: EdgeOrdering, v: int, r: int) -> int:
     return best
 
 
+def brute_top_value(g: Graph, prefix: list[int], x: int) -> int:
+    """Longest increasing path that ends with edge x once x takes the rank
+    above the ranked prefix (edges listed in rank order), by enumerating
+    every simple increasing path among those edges."""
+    rank = {e: i + 1 for i, e in enumerate(prefix)}
+    rank[x] = len(prefix) + 1
+    best = 0
+
+    def dfs(v: int, last: int, visited: frozenset[int], length: int) -> None:
+        nonlocal best
+        for w, e in g.adj[v]:
+            r = rank.get(e, 0)
+            if r > last and w not in visited:
+                if e == x:  # x has the top rank, so the path ends here
+                    best = max(best, length + 1)
+                else:
+                    dfs(w, r, visited | {w}, length + 1)
+
+    for v in range(g.n):
+        dfs(v, 0, frozenset((v,)), 0)
+    return best
+
+
 def brute_f(g: Graph) -> int:
     """Altitude by minimising brute_psi over all m! edge-orderings."""
     if g.m == 0:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
 
 import altitude as alt
 from altitude import exactf
 from corpus import named_small_graphs, random_graphs
-from oracles import brute_f
+from oracles import brute_f, brute_top_value
 
 
 def test_exact_f_matches_factorial_enumeration() -> None:
@@ -128,3 +129,91 @@ def test_inexact_start_value_raises_soundness_error(monkeypatch: pytest.MonkeyPa
     monkeypatch.setattr(exactf, "longest_increasing_path", inexact)
     with pytest.raises(alt.SoundnessError):
         alt.exact_f(alt.make_cycle(5))
+
+
+class _CountingPrefix(exactf._RankedPrefix):
+    """Counts the path-end evaluations that reach the backward search."""
+
+    fallbacks = 0
+
+    def longest_ending_at(self, x: int, avoid: int) -> tuple[int, int]:
+        self.fallbacks += 1
+        return super().longest_ending_at(x, avoid)
+
+
+def test_top_values_match_brute_force_on_random_prefixes() -> None:
+    # Random walks rank and unrank edges; at every prefix the incremental
+    # value of each unranked edge must equal the brute-force one, with and
+    # without a floor, and unranking must restore din/wit exactly.
+    rng = random.Random(97)
+    graphs = [g for _, g in named_small_graphs()]
+    graphs += random_graphs(20, 4, 8, seed=89, m_max=10)
+    graphs += [alt.make_complete(5), alt.make_hypercube(3)]
+    fallbacks = checked = 0
+    for g in graphs:
+        prefix = _CountingPrefix(g)
+        saved = []
+        for _ in range(6 * g.m):
+            unranked = [x for x in range(g.m) if not prefix.rank_of[x]]
+            if prefix.ranked and (not unranked or rng.random() < 0.3):
+                prefix.unrank()
+                assert (prefix.din, prefix.wit) == saved.pop()
+                continue
+            saved.append((list(prefix.din), list(prefix.wit)))
+            prefix.rank(rng.choice(unranked))
+            unranked = [x for x in range(g.m) if not prefix.rank_of[x]]
+            if not unranked:
+                continue
+            want = [brute_top_value(g, prefix.ranked, x) for x in unranked]
+            assert prefix.top_values(unranked, 0) == want, (g.edges, prefix.ranked)
+            floor = rng.randrange(max(want) + 2)
+            assert prefix.top_values(unranked, floor) == [max(floor, w) for w in want]
+            checked += len(unranked)
+        fallbacks += prefix.fallbacks
+    # the witness-avoids-the-far-end rule failed often enough to test back
+    assert checked > 500 and fallbacks > 100
+
+
+# (value, lower, explored, exact, witness ranks) of exact_f at budget 10000,
+# recorded before the path-end values were kept incrementally.  The search
+# must expand the same nodes in the same order, so all of it repeats,
+# including where the budget caps it.
+SEARCH_GOLDEN = {
+    "k5": (3, 3, 2097, True, (1, 3, 7, 8, 5, 9, 4, 2, 10, 6)),
+    "c7": (3, 3, 410, True, (1, 4, 6, 5, 2, 3, 7)),
+    "c8": (2, 2, 9, True, (1, 5, 6, 2, 7, 3, 8, 4)),
+    "q3": (3, 3, 0, True, (6, 9, 1, 11, 3, 5, 8, 7, 4, 10, 12, 2)),
+    "pool0": (3, 2, 10001, False, (1, 3, 4, 8, 11, 7, 12, 5, 6, 2, 9, 10)),
+    "pool1": (2, 2, 32, True, (1, 6, 3, 5, 4, 2)),
+    "pool2": (3, 3, 1792, True, (4, 1, 6, 5, 3, 2, 7)),
+    "pool3": (2, 2, 70, True, (3, 1, 5, 6, 2, 4)),
+    "pool4": (3, 2, 10001, False, (1, 4, 8, 11, 5, 2, 9, 10, 3, 12, 7, 6)),
+    "pool5": (3, 2, 10001, False, (1, 4, 5, 11, 2, 8, 9, 3, 6, 7, 10, 12)),
+    "pool6": (2, 2, 0, True, (1, 3, 4, 2)),
+    "pool7": (3, 3, 1583, True, (9, 7, 3, 1, 2, 6, 5, 4, 8)),
+    "pool8": (4, 2, 10001, False, (5, 11, 8, 1, 3, 4, 10, 6, 7, 9, 12, 2)),
+    "pool9": (3, 3, 4371, True, (1, 4, 5, 7, 6, 2, 8, 3)),
+    "pool10": (2, 2, 6, True, (1, 2, 3)),
+    "pool11": (3, 2, 10001, False, (8, 9, 7, 6, 1, 3, 5, 2, 4)),
+}
+
+
+def _golden_graphs() -> dict[str, alt.Graph]:
+    named = {"k5": alt.make_complete(5), "c7": alt.make_cycle(7), "c8": alt.make_cycle(8),
+             "q3": alt.make_hypercube(3)}
+    pool = random_graphs(12, 5, 8, seed=83, m_max=12)
+    return named | {f"pool{i}": g for i, g in enumerate(pool)}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_GOLDEN))
+def test_exact_f_search_golden(name: str) -> None:
+    res = alt.exact_f(_golden_graphs()[name], budget=10000)
+    assert (res.value, res.lower, res.explored, res.exact, res.witness.rank) == SEARCH_GOLDEN[name]
+
+
+def test_wrong_search_value_raises_soundness_error(monkeypatch: pytest.MonkeyPatch) -> None:
+    # path-end values stuck at the floor let a leaf claim a value its
+    # witness does not have; the recheck of that witness must catch it
+    monkeypatch.setattr(exactf._RankedPrefix, "top_values", lambda self, cands, floor: [floor] * len(cands))
+    with pytest.raises(alt.SoundnessError):
+        alt.exact_f(alt.make_complete(5))
