@@ -19,6 +19,7 @@ ignored.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -33,7 +34,7 @@ from .bounds import (
     sweep_inequality_6,
     verify_inequality_6,
 )
-from .density import hypercube_zeta_bound_check, zeta_exact, zeta_greedy
+from .density import hypercube_zeta, hypercube_zeta_bound_check, zeta_exact, zeta_greedy
 from .exactf import exact_f
 from .experiments import experiment_gnp, experiment_hypercube
 from .graphs import (
@@ -261,20 +262,21 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
     any_inexact = False
     gid = Path(args.graph).name
     for k in ks:
-        if args.greedy:
-            r = zeta_greedy(g, k, args.seed)
+        if d is not None and not args.greedy:  # Harper's closed form, no search
+            if not 1 <= k <= g.n:
+                raise ValueError(f"k must lie in 1..{g.n}")
+            value, exact = hypercube_zeta(k), True
         else:
-            r = zeta_exact(g, k, budget=args.budget)
-        any_inexact |= not r.exact
+            r = zeta_greedy(g, k, args.seed) if args.greedy else zeta_exact(g, k, args.budget)
+            value, exact = r.value, r.exact
+        any_inexact |= not exact
         if d is not None and d >= 1:
             rhs = k * math.log2(k) / 2
-            holds = hypercube_zeta_bound_check(d, k, r.value) if r.exact else None
+            holds = hypercube_zeta_bound_check(d, k, value) if exact else None
             bound_rhs, bound_holds = f"{rhs:.6g}", ("" if holds is None else str(holds).lower())
         else:
             bound_rhs, bound_holds = "", ""
-        lines.append(
-            f"{gid},{k},{r.value},{str(r.exact).lower()},{bound_rhs},{bound_holds}"
-        )
+        lines.append(f"{gid},{k},{value},{str(exact).lower()},{bound_rhs},{bound_holds}")
     _emit("\n".join(lines) + "\n", args.out)
     # --greedy is complete as requested; only an exact search can run out
     return EXIT_BUDGET if any_inexact and not args.greedy else EXIT_OK
@@ -490,12 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int)
     sp.add_argument("--p", type=float)
     _add_common(sp, graph=False)
-    sp.set_defaults(func=_cmd_gen)
+    sp.set_defaults(func="_cmd_gen")
 
     for name, func, extra in (
-        ("psi", _cmd_psi, True),
-        ("trail", _cmd_trail, False),
-        ("pedestrian", _cmd_pedestrian, False),
+        ("psi", "_cmd_psi", True),
+        ("trail", "_cmd_trail", False),
+        ("pedestrian", "_cmd_pedestrian", False),
     ):
         sp = sub.add_parser(name, help=f"compute {name} for one (graph, ordering)")
         _add_common(sp)
@@ -514,13 +516,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--budget", type=int, default=200000)
     sp.add_argument("--greedy", action="store_true",
                     help="greedy lower bound instead of exact search")
-    sp.set_defaults(func=_cmd_zeta)
+    sp.set_defaults(func="_cmd_zeta")
 
     sp = sub.add_parser("exact-f", help="exact altitude for tiny graphs")
     _add_common(sp)
     sp.add_argument("--budget", type=int, default=200000)
     sp.add_argument("--ordering-out", help="write the witness ordering file here")
-    sp.set_defaults(func=_cmd_exact_f)
+    sp.set_defaults(func="_cmd_exact_f")
 
     sp = sub.add_parser("adversary", help="heuristic ordering minimization")
     _add_common(sp)
@@ -532,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--portfolio", action="store_true",
                     help="run the full strategy portfolio")
     sp.add_argument("--ordering-out", help="write the best ordering file here")
-    sp.set_defaults(func=_cmd_adversary)
+    sp.set_defaults(func="_cmd_adversary")
 
     sp = sub.add_parser("bounds", help="closed-form bound evaluation")
     sp.add_argument("--gk", action="store_true", help="complete-graph bracket")
@@ -548,14 +550,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lo", type=int, default=5)
     sp.add_argument("--hi", type=int, default=10**6)
     _add_common(sp, graph=False)
-    sp.set_defaults(func=_cmd_bounds)
+    sp.set_defaults(func="_cmd_bounds")
 
     sp = sub.add_parser("verify", help="full verification battery on one (graph, ordering)")
     _add_common(sp)
     sp.add_argument("--ordering", default="identity",
                     help="identity | rand | coloring | dimension | file:PATH")
     sp.add_argument("--budget", type=int, default=200000)
-    sp.set_defaults(func=_cmd_verify)
+    sp.set_defaults(func="_cmd_verify")
 
     sp = sub.add_parser("experiment", help="CSV campaigns")
     sp.add_argument("campaign", choices=["hypercube", "gnp"])
@@ -569,26 +571,34 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--f-budget", dest="f_budget", type=int, default=2000000)
     sp.add_argument("--workers", type=int, help="accepted for compatibility and ignored")
     _add_common(sp, graph=False)
-    sp.set_defaults(func=_cmd_experiment)
+    sp.set_defaults(func="_cmd_experiment")
 
     return ap
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every call without ``--config`` reuses; built on first use."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         if args.config:
+            # config defaults go on a parser of this call's own, so no later
+            # call sees them
+            parser = build_parser()
             _set_config_defaults(parser, args)
             args = parser.parse_args(argv)  # the same flags again, so explicit ones win
         for dest in _BUDGETS:
             value = getattr(args, dest, 0)
             if value < 0:
                 raise ValueError(f"--{dest.replace('_', '-')} must be non-negative, got {value}")
-        return args.func(args)
+        return globals()[args.func](args)  # the handler as bound now, not at build time
     except (OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

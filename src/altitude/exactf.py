@@ -13,11 +13,23 @@ through it ends with it: the child's value is 1 + the longer of the longest
 path ending at u that avoids v and the one ending at v that avoids u.  The
 branch keeps, per vertex w, ``din[w]``, the longest increasing path among
 the ranked edges that ends at w, and ``wit[w]``, the vertex mask of one such
-path.  Where wit[u] avoids v, the u side is exactly din[u]: no path ending
-at u is longer, and this one avoids v.  Only a witness through v sends that
-side to the backward search ``longest_ending_at.back``, whose depth is at
-most din[u].  Ranking an edge changes din and wit only at its two ends, and
-backtracking restores them from an undo record.
+path.  A path end that must avoid a vertex mask is exactly din[u] where
+wit[u] misses the mask: no path ending at u is longer, and this one avoids
+it.  Only a witness through the mask sends it to the backward search
+``longest_ending_at.back``, whose depth is at most din[u].  Ranking an edge
+changes din and wit only at its two ends, and backtracking restores them
+from an undo record.
+
+Two cuts bound the whole subtree of a node, not one child:
+
+- Top value.  In every completion, each unranked edge ranks above the whole
+  prefix, so the path that ends with it, as if it took the next rank, is
+  increasing there too.  A node dies once the largest such value reaches
+  the incumbent, so every child it keeps is below the incumbent.
+- Pair.  Of two unranked edges (a, b) and (b, c), whichever is ranked first
+  is extended by the other, so every completion has a path of
+  2 + min(L_a, L_c) edges, L_a being the longest prefix path ending at a
+  that avoids b and c, and L_c the one ending at c that avoids a and b.
 """
 
 from __future__ import annotations
@@ -176,10 +188,10 @@ class _RankedPrefix:
 
     def longest_ending_at(self, x: int, avoid: int) -> tuple[int, int]:
         """Longest increasing path among ranked edges that ends at vertex x
-        and avoids vertex ``avoid``, with its vertex mask.
+        and visits no vertex of the mask ``avoid``, with its vertex mask.
 
-        Callers first try the witness rule: if wit[x] avoids that vertex,
-        din[x] and wit[x] are the answer.  Only a witness through it brings
+        Callers first try the witness rule: if wit[x] & avoid == 0, din[x]
+        and wit[x] are the answer.  Only a witness through the mask brings
         them here, where ``back`` searches backwards from x along falling
         ranks.  Its depth is at most din[x].  No path back from a vertex y is
         longer than din[y], so it skips a neighbour whose din cannot beat the
@@ -199,8 +211,8 @@ class _RankedPrefix:
                             break
             return out, out_mask
 
-        length, mask = back(x, len(self.ranked) + 1, (1 << x) | (1 << avoid))
-        return length, mask & ~(1 << avoid)
+        length, mask = back(x, len(self.ranked) + 1, (1 << x) | avoid)
+        return length, mask & ~avoid
 
     def top_values(self, candidates: list[int], floor: int) -> list[int]:
         """For each unranked candidate edge, the longest increasing path that
@@ -218,11 +230,44 @@ class _RankedPrefix:
                 u, v = v, u
             side = floor - 1
             if din[u] > side:
-                side = max(side, end(u, v)[0]) if wit[u] >> v & 1 else din[u]
+                side = max(side, end(u, 1 << v)[0]) if wit[u] >> v & 1 else din[u]
             if din[v] > side:
-                side = max(side, end(v, u)[0]) if wit[v] >> u & 1 else din[v]
+                side = max(side, end(v, 1 << u)[0]) if wit[v] >> u & 1 else din[v]
             out.append(side + 1)
         return out
+
+    def path_end(self, x: int, avoid: int) -> int:
+        """Length of the longest increasing path among ranked edges that ends
+        at x and visits no vertex of the mask ``avoid``: din[x] when wit[x]
+        misses the mask, else the backward search."""
+        if self.wit[x] & avoid:
+            return self.longest_ending_at(x, avoid)[0]
+        return self.din[x]
+
+    def pair_forces(self, unranked: list[int], t: int) -> bool:
+        """Whether two unranked edges (a, b) and (b, c) force a path of t + 2
+        edges in every completion of the prefix.
+
+        Whichever of the two is ranked first, the other extends it, so the
+        longest prefix path ending at its far end that avoids b and c (or a
+        and b), followed by both edges, is increasing.  That needs paths of
+        t edges at both a and c, so only ends with din >= t are paired.
+        """
+        din, edges, path_end = self.din, self.edges, self.path_end
+        far: dict[int, list[int]] = {}  # shared vertex b -> far ends with din >= t
+        for x in unranked:
+            u, v = edges[x]
+            if din[u] >= t:
+                far.setdefault(v, []).append(u)
+            if din[v] >= t:
+                far.setdefault(u, []).append(v)
+        for b, ends in far.items():
+            for i, a in enumerate(ends):
+                for c in ends[i + 1:]:
+                    if (path_end(a, (1 << b) | (1 << c)) >= t
+                            and path_end(c, (1 << b) | (1 << a)) >= t):
+                        return True
+        return False
 
     def rank(self, e: int) -> None:
         """Give edge e the next rank and raise din/wit at its two ends.
@@ -237,9 +282,9 @@ class _RankedPrefix:
         self.undo.append((da, wa, db, wb))
         sa = sb = -1  # -1: that end cannot lift the other
         if db >= da:
-            sb, mb = end(b, a) if wb >> a & 1 else (db, wb)
+            sb, mb = end(b, 1 << a) if wb >> a & 1 else (db, wb)
         if da >= db:
-            sa, ma = end(a, b) if wa >> b & 1 else (da, wa)
+            sa, ma = end(a, 1 << b) if wa >> b & 1 else (da, wa)
         if sb >= da:
             din[a], wit[a] = sb + 1, mb | (1 << a)
         if sa >= db:
@@ -258,11 +303,10 @@ class _RankedPrefix:
 def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
     """Minimum over all orderings of the longest increasing path length.
 
-    Branch-and-bound over rank assignments with the prefix value as the
-    pruning key; first-level branches range over one representative per
-    edge orbit.  The incumbent starts at the sandwich's coloring ordering
-    and its exact value, the floor at the sandwich's lower bound, every
-    candidate of which is proved.  The search keeps its own stack of
+    Branch-and-bound over rank assignments; first-level branches range over
+    one representative per edge orbit.  The incumbent starts at the
+    sandwich's coloring ordering and its exact value, the floor at the
+    sandwich's lower bound, every candidate of which is proved.  The search keeps its own stack of
     (prefix value, rank, edge) children, pushed in descending order so they
     are expanded depth-first by ascending (value, edge); a child whose value
     has reached the incumbent by the time it is popped is skipped.
@@ -275,9 +319,21 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
     side is din[u] when wit[u] avoids v, and only a witness through v runs
     the backward search ``back``.  The values equal those of a backward
     search for every child, so the nodes and the witness do not depend on
-    how often that happens.  A witness the search found, rather than the
-    coloring ordering, is rechecked once by an unbudgeted psi search, and a
-    mismatch raises ``SoundnessError``.
+    how often that happens.
+
+    A node computes this value for every unranked edge and dies, with its
+    whole subtree, when one of two bounds reaches the incumbent:
+
+    - top value: the largest of these values, since every unranked edge
+      ranks above the prefix in any completion;
+    - pair: unranked edges (a, b) and (b, c) with paths of incumbent - 2
+      edges ending at a and at c that avoid the other two vertices, since
+      whichever edge ranks first, the other extends it.  Only ends whose din
+      reaches incumbent - 2 are paired.
+
+    A witness the search found, rather than the coloring ordering, is
+    rechecked once by an unbudgeted psi search, and a mismatch raises
+    ``SoundnessError``.
     """
     bounds = f_bounds_sandwich(g)
     m = g.m
@@ -304,15 +360,14 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
         if r == m:
             best_val, best_ord = val, EdgeOrdering(tuple(rank_of))
             continue
-        if r:
-            candidates = [x for x in range(m) if not rank_of[x]]
-        else:
-            candidates = [orb[0] for orb in edge_orbits(g)]
-        r += 1
-        children = []
-        for child, x in zip(prefix.top_values(candidates, val), candidates):
-            if child < best_val:
-                children.append((child, r, x))
+        unranked = [x for x in range(m) if not rank_of[x]]
+        values = prefix.top_values(unranked, val)
+        if max(values) >= best_val or prefix.pair_forces(unranked, best_val - 2):
+            continue  # every completion reaches the incumbent
+        children = [(child, r + 1, x) for child, x in zip(values, unranked)]
+        if not r:  # the root ranks one representative per edge orbit
+            reps = {orb[0] for orb in edge_orbits(g)}
+            children = [child for child in children if child[2] in reps]
         children.sort(reverse=True)
         stack += children
     if best_ord is not bounds.ordering:

@@ -88,6 +88,40 @@ def brute_top_value(g: Graph, prefix: list[int], x: int) -> int:
     return best
 
 
+def brute_path_end(g: Graph, prefix: list[int], x: int, avoid: set[int]) -> int:
+    """Longest increasing path among the ranked prefix edges (listed in rank
+    order) that ends at vertex x and visits no vertex of ``avoid``, by
+    enumerating every such path backwards from x along falling ranks."""
+    rank = {e: i + 1 for i, e in enumerate(prefix)}
+    best = 0
+
+    def dfs(v: int, below: int, visited: frozenset[int], length: int) -> None:
+        nonlocal best
+        best = max(best, length)
+        for w, e in g.adj[v]:
+            r = rank.get(e, 0)
+            if 0 < r < below and w not in visited and w not in avoid:
+                dfs(w, r, visited | {w}, length + 1)
+
+    dfs(x, len(prefix) + 1, frozenset((x,)), 0)
+    return best
+
+
+def brute_completion_min(g: Graph, prefix: list[int]) -> int:
+    """Minimum of brute_psi over every ordering whose ranks 1..len(prefix)
+    go to the prefix edges in order, by enumerating the completions."""
+    if g.m > 7:
+        raise ValueError("completion enumeration is capped at m = 7")
+    rest = [e for e in range(g.m) if e not in prefix]
+    best = g.m
+    for perm in permutations(rest):
+        rank = [0] * g.m
+        for r, e in enumerate([*prefix, *perm], start=1):
+            rank[e] = r
+        best = min(best, brute_psi(g, EdgeOrdering(tuple(rank))))
+    return best
+
+
 def brute_f(g: Graph) -> int:
     """Altitude by minimising brute_psi over all m! edge-orderings."""
     if g.m == 0:

@@ -50,6 +50,17 @@ def q3_file(tmp_path: Path) -> str:
     return str(p)
 
 
+@pytest.fixture()
+def q3_relabelled_file(tmp_path: Path) -> str:
+    """Q_3 under labels that hypercube_dimension does not recognise, so
+    zeta runs its budgeted search instead of Harper's closed form."""
+    label = [0, 1, 3, 2, 4, 5, 7, 6]
+    g = Graph.from_edges(8, [(label[a], label[b]) for a, b in make_hypercube(3).edges])
+    p = tmp_path / "q3-relabelled.txt"
+    p.write_text(serialize_graph(g))
+    return str(p)
+
+
 # gen
 
 
@@ -198,14 +209,29 @@ def test_zeta_bound_columns_blank_off_hypercube(capsys, k3_file):
     assert row[4] == "" and row[5] == ""
 
 
-def test_zeta_budget_exit_and_greedy_exit(capsys, q3_file):
-    rc_budget, out, _ = run(capsys, "zeta", "--graph", q3_file, "--k", "3", "--budget", "2")
+def test_zeta_budget_exit_and_greedy_exit(capsys, q3_file, q3_relabelled_file):
+    rc_budget, out, _ = run(capsys, "zeta", "--graph", q3_relabelled_file, "--k", "3",
+                            "--budget", "2")
     assert rc_budget == 4
     assert out.strip().splitlines()[-1].split(",")[3] == "false"
     # greedy is complete as requested, so it succeeds even though inexact
     rc_greedy, out_g, _ = run(capsys, "zeta", "--graph", q3_file, "--k", "3", "--greedy")
     assert rc_greedy == 0
     assert out_g.strip().splitlines()[-1].split(",")[3] == "false"
+
+
+def test_zeta_on_a_recognised_cube_takes_the_closed_form(capsys, tmp_path, monkeypatch):
+    # Harper's sum_{i<k} popcount(i) answers at once; the budgeted search
+    # does not prove zeta(5) on Q_9 within 200000 nodes
+    def no_search(*args, **kwargs):
+        raise AssertionError("zeta_exact ran on a recognised cube")
+
+    monkeypatch.setattr(cli, "zeta_exact", no_search)
+    path = tmp_path / "q9.txt"
+    path.write_text(serialize_graph(make_hypercube(9)))
+    rc, out, _ = run(capsys, "zeta", "--graph", str(path), "--k", "5")
+    assert rc == 0
+    assert out.strip().splitlines()[-1] == "q9.txt,5,5,true,5.80482,true"
 
 
 # exact-f
@@ -275,12 +301,13 @@ _COLORING_UPPERS = [["edge-coloring-classes", 3], ["coloring-ordering-trail", 3]
                     ["coloring-ordering-path", 3]]
 
 # stdout and --out JSON of `exact-f` (fields after "m"), recorded before the
-# bracket was built once per run.
+# bracket was built once per run; "explored" re-recorded when the top-value
+# and pair cuts came in (values, brackets and witnesses unchanged).
 _EXACT_F_GOLDEN = {
     "k5": (
         make_complete(5),
         "f=3\nwitness: 1 3 7 8 5 9 4 2 10 6\n",
-        {"f": 3, "lower": 3, "exact": True, "explored": 2097,
+        {"f": 3, "lower": 3, "exact": True, "explored": 36,
          "witness_ranks": [1, 3, 7, 8, 5, 9, 4, 2, 10, 6],
          "sandwich": _sandwich(
              2, 3, [["sqrt-average-degree", 2], ["complete-sqrt", 2]],
@@ -290,7 +317,7 @@ _EXACT_F_GOLDEN = {
     "c7": (
         make_cycle(7),
         "f=3\nwitness: 1 4 6 5 2 3 7\n",
-        {"f": 3, "lower": 3, "exact": True, "explored": 410,
+        {"f": 3, "lower": 3, "exact": True, "explored": 26,
          "witness_ranks": [1, 4, 6, 5, 2, 3, 7],
          "sandwich": _sandwich(2, 3, [["sqrt-average-degree", 2]], _COLORING_UPPERS)},
     ),
@@ -308,7 +335,7 @@ _EXACT_F_GOLDEN = {
     "gnp-8-0.4": (
         sample_gnp(8, 0.4, seed=6),
         "f=2\nwitness: 1 5 6 2 3 4 8 7\n",
-        {"f": 2, "lower": 2, "exact": True, "explored": 263,
+        {"f": 2, "lower": 2, "exact": True, "explored": 13,
          "witness_ranks": [1, 5, 6, 2, 3, 4, 8, 7],
          "sandwich": _sandwich(2, 3, [["sqrt-average-degree", 2]], _COLORING_UPPERS)},
     ),
@@ -609,11 +636,12 @@ def test_config_file_seed_and_flag_precedence(capsys, q3_file, tmp_path):
     assert json.loads(out)["seed"] == 2
 
 
-def test_config_file_coerces_int_float_and_bool_keys(capsys, q3_file, tmp_path):
+def test_config_file_coerces_int_float_and_bool_keys(capsys, q3_file, q3_relabelled_file,
+                                                    tmp_path):
     # greedy is a switch: "false" must read as False, not as a non-empty string
     conf = tmp_path / "zeta.conf"
     conf.write_text("ks=2,3,4\nbudget=0\ngreedy=false\n")
-    rc, out, _ = run(capsys, "zeta", "--graph", q3_file, "--config", str(conf))
+    rc, out, _ = run(capsys, "zeta", "--graph", q3_relabelled_file, "--config", str(conf))
     assert rc == 4 and ",false," in out  # exact search with an int budget of 0 runs out
     conf.write_text("ks=2,3,4\nbudget=0\ngreedy=true\n")
     rc, out, _ = run(capsys, "zeta", "--graph", q3_file, "--config", str(conf))
@@ -741,3 +769,17 @@ def test_flag_defaults(monkeypatch, handler):
     del seen["func"], seen["command"]
     assert seen == want
     assert all(type(seen[k]) is type(v) for k, v in want.items())
+
+
+def test_config_defaults_do_not_reach_the_next_call(monkeypatch, tmp_path):
+    # main reuses one parser across calls; a --config run must leave it as built
+    conf = tmp_path / "psi.conf"
+    conf.write_text("budget=7\nordering=rand\nverify=true\n")
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_psi", lambda args: seen.append(vars(args)) or 0)
+    assert main(["psi", "--graph", "g.txt", "--config", str(conf)]) == 0
+    assert main(["psi", "--graph", "g.txt"]) == 0
+    assert (seen[0]["budget"], seen[0]["ordering"], seen[0]["verify"]) == (7, "rand", True)
+    argv, want = _DEFAULT_NAMESPACES["psi"]
+    del seen[1]["func"], seen[1]["command"]
+    assert seen[1] == want

@@ -10,7 +10,7 @@ import pytest
 import altitude as alt
 from altitude import exactf
 from corpus import named_small_graphs, random_graphs
-from oracles import brute_f, brute_top_value
+from oracles import brute_completion_min, brute_f, brute_path_end, brute_top_value
 
 
 def test_exact_f_matches_factorial_enumeration() -> None:
@@ -174,27 +174,103 @@ def test_top_values_match_brute_force_on_random_prefixes() -> None:
     assert checked > 500 and fallbacks > 100
 
 
+def _random_walk_prefixes(g: alt.Graph, prefix: exactf._RankedPrefix, rng: random.Random,
+                          steps: int):
+    """Rank and unrank random edges, yielding after each step that ranks."""
+    for _ in range(steps):
+        unranked = [x for x in range(g.m) if not prefix.rank_of[x]]
+        if prefix.ranked and (not unranked or rng.random() < 0.3):
+            prefix.unrank()
+            continue
+        prefix.rank(rng.choice(unranked))
+        yield
+
+
+def test_path_ends_avoiding_two_vertices_match_brute_force() -> None:
+    # The pair cut needs the longest prefix path ending at a that avoids
+    # both b and c; din/wit answer it when the witness misses them, back
+    # otherwise.
+    rng = random.Random(101)
+    graphs = [g for _, g in named_small_graphs()]
+    graphs += random_graphs(20, 4, 8, seed=103, m_max=10)
+    graphs += [alt.make_complete(5), alt.make_hypercube(3)]
+    fallbacks = checked = 0
+    for g in graphs:
+        if g.n < 3:
+            continue
+        prefix = _CountingPrefix(g)
+        for _ in _random_walk_prefixes(g, prefix, rng, 4 * g.m):
+            x = rng.randrange(g.n)
+            for b in range(g.n):
+                for c in range(b + 1, g.n):
+                    if x in (b, c):
+                        continue
+                    want = brute_path_end(g, prefix.ranked, x, {b, c})
+                    got = prefix.path_end(x, (1 << b) | (1 << c))
+                    assert got == want, (g.edges, prefix.ranked, x, b, c)
+                    checked += 1
+        fallbacks += prefix.fallbacks
+    assert checked > 2000 and fallbacks > 100
+
+
+def test_node_cuts_are_sound_on_random_prefixes() -> None:
+    # Cut (a) claims that every completion of a prefix reaches the largest
+    # top value of an unranked edge; cut (c), firing at t, that every one
+    # reaches t + 2.  The minimum over all completions must meet both.
+    rng = random.Random(107)
+    graphs = [g for _, g in named_small_graphs() if 2 <= g.m <= 7]
+    graphs += random_graphs(60, 4, 7, seed=109, m_max=7)
+    graphs += [alt.make_complete(4), alt.make_cycle(7)]
+    fired = pair_beyond_top = 0
+    for g in graphs:
+        prefix = exactf._RankedPrefix(g)
+        for _ in _random_walk_prefixes(g, prefix, rng, 3 * g.m):
+            unranked = [x for x in range(g.m) if not prefix.rank_of[x]]
+            if not unranked:
+                continue
+            best = brute_completion_min(g, prefix.ranked)
+            top = max(prefix.top_values(unranked, 0))
+            assert best >= top, (g.edges, prefix.ranked)
+            forced = [t + 2 for t in range(g.m) if prefix.pair_forces(unranked, t)]
+            if forced:
+                assert best >= max(forced), (g.edges, prefix.ranked)
+                fired += 1
+                pair_beyond_top += max(forced) > top
+    # the pair cut fires, and often proves more than the top-value cut
+    assert fired > 100 and pair_beyond_top > 10
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_exact_f_proves_small_gnp_within_the_default_budget(seed: int) -> None:
+    # Without the node cuts these took 768145 and 1310996 nodes, past the
+    # CLI's default budget of 200000, and ended as the bracket [2, 3].
+    res = alt.exact_f(alt.sample_gnp(8, 0.4, seed), budget=200000)
+    assert res.exact and res.value == 3 and res.explored < 1000
+
+
 # (value, lower, explored, exact, witness ranks) of exact_f at budget 10000,
-# recorded before the path-end values were kept incrementally.  The search
-# must expand the same nodes in the same order, so all of it repeats,
-# including where the budget caps it.
+# recorded when the top-value and pair cuts came in.  The search must expand
+# the same nodes in the same order, so all of it repeats.  Before the cuts,
+# five items were capped with brackets pool0, pool4, pool5, pool11 [2, 3] and
+# pool8 [2, 4]; each now proves 3, inside its old bracket, and every item
+# that was exact keeps its value.
 SEARCH_GOLDEN = {
-    "k5": (3, 3, 2097, True, (1, 3, 7, 8, 5, 9, 4, 2, 10, 6)),
-    "c7": (3, 3, 410, True, (1, 4, 6, 5, 2, 3, 7)),
+    "k5": (3, 3, 36, True, (1, 3, 7, 8, 5, 9, 4, 2, 10, 6)),
+    "c7": (3, 3, 26, True, (1, 4, 6, 5, 2, 3, 7)),
     "c8": (2, 2, 9, True, (1, 5, 6, 2, 7, 3, 8, 4)),
     "q3": (3, 3, 0, True, (6, 9, 1, 11, 3, 5, 8, 7, 4, 10, 12, 2)),
-    "pool0": (3, 2, 10001, False, (1, 3, 4, 8, 11, 7, 12, 5, 6, 2, 9, 10)),
-    "pool1": (2, 2, 32, True, (1, 6, 3, 5, 4, 2)),
-    "pool2": (3, 3, 1792, True, (4, 1, 6, 5, 3, 2, 7)),
-    "pool3": (2, 2, 70, True, (3, 1, 5, 6, 2, 4)),
-    "pool4": (3, 2, 10001, False, (1, 4, 8, 11, 5, 2, 9, 10, 3, 12, 7, 6)),
-    "pool5": (3, 2, 10001, False, (1, 4, 5, 11, 2, 8, 9, 3, 6, 7, 10, 12)),
+    "pool0": (3, 3, 92, True, (1, 3, 4, 8, 11, 7, 12, 5, 6, 2, 9, 10)),
+    "pool1": (2, 2, 12, True, (1, 6, 3, 5, 4, 2)),
+    "pool2": (3, 3, 102, True, (4, 1, 6, 5, 3, 2, 7)),
+    "pool3": (2, 2, 19, True, (3, 1, 5, 6, 2, 4)),
+    "pool4": (3, 3, 256, True, (1, 4, 8, 11, 5, 2, 9, 10, 3, 12, 7, 6)),
+    "pool5": (3, 3, 417, True, (1, 4, 5, 11, 2, 8, 9, 3, 6, 7, 10, 12)),
     "pool6": (2, 2, 0, True, (1, 3, 4, 2)),
-    "pool7": (3, 3, 1583, True, (9, 7, 3, 1, 2, 6, 5, 4, 8)),
-    "pool8": (4, 2, 10001, False, (5, 11, 8, 1, 3, 4, 10, 6, 7, 9, 12, 2)),
-    "pool9": (3, 3, 4371, True, (1, 4, 5, 7, 6, 2, 8, 3)),
-    "pool10": (2, 2, 6, True, (1, 2, 3)),
-    "pool11": (3, 2, 10001, False, (8, 9, 7, 6, 1, 3, 5, 2, 4)),
+    "pool7": (3, 3, 19, True, (9, 7, 3, 1, 2, 6, 5, 4, 8)),
+    "pool8": (3, 3, 335, True, (1, 8, 9, 4, 2, 11, 5, 6, 10, 7, 3, 12)),
+    "pool9": (3, 3, 139, True, (1, 4, 5, 7, 6, 2, 8, 3)),
+    "pool10": (2, 2, 1, True, (1, 2, 3)),
+    "pool11": (3, 3, 294, True, (8, 9, 7, 6, 1, 3, 5, 2, 4)),
 }
 
 
