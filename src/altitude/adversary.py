@@ -21,7 +21,7 @@ from .orderings import (
     hypercube_dimension_coloring,
     random_ordering,
 )
-from .paths import longest_increasing_path
+from .paths import _trail_sweep, longest_increasing_path
 from .pedestrian import sqrt_degree_floor
 
 
@@ -67,27 +67,6 @@ class UpperBoundReport:
     strategies: tuple[tuple[str, int, bool], ...]
 
 
-def _trail_len(g: Graph, inverse: list[int]) -> int:
-    """Longest increasing trail of the ordering whose rank-r edge is inverse[r - 1].
-
-    The same relaxation as ``paths._trail_sweep``, kept apart on purpose:
-    the annealer scores every move with it, so it dominates campaign time,
-    and ``max(_trail_sweep(...)[0])``, which also records each edge's end
-    values, took 1.2-1.9 times as long per call on G(60, .1), G(150, .1)
-    and G(100, .3) (medians 1.4-1.5).  Only the value is needed here.
-    """
-    best = [0] * g.n
-    edges = g.edges
-    for e in inverse:
-        u, v = edges[e]
-        bu, bv = best[u], best[v]
-        if bv + 1 > bu:
-            best[u] = bv + 1
-        if bu + 1 > bv:
-            best[v] = bu + 1
-    return max(best)
-
-
 def _verified_psi(g: Graph, ordering: EdgeOrdering, budget: int | None) -> int | None:
     res = longest_increasing_path(g, ordering, budget=budget)
     return res.length if res.exact else None
@@ -119,7 +98,13 @@ def local_search_min_psi(
 
     inverse = list(init.inverse)
     rank = list(init.rank)
-    cur_obj = _trail_len(g, inverse)
+
+    def swap(a: int, b: int) -> None:  # swap the ranks of edges a and b; its own undo
+        ra, rb = rank[a], rank[b]
+        rank[a], rank[b] = rb, ra
+        inverse[ra - 1], inverse[rb - 1] = b, a
+
+    cur_obj = max(_trail_sweep(g, inverse))
 
     best_ord = init
     exact0 = _verified_psi(g, init, psi_budget)
@@ -138,12 +123,9 @@ def local_search_min_psi(
         deltas = []
         for _ in range(20):
             a, b = rng.sample(range(m), 2)
-            ra, rb = rank[a], rank[b]
-            rank[a], rank[b] = rb, ra
-            inverse[ra - 1], inverse[rb - 1] = inverse[rb - 1], inverse[ra - 1]
-            d = _trail_len(g, inverse) - cur_obj
-            rank[a], rank[b] = ra, rb
-            inverse[ra - 1], inverse[rb - 1] = inverse[rb - 1], inverse[ra - 1]
+            swap(a, b)
+            d = max(_trail_sweep(g, inverse)) - cur_obj
+            swap(a, b)
             if d > 0:
                 deltas.append(d)
         t0 = (sum(deltas) / len(deltas)) / math.log(2) if deltas else 1.0
@@ -151,15 +133,12 @@ def local_search_min_psi(
     for step in range(1, steps + 1):
         temp = t0 * sched.decay ** ((step - 1) // moves_per_level)
         a, b = rng.sample(range(m), 2)
-        ra, rb = rank[a], rank[b]
-        rank[a], rank[b] = rb, ra
-        inverse[ra - 1], inverse[rb - 1] = inverse[rb - 1], inverse[ra - 1]
-        new_obj = _trail_len(g, inverse)
+        swap(a, b)
+        new_obj = max(_trail_sweep(g, inverse))
         delta = new_obj - cur_obj
         accept = delta <= 0 or (temp > 0 and rng.random() < math.exp(-delta / temp))
         if not accept:
-            rank[a], rank[b] = ra, rb
-            inverse[ra - 1], inverse[rb - 1] = inverse[rb - 1], inverse[ra - 1]
+            swap(a, b)
             continue
         cur_obj = new_obj
         if new_obj < best_surrogate:
@@ -207,7 +186,7 @@ def upper_bound_report(
         if exact is not None:
             entries.append((label, exact, True, ordering))
         else:
-            entries.append((label, _trail_len(g, list(ordering.inverse)), False, ordering))
+            entries.append((label, max(_trail_sweep(g, ordering.inverse)), False, ordering))
 
     if hypercube_dimension(g) is not None:
         coloring = hypercube_dimension_coloring(g)

@@ -6,8 +6,8 @@ with a leading ``# schema=`` comment; both are deterministic for fixed
 flags and seed (the wall_ms CSV column excepted).
 
 Exit codes: 0 success; 2 usage or parse error; 3 precondition violation
-(bad file, bad parameter, failed verification); 4 budget exhaustion, with
-partial output still emitted.
+(bad file, bad parameter, failed verification or soundness check); 4 budget
+exhaustion, with partial output still emitted.
 
 Each flag declares its default on itself.  ``--config FILE`` (one
 ``key=value`` per line, keys named like the long flags, switches as
@@ -34,11 +34,12 @@ from .bounds import (
     sweep_inequality_6,
     verify_inequality_6,
 )
-from .density import hypercube_zeta, hypercube_zeta_bound_check, zeta_exact, zeta_greedy
+from .density import hypercube_zeta_bound_check, zeta, zeta_greedy
 from .exactf import exact_f
 from .experiments import experiment_gnp, experiment_hypercube
 from .graphs import (
     Graph,
+    SoundnessError,
     hypercube_dimension,
     make_complete,
     make_cycle,
@@ -262,13 +263,8 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
     any_inexact = False
     gid = Path(args.graph).name
     for k in ks:
-        if d is not None and not args.greedy:  # Harper's closed form, no search
-            if not 1 <= k <= g.n:
-                raise ValueError(f"k must lie in 1..{g.n}")
-            value, exact = hypercube_zeta(k), True
-        else:
-            r = zeta_greedy(g, k, args.seed) if args.greedy else zeta_exact(g, k, args.budget)
-            value, exact = r.value, r.exact
+        r = zeta_greedy(g, k, args.seed) if args.greedy else zeta(g, k, args.budget)
+        value, exact = r.value, r.exact
         any_inexact |= not exact
         if d is not None and d >= 1:
             rhs = k * math.log2(k) / 2
@@ -330,6 +326,8 @@ def _parse_schedule(spec: str | None) -> AnnealSchedule | None:
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
+    if args.portfolio and args.schedule is not None:
+        raise ValueError("--schedule applies only to anneal mode, not to --portfolio")
     schedule = _parse_schedule(args.schedule)
     if args.portfolio:
         rep = upper_bound_report(
@@ -530,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=2000)
     sp.add_argument("--restarts", type=int, default=2)
     sp.add_argument("--budget", type=int, default=200000, help="exact-psi verification budget")
-    sp.add_argument("--schedule", help="annealing schedule, e.g. decay=0.95,moves=1200")
+    sp.add_argument("--schedule", help="anneal-mode schedule, e.g. decay=0.95,moves=1200")
     sp.add_argument("--portfolio", action="store_true",
                     help="run the full strategy portfolio")
     sp.add_argument("--ordering-out", help="write the best ordering file here")
@@ -563,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("campaign", choices=["hypercube", "gnp"])
     sp.add_argument("--d-max", dest="d_max", type=int)
     sp.add_argument("--n-list", dest="n_list", help="comma-separated n values")
-    sp.add_argument("--p", type=float, help="fixed edge density (omit for the threshold rule)")
+    sp.add_argument("--p", type=float, help="edge density in [0, 1] (omit for the threshold rule)")
     sp.add_argument("--omega", type=float, default=5.0)
     sp.add_argument("--eps", type=float, default=0.1)
     sp.add_argument("--trials", type=int, default=3)
@@ -599,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
             if value < 0:
                 raise ValueError(f"--{dest.replace('_', '-')} must be non-negative, got {value}")
         return globals()[args.func](args)  # the handler as bound now, not at build time
-    except (OSError, OverflowError, ValueError) as exc:
+    except (OSError, OverflowError, SoundnessError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

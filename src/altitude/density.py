@@ -7,8 +7,9 @@ then every edge-ordering admits an increasing path with at least k edges.
 On the hypercube Q_d, zeta(k) is known exactly: the edge-isoperimetric
 theorem of Harper (1964) and Bernstein (1967) says that the first k binary
 numbers induce a densest k-vertex subgraph, with sum_{i<k} popcount(i)
-edges.  ``density_floor`` takes zeta from that closed form on graphs that
-``hypercube_dimension`` recognises, and from ``zeta_exact`` elsewhere.
+edges.  ``zeta`` answers from that closed form on graphs that
+``hypercube_dimension`` recognises and searches with ``zeta_exact``
+elsewhere; ``density_floor`` and the ``zeta`` command both read it.
 The paper uses only its weak form, zeta(k) <= k*log2(k)/2, which feeds the
 dimension bound.
 """
@@ -153,6 +154,21 @@ def hypercube_zeta(k: int) -> int:
     return total
 
 
+def zeta(g: Graph, k: int, budget: int | None = None) -> ZetaResult:
+    """zeta(k) by Harper's closed form on a recognised cube, else by search.
+
+    On a graph that ``hypercube_dimension`` recognises the result is
+    ``hypercube_zeta(k)``, exact at any budget, with no nodes and the
+    witness 0..k-1; elsewhere it is ``zeta_exact(g, k, budget)``.  Raises
+    ValueError unless 1 <= k <= n on both paths.
+    """
+    if hypercube_dimension(g) is None:
+        return zeta_exact(g, k, budget)
+    if not 1 <= k <= g.n:
+        raise ValueError(f"k must lie in 1..{g.n}")
+    return ZetaResult(k, hypercube_zeta(k), tuple(range(k)), exact=True, explored=0)
+
+
 def _criterion_holds(stats: DegreeStats, k: int, zeta_k: int) -> bool:
     return 2 * zeta_k - k + 1 < stats.average_degree
 
@@ -178,10 +194,9 @@ def density_floor(g: Graph, ceiling: int, budget: int | None) -> int:
     Starts at ``sqrt_degree_floor(g)``.  On a connected graph it then raises
     the floor to k = floor + 1, floor + 2, ... while zeta(k) satisfies the
     criterion; it stops at the first k that fails, or past min(n, ceiling).
-    On a graph that ``hypercube_dimension`` recognises, zeta(k) is Harper's
-    closed form ``hypercube_zeta(k)``; elsewhere it is solved exactly by
-    ``zeta_exact`` within ``budget`` nodes, and a k whose search runs out of
-    budget also stops the loop.  A disconnected graph keeps the degree floor.
+    zeta(k) comes from ``zeta`` with ``budget``, and a k whose search runs
+    out of budget also stops the loop.  A disconnected graph keeps the
+    degree floor.
     """
     floor = sqrt_degree_floor(g)
     top = min(g.n, ceiling)
@@ -190,16 +205,9 @@ def density_floor(g: Graph, ceiling: int, budget: int | None) -> int:
     stats = degree_stats(g)
     if not stats.connected:
         return floor
-    cube = hypercube_dimension(g) is not None
     for k in range(floor + 1, top + 1):
-        if cube:
-            zeta_k = hypercube_zeta(k)
-        else:
-            zr = zeta_exact(g, k, budget=budget)
-            if not zr.exact:
-                break
-            zeta_k = zr.value
-        if not _criterion_holds(stats, k, zeta_k):
+        zr = zeta(g, k, budget)
+        if not (zr.exact and _criterion_holds(stats, k, zr.value)):
             break
         floor = k
     return floor

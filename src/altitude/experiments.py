@@ -206,14 +206,15 @@ def experiment_gnp(
     seed: int = 0,
     psi_budget: int = 200000,
 ) -> str:
-    """Rows over n_list x trials; p=None applies the threshold density rule."""
+    """Rows over n_list x trials; p=None applies the threshold density rule,
+    capped at 1.  An explicit p must lie in [0, 1]."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if p is not None and not 0 <= p <= 1:
+        raise ValueError(f"edge probability must lie in [0,1], got {p}")
     rows = []
     for n in n_list:
-        pn = gnp_threshold_p(n, omega) if p is None else p
-        if pn > 1:
-            pn = 1.0
+        pn = min(gnp_threshold_p(n, omega), 1.0) if p is None else p
         for t in range(trials):
             rows.append(_gnp_row(n, pn, t, seed + 1000003 * len(rows), omega, eps, psi_budget))
     return rows_to_csv(SCHEMA_GNP, GNP_HEADER, rows)

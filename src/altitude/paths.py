@@ -74,31 +74,34 @@ def verify_witness(g: Graph, ordering: EdgeOrdering, result: PathResult) -> bool
     return True
 
 
-def _trail_sweep(g: Graph, edges: Iterable[int]) -> tuple[list[int], list[tuple[int, int]]]:
-    """Relax both ends of every edge, in the order given; the trail kernel.
+def _trail_sweep(g: Graph, edges: Iterable[int], before: list | None = None) -> list[int]:
+    """Relax both ends of every edge, in the order given; the one trail kernel.
 
     best[v] is the longest increasing trail ending (forward sweep) or
     starting (reverse sweep) at v among the edges swept so far.  An edge
-    (u, v) updates both ends from the values it found, so it extends some
-    trail either way.  For e = (u, v), u < v, before[e] = (best[u], best[v])
-    as the sweep found them on reaching e.  The forward sweep's trail
-    witness reads from it which ends e raised: end x, with other end y, rose
-    when before[e][y > x] >= before[e][x > y].  In the reverse sweep before[e]
-    is (S_u(r+1), S_v(r+1)) for e's rank r, where S_x(r) is the longest
+    (u, v) extends the trail at the end holding more, or at either on a tie,
+    so the other end rises to that value plus one.  If ``before`` is a list,
+    before[e] = (best[u], best[v]) for e = (u, v), u < v, as the sweep found
+    them on reaching e.  The forward sweep's trail witness reads from it
+    which ends e raised: end x, with other end y, rose when
+    before[e][y > x] >= before[e][x > y].  In the reverse sweep before[e] is
+    (S_u(r+1), S_v(r+1)) for e's rank r, where S_x(r) is the longest
     increasing trail leaving x on ranks >= r: the path search's bound.
     """
     ends = g.edges
     best = [0] * g.n
-    before = [(0, 0)] * g.m
     for e in edges:
         u, v = ends[e]
         bu, bv = best[u], best[v]
-        before[e] = (bu, bv)
-        if bv + 1 > bu:
-            best[u] = bv + 1
-        if bu + 1 > bv:
+        if before is not None:
+            before[e] = (bu, bv)
+        if bu > bv:
             best[v] = bu + 1
-    return best, before
+        elif bv > bu:
+            best[u] = bv + 1
+        else:
+            best[u] = best[v] = bu + 1
+    return best
 
 
 def longest_increasing_trail(g: Graph, ordering: EdgeOrdering) -> PathResult:
@@ -110,7 +113,8 @@ def longest_increasing_trail(g: Graph, ordering: EdgeOrdering) -> PathResult:
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
-    best, before = _trail_sweep(g, ordering.inverse)
+    before = [(0, 0)] * g.m
+    best = _trail_sweep(g, ordering.inverse, before)
     end = max(range(g.n), key=lambda v: (best[v], -v))
 
     ends = g.edges
@@ -161,7 +165,8 @@ def longest_increasing_path(
     if len(set(trail.vertices)) == len(trail.vertices):
         return PathResult("path", trail.length, trail.vertices, trail.edges, True, 0)
 
-    _, before = _trail_sweep(g, reversed(ordering.inverse))
+    before = [(0, 0)] * g.m
+    _trail_sweep(g, reversed(ordering.inverse), before)
     # Per-vertex adjacency sorted by rank, for cheap "next rank above r" scans;
     # each entry (rank, edge, other end w, S_w(rank + 1)).
     adj_by_rank: list[list[tuple[int, int, int, int]]] = [

@@ -7,12 +7,13 @@ files written via --out, and the exit code contract:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from altitude import cli, exactf
+from altitude import cli, density, exactf
 from altitude.cli import main
 from altitude.graphs import (
     Graph,
@@ -226,7 +227,7 @@ def test_zeta_on_a_recognised_cube_takes_the_closed_form(capsys, tmp_path, monke
     def no_search(*args, **kwargs):
         raise AssertionError("zeta_exact ran on a recognised cube")
 
-    monkeypatch.setattr(cli, "zeta_exact", no_search)
+    monkeypatch.setattr(density, "zeta_exact", no_search)
     path = tmp_path / "q9.txt"
     path.write_text(serialize_graph(make_hypercube(9)))
     rc, out, _ = run(capsys, "zeta", "--graph", str(path), "--k", "5")
@@ -408,6 +409,16 @@ def test_adversary_schedule_flag(capsys, k3_file):
 def test_adversary_rejects_bad_schedule(capsys, k3_file, spec):
     rc, out, err = run(
         capsys, "adversary", "--graph", k3_file, "--steps", "20000", "--schedule", spec
+    )
+    assert rc == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
+def test_adversary_portfolio_rejects_a_schedule(capsys, k3_file):
+    # the portfolio's anneals run the default schedule, so a given one would go unused
+    rc, out, err = run(
+        capsys, "adversary", "--graph", k3_file, "--portfolio", "--schedule", "decay=0.9"
     )
     assert rc == 3
     assert out == ""
@@ -599,7 +610,39 @@ def test_experiment_gnp_cli_deterministic(capsys, tmp_path):
     assert stable(out_a) == stable(out_file.read_text())
 
 
+@pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
+def test_experiment_gnp_rejects_p_outside_the_unit_interval(capsys, p):
+    rc, out, err = run(capsys, "experiment", "gnp", "--n-list", "8", f"--p={p}", "--trials", "1")
+    assert rc == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
+def test_experiment_gnp_caps_the_threshold_rule_at_one(capsys):
+    # without --p, 5 ln(8) / sqrt(8) > 1 is capped: the sample is K_8
+    rc, out, _ = run(capsys, "experiment", "gnp", "--n-list", "8", "--trials", "1")
+    assert rc == 0
+    row = out.strip().splitlines()[2].split(",")
+    assert (row[0], row[1], row[4]) == ("8", "1", "28")
+
+
 # exit codes and config
+
+
+def test_soundness_error_exits_3_with_one_error_line(capsys, monkeypatch, tmp_path):
+    # exact_f needs the exact psi of its start ordering; an inexact one fails its check
+    real = exactf.longest_increasing_path
+
+    def inexact(g, ordering, budget=None):
+        return dataclasses.replace(real(g, ordering, budget), exact=False)
+
+    monkeypatch.setattr(exactf, "longest_increasing_path", inexact)
+    path = tmp_path / "c5.txt"
+    path.write_text(serialize_graph(make_cycle(5)))
+    rc, out, err = run(capsys, "exact-f", "--graph", str(path))
+    assert rc == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -196,6 +196,43 @@ def test_density_floor_on_hypercubes_needs_no_search(monkeypatch: pytest.MonkeyP
         assert searched
 
 
+def test_zeta_takes_harper_on_recognised_cubes_and_searches_elsewhere(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    for d in range(1, 7):
+        qd = alt.make_hypercube(d)
+        for k in range(1, qd.n + 1):
+            r = alt.density.zeta(qd, k, budget=0)
+            assert (r.k, r.value, r.exact, r.explored) == (k, alt.hypercube_zeta(k), True, 0)
+            assert r.witness == tuple(range(k))
+            inside = set(r.witness)
+            assert sum(a in inside and b in inside for a, b in qd.edges) == r.value
+        for k in (0, qd.n + 1):
+            with pytest.raises(ValueError):
+                alt.density.zeta(qd, k)
+
+    searched = []
+    real = alt.density.zeta_exact
+
+    def counting(g, k, budget=None):
+        searched.append(k)
+        return real(g, k, budget=budget)
+
+    monkeypatch.setattr(alt.density, "zeta_exact", counting)
+    for d in (3, 4):
+        g = _relabelled(alt.make_hypercube(d), seed=d)
+        searched.clear()
+        for k in range(1, 9):
+            r = alt.density.zeta(g, k)
+            assert r == real(g, k)
+            assert r.exact and r.value == alt.hypercube_zeta(k)
+        assert searched == list(range(1, 9))
+        assert not alt.density.zeta(g, 5, budget=2).exact
+        for k in (0, g.n + 1):
+            with pytest.raises(ValueError):
+                alt.density.zeta(g, k)
+
+
 def test_density_floor_builds_degree_stats_once(monkeypatch: pytest.MonkeyPatch) -> None:
     calls = []
     real = alt.density.degree_stats

@@ -7,7 +7,6 @@ import random
 import pytest
 
 import altitude as alt
-from altitude.adversary import _trail_len
 from altitude.paths import _trail_sweep
 from corpus import random_instances
 from oracles import brute_psi, brute_suffix_trail, brute_trail
@@ -22,17 +21,19 @@ def test_trail_matches_oracle_on_small_instances() -> None:
 
 
 def test_value_only_trail_matches_trail_sweep_and_oracle() -> None:
-    # The annealer's value-only loop must agree with the trail sweep.
+    # The annealer's value-only sweep (no before list) must agree with the
+    # witness-recording one.
     for g, phi in random_instances(150, 2, 9, seed=23, m_max=8):
         want = brute_trail(g, phi)
-        assert _trail_len(g, list(phi.inverse)) == want
+        assert max(_trail_sweep(g, phi.inverse)) == want
         assert alt.longest_increasing_trail(g, phi).length == want
 
 
 def test_reverse_sweep_before_matches_oracle() -> None:
     # The path search's bound on crossing e of rank r: S_u(r+1) and S_v(r+1).
     for g, phi in random_instances(60, 2, 8, seed=24, m_max=8):
-        _, before = _trail_sweep(g, reversed(phi.inverse))
+        before = [(0, 0)] * g.m
+        _trail_sweep(g, reversed(phi.inverse), before)
         for e, (u, v) in enumerate(g.edges):
             r = phi.rank[e]
             want = (brute_suffix_trail(g, phi, u, r + 1), brute_suffix_trail(g, phi, v, r + 1))
