@@ -76,7 +76,7 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
-_BUDGETS = ("budget", "psi_budget", "f_budget")
+_COUNTS = ("budget", "psi_budget", "f_budget", "steps")  # must be >= 0
 
 
 def _parse_bool(s: str) -> bool:
@@ -326,12 +326,17 @@ def _parse_schedule(spec: str | None) -> AnnealSchedule | None:
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    if args.portfolio and args.schedule is not None:
-        raise ValueError("--schedule applies only to anneal mode, not to --portfolio")
+    if args.portfolio:
+        for flag, value in (("--schedule", args.schedule), ("--ordering", args.ordering)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to anneal mode, not to --portfolio")
+    elif args.restarts is not None:
+        raise ValueError("--restarts applies only to --portfolio, not to anneal mode")
     schedule = _parse_schedule(args.schedule)
     if args.portfolio:
+        restarts = 2 if args.restarts is None else args.restarts
         rep = upper_bound_report(
-            g, seed=args.seed, steps=args.steps, restarts=args.restarts, psi_budget=args.budget
+            g, seed=args.seed, steps=args.steps, restarts=restarts, psi_budget=args.budget
         )
         best_psi, witness, verified = rep.best_psi, rep.witness, rep.verified
         payload = {
@@ -342,7 +347,9 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
             "strategies": [[s, v, e] for s, v, e in rep.strategies],
         }
     else:
-        init = _resolve_ordering(g, args.ordering, args.seed)
+        init = _resolve_ordering(
+            g, "coloring" if args.ordering is None else args.ordering, args.seed
+        )
         trace = local_search_min_psi(
             g, init, args.steps, args.seed, schedule=schedule, psi_budget=args.budget
         )
@@ -524,9 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("adversary", help="heuristic ordering minimization")
     _add_common(sp)
-    sp.add_argument("--ordering", default="coloring", help="initial ordering spec")
+    sp.add_argument("--ordering", help="anneal mode's initial ordering spec (default coloring)")
     sp.add_argument("--steps", type=int, default=2000)
-    sp.add_argument("--restarts", type=int, default=2)
+    sp.add_argument("--restarts", type=int, help="--portfolio's restart count (default 2)")
     sp.add_argument("--budget", type=int, default=200000, help="exact-psi verification budget")
     sp.add_argument("--schedule", help="anneal-mode schedule, e.g. decay=0.95,moves=1200")
     sp.add_argument("--portfolio", action="store_true",
@@ -592,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
             parser = build_parser()
             _set_config_defaults(parser, args)
             args = parser.parse_args(argv)  # the same flags again, so explicit ones win
-        for dest in _BUDGETS:
+        for dest in _COUNTS:
             value = getattr(args, dest, 0)
             if value < 0:
                 raise ValueError(f"--{dest.replace('_', '-')} must be non-negative, got {value}")

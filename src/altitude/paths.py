@@ -8,9 +8,8 @@ pruning bound for the exact path search.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from math import inf
 from typing import Iterable
 
 from .graphs import Graph
@@ -149,10 +148,16 @@ def longest_increasing_path(
     higher rank to unvisited vertices.  A branch is cut when its length plus
     the trail bound S_w(r+1) at the vertex w it reaches by an edge e of rank
     r cannot beat the incumbent; the reverse sweep's before[e] holds that
-    bound for both ends of e, and the adjacency lists carry it.  The
-    search keeps its own stack, so no recursion limit caps the path length.
-    ``budget`` caps node expansions; on exhaustion the incumbent is returned
-    with exact=False (a valid lower bound).
+    bound for both ends of e.  One pass over the edges in rank order lists
+    each vertex's children in rank order, each as (e, w, S_w(r+1), t), where
+    t indexes w's first child ranked above r; so stepping to w resumes at
+    w's list from t on, with no search for the rank.  The path's vertices
+    carry a flag, set when the search steps onto them and cleared when it
+    steps back.  The search keeps its own stack, so no recursion limit caps
+    the path length.  ``explored`` counts the children the search reaches
+    (unvisited ends of higher-ranked edges), whether or not the bound then
+    cuts them.  ``budget`` caps it; on exhaustion the incumbent is returned
+    with exact=False (a valid lower bound) and explored = budget + 1.
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
@@ -167,61 +172,65 @@ def longest_increasing_path(
 
     before = [(0, 0)] * g.m
     _trail_sweep(g, reversed(ordering.inverse), before)
-    # Per-vertex adjacency sorted by rank, for cheap "next rank above r" scans;
-    # each entry (rank, edge, other end w, S_w(rank + 1)).
-    adj_by_rank: list[list[tuple[int, int, int, int]]] = [
-        sorted((ordering.rank[e], e, w, before[e][w > v]) for w, e in g.adj[v])
-        for v in range(g.n)
-    ]
-    ranks_only: list[list[int]] = [[t[0] for t in a] for a in adj_by_rank]
+    # kids[v]: v's edges in rank order.  Edge e = (u, v) of rank r lands at
+    # the end of both lists, so w's first child ranked above r is the one
+    # after e.  starts: the first frame's (a0, child b0) pairs, edges in
+    # rank order and each edge from its lower end first.
+    kids: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
+    starts = []
+    ends = g.edges
+    for e in ordering.inverse:
+        u, v = ends[e]
+        ku, kv = kids[u], kids[v]
+        su, sv = before[e]
+        to_v = (e, v, sv, len(kv) + 1)
+        to_u = (e, u, su, len(ku) + 1)
+        ku.append(to_v)
+        kv.append(to_u)
+        starts += ((u, to_v), (v, to_u))
 
     best_len = 0
     best_vs: tuple[int, ...] = (0,)
     best_es: tuple[int, ...] = ()
     explored = 0
-    exhausted = False
-    ends = g.edges
-    starts = ((e, a, b) for e in ordering.inverse for a, b in (ends[e], ends[e][::-1]))
-    for e0, a0, b0 in starts:
-        r0 = ordering.rank[e0]
-        s0 = before[e0][b0 > a0]
-        if 1 + s0 <= best_len:
+    limit = inf if budget is None else budget
+    seen = [False] * g.n
+    for a0, first in starts:
+        if 1 + first[2] <= best_len:
             continue
         # Depth-first with an explicit stack.  A frame holds an open vertex's
-        # untried higher-ranked edges and the visited mask; the first frame
-        # holds a0 with the single edge e0.  A vertex is counted, scored and
-        # bounded when its parent's frame reaches it, and gets a frame of its
-        # own only if the bound does not cut it.
+        # untried higher-ranked children; the first frame holds a0 with the
+        # single child b0.  A vertex is counted, scored and bounded when its
+        # parent's frame reaches it, and gets a frame of its own only if the
+        # bound does not cut it.  length is the edge count of a path ending
+        # at a child of the top frame.
         stack_vs: list[int] = [a0]
         stack_es: list[int] = []
-        frames = [(iter(((r0, e0, b0, s0),)), 1 << a0)]
+        seen[a0] = True
+        frames = [iter((first,))]
+        length = 1
         while frames:
-            edges_left, mask = frames[-1]
-            for r, e, w, s in edges_left:
-                if mask >> w & 1:
+            for e, w, s, t in frames[-1]:
+                if seen[w]:
                     continue
                 explored += 1
-                if budget is not None and explored > budget:
-                    exhausted = True
-                    break
-                length = len(stack_es) + 1
+                if explored > limit:
+                    return PathResult("path", best_len, best_vs, best_es, False, explored)
                 if length > best_len:
                     best_len = length
                     best_vs = (*stack_vs, w)
                     best_es = (*stack_es, e)
                 if length + s > best_len:
+                    seen[w] = True
                     stack_vs.append(w)
                     stack_es.append(e)
-                    tail = islice(adj_by_rank[w], bisect_right(ranks_only[w], r), None)
-                    frames.append((tail, mask | (1 << w)))
+                    frames.append(iter(kids[w][t:]))
+                    length += 1
                     break
-            else:  # every edge of the frame tried: step back
+            else:  # every child of the frame tried: step back
                 frames.pop()
-                stack_vs.pop()
+                seen[stack_vs.pop()] = False
+                length -= 1
                 if stack_es:
                     stack_es.pop()
-            if exhausted:
-                break
-        if exhausted:
-            break
-    return PathResult("path", best_len, best_vs, best_es, not exhausted, explored)
+    return PathResult("path", best_len, best_vs, best_es, True, explored)

@@ -425,6 +425,38 @@ def test_adversary_portfolio_rejects_a_schedule(capsys, k3_file):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--portfolio", "--ordering", "rand"], ["--portfolio", "--ordering", "coloring"],
+     ["--restarts", "7"], ["--restarts", "2"], ["--steps", "-3"], ["--portfolio", "--steps", "-1"]],
+    ids=["portfolio-ordering", "portfolio-default-ordering", "anneal-restarts",
+         "anneal-default-restarts", "negative-steps", "portfolio-negative-steps"],
+)
+def test_adversary_rejects_a_flag_it_would_ignore(capsys, k3_file, flags):
+    # the portfolio always starts from the coloring ordering and anneal mode
+    # runs one anneal, so either flag would go unused; a negative step count
+    # would run no step at all
+    rc, out, err = run(capsys, "adversary", "--graph", k3_file, *flags)
+    assert rc == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
+def test_adversary_documented_defaults_still_apply(capsys, k3_file):
+    # without --ordering anneal mode starts from the coloring ordering, and
+    # without --restarts the portfolio runs 2 random orderings and 2 anneals
+    def doc(*flags):
+        rc, out, _ = run(capsys, "adversary", "--graph", k3_file, "--steps", "50", *flags)
+        assert rc == 0
+        return json.loads(out)
+
+    assert doc() == doc("--ordering", "coloring")
+    portfolio = doc("--portfolio")
+    assert portfolio == doc("--portfolio", "--restarts", "2")
+    assert portfolio != doc("--portfolio", "--restarts", "1")
+    assert doc("--steps", "0")["iterations"] == 0
+
+
 @pytest.mark.parametrize("mode", [[], ["--portfolio"]], ids=["anneal", "portfolio"])
 def test_adversary_on_graph_without_vertices_exits_3(capsys, tmp_path, mode):
     null = tmp_path / "null.txt"
@@ -777,7 +809,7 @@ _DEFAULT_NAMESPACES = {
     ),
     "adversary": (
         ["adversary", "--graph", "g.txt"],
-        {**_COMMON, "graph": "g.txt", "ordering": "coloring", "steps": 2000, "restarts": 2,
+        {**_COMMON, "graph": "g.txt", "ordering": None, "steps": 2000, "restarts": None,
          "budget": 200000, "schedule": None, "portfolio": False, "ordering_out": None},
     ),
     "bounds": (

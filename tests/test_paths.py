@@ -208,6 +208,99 @@ def test_path_golden_search(name: str) -> None:
         assert (r.length, r.vertices, r.edges, r.exact, r.explored) == want, budget
 
 
+# The capped regime, recorded from the search that kept an n-bit visited
+# mask per frame and sliced each child list with bisect.  Each case: graph,
+# seed of its random ordering and the path (length, vertices, edges, exact,
+# explored) per budget.  On the two G(50, .45) graphs every budget binds
+# deep in the search, 13 to 23 frames down; G(40, .3) runs to completion.
+_GOLDEN_CAPPED = {
+    "G50a": (
+        lambda: alt.sample_gnp(50, 0.45, 1), 0,
+        {
+            0: (0, (0,), (), False, 1),
+            1000: (
+                24,
+                (33, 46, 17, 20, 0, 48, 16, 42, 8, 5, 37, 39, 38, 2, 6, 15, 32, 40, 19, 49,
+                 36, 4, 18, 24, 1),
+                (483, 323, 312, 9, 25, 311, 310, 186, 107, 121, 502, 509, 57, 42, 134, 287,
+                 476, 350, 355, 501, 100, 92, 328, 34),
+                False,
+                1001,
+            ),
+            20000: (
+                27,
+                (33, 46, 17, 20, 0, 48, 16, 42, 8, 5, 37, 25, 41, 45, 31, 18, 7, 3, 26, 44,
+                 49, 47, 28, 24, 39, 14, 6, 38),
+                (483, 323, 312, 9, 25, 311, 310, 186, 107, 121, 406, 408, 523, 469, 331, 156,
+                 66, 74, 418, 530, 535, 438, 391, 397, 273, 133, 144),
+                False,
+                20001,
+            ),
+        },
+    ),
+    "G50b": (
+        lambda: alt.sample_gnp(50, 0.45, 2), 1,
+        {
+            0: (0, (0,), (), False, 1),
+            1000: (
+                23,
+                (22, 43, 28, 38, 32, 37, 40, 47, 8, 30, 34, 14, 10, 15, 11, 42, 33, 6, 24, 0,
+                 21, 5, 25, 35),
+                (380, 441, 439, 473, 472, 508, 524, 172, 165, 452, 272, 193, 194, 219, 228,
+                 485, 135, 133, 10, 8, 112, 115, 407),
+                False,
+                1001,
+            ),
+            20000: (
+                27,
+                (22, 43, 28, 38, 1, 7, 25, 18, 46, 48, 3, 10, 14, 11, 42, 33, 6, 21, 15, 19,
+                 24, 5, 34, 8, 2, 17, 27, 37),
+                (380, 441, 439, 28, 19, 145, 329, 337, 539, 85, 64, 193, 218, 228, 485, 135,
+                 132, 281, 280, 339, 114, 119, 166, 38, 43, 317, 430),
+                False,
+                20001,
+            ),
+        },
+    ),
+    "G40": (
+        lambda: alt.sample_gnp(40, 0.3, 4), 0,
+        {
+            None: (
+                20,
+                (39, 9, 14, 17, 11, 36, 30, 32, 4, 34, 21, 5, 16, 25, 20, 33, 24, 7, 1, 37,
+                 35),
+                (105, 95, 135, 117, 123, 228, 226, 63, 64, 191, 69, 68, 155, 183, 185, 207,
+                 85, 13, 25, 237),
+                True,
+                9623,
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_GOLDEN_CAPPED))
+def test_path_golden_capped(name: str) -> None:
+    build, seed, paths = _GOLDEN_CAPPED[name]
+    g = build()
+    phi = alt.random_ordering(g, seed)
+    for budget, want in paths.items():
+        r = alt.longest_increasing_path(g, phi, budget=budget)
+        assert (r.length, r.vertices, r.edges, r.exact, r.explored) == want, budget
+
+
+@pytest.mark.parametrize("budget", [None, 1, 7, 40])
+def test_path_budget_property_sweep(budget: int | None) -> None:
+    # Capped or not, the witness is a valid path no longer than the trail,
+    # and the result is inexact exactly when the expansion that trips the
+    # cap was counted.
+    for g, phi in random_instances(120, 3, 14, seed=27):
+        r = alt.longest_increasing_path(g, phi, budget=budget)
+        assert alt.verify_witness(g, phi, r)
+        assert r.length <= alt.longest_increasing_trail(g, phi).length
+        assert (r.exact is False) == (budget is not None and r.explored == budget + 1)
+
+
 def test_budget_yields_sound_partial_result() -> None:
     rng = random.Random(31)
     for _ in range(20):
