@@ -2,7 +2,8 @@
 
 Any explicit ordering certifies f(G) <= psi(G, phi), and even its increasing
 trail length is a certificate since paths are trails.  The annealer walks
-over rank swaps scoring moves by the O(m) trail value, and confirms
+over rank swaps scoring moves by the trail value, re-sweeping only the rank
+blocks between the swapped ranks and a middle cut, and confirms
 improvements with the exact path search so no surrogate value is ever
 reported as psi.
 """
@@ -12,6 +13,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import add
+from typing import Callable
 
 from .graphs import Graph, SoundnessError, hypercube_dimension
 from .orderings import (
@@ -72,6 +75,24 @@ def _verified_psi(g: Graph, ordering: EdgeOrdering, budget: int | None) -> int |
     return res.length if res.exact else None
 
 
+def _sample_pair(randrange: Callable[[int], int], m: int) -> tuple[int, int]:
+    """random.sample(range(m), 2) for m >= 2, draw for draw from ``randrange``.
+
+    It takes the same draws as ``sample`` and so leaves the generator in the
+    same state, without ``sample``'s per-call checks and set.  It mirrors
+    CPython's ``sample`` for k = 2, which keeps a pool list up to 21 items
+    and a set of picks above; tests compare the two draw by draw.
+    """
+    a = randrange(m)
+    if m > 21:  # sample's set branch: redraw until distinct
+        b = randrange(m)
+        while b == a:
+            b = randrange(m)
+        return a, b
+    b = randrange(m - 1)  # its pool branch: the last item moved into a's slot
+    return a, (m - 1 if b == a else b)
+
+
 def local_search_min_psi(
     g: Graph,
     init: EdgeOrdering,
@@ -82,11 +103,14 @@ def local_search_min_psi(
 ) -> SearchTrace:
     """Simulated annealing over rank swaps, minimizing the ordering's value.
 
-    Moves swap the ranks of two edges.  The Metropolis rule runs on the
-    trail surrogate; whenever the surrogate drops below the best seen, the
-    exact path value is computed and, when the computation completes, the
-    incumbent is updated.  The returned best_psi is an exact psi whenever
-    ``verified`` is True, otherwise a trail value (still an upper bound).
+    Moves swap the ranks of two edges, drawn as ``random.sample`` would.
+    The Metropolis rule runs on the trail surrogate, which a move recomputes
+    from block snapshots of the trail sweep split at a middle rank cut (see
+    the comment in the body).  Whenever the surrogate drops below the best
+    seen, the exact path value is computed and, when the computation
+    completes, the incumbent is updated.  The returned best_psi is an exact
+    psi whenever ``verified`` is True, otherwise a trail value (still an
+    upper bound).
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
@@ -98,12 +122,6 @@ def local_search_min_psi(
 
     inverse = list(init.inverse)
     rank = list(init.rank)
-
-    def swap(a: int, b: int) -> None:  # swap the ranks of edges a and b; its own undo
-        ra, rb = rank[a], rank[b]
-        rank[a], rank[b] = rb, ra
-        inverse[ra - 1], inverse[rb - 1] = b, a
-
     cur_obj = max(_trail_sweep(g, inverse))
 
     best_ord = init
@@ -116,30 +134,76 @@ def local_search_min_psi(
     if m < 2 or steps <= 0:
         return SearchTrace(0, best_psi, best_ord, verified, tuple(history))
 
+    # Split every increasing trail at the rank cut q = c * size: its part
+    # below q ends at some x where its part from q on starts, so the trail
+    # value is max over x of F_x + S_x, with F the forward sweep's best[]
+    # over positions < q and S the reverse sweep's over positions >= q.
+    # fwd[k] (k <= c) holds the forward best[] over the first k blocks and
+    # bwd[k] (k >= c) the reverse best[] over blocks k and up.  Swapping the
+    # positions i < j changes neither fwd[k] for k * size <= i nor bwd[k]
+    # for k * size > j, so a move re-sweeps only the blocks from i's up to
+    # the cut and from j's down to it.
+    size = 2 * math.isqrt(m)
+    nblocks = -(-m // size)
+    c = nblocks // 2
+
+    def swap(a: int, b: int) -> tuple[int, int]:
+        """Swap the ranks of edges a and b, its own undo; return the blocks
+        to re-sweep as (lo, hi): forward from lo, in reverse from hi - 1."""
+        ra, rb = rank[a], rank[b]
+        rank[a], rank[b] = rb, ra
+        inverse[ra - 1], inverse[rb - 1] = b, a
+        if ra > rb:
+            ra, rb = rb, ra
+        lo, hi = (ra - 1) // size, (rb - 1) // size + 1
+        return (lo if lo < c else c), (hi if hi > c else c)  # not min/max: per-move cost
+
+    def resweep(lo: int, hi: int) -> tuple[int, list, list]:
+        """The trail value, with fwd[lo + 1:c + 1] and bwd[c:hi] re-swept
+        from fwd[lo] and bwd[hi]; fwd and bwd themselves stay as they are."""
+        f = fwd[lo]
+        new_f = []
+        for k in range(lo, c):
+            f = _trail_sweep(g, inverse[k * size : (k + 1) * size], best=f[:])
+            new_f.append(f)
+        s = bwd[hi]
+        new_b = []
+        for k in range(hi - 1, c - 1, -1):
+            s = _trail_sweep(g, reversed(inverse[k * size : (k + 1) * size]), best=s[:])
+            new_b.append(s)
+        new_b.reverse()
+        return max(map(add, f, s)), new_f, new_b
+
+    fwd = [[0] * g.n]
+    bwd = [[0] * g.n] * (nblocks + 1)  # entries below c stay unused
+    _, fwd[1:], bwd[c:nblocks] = resweep(0, nblocks)
+
+    randrange = rng.randrange
     moves_per_level = sched.moves_per_level or 100 * m
     t0 = sched.t0
     if t0 is None:
         # Probe uphill deltas from the start point to aim at ~0.5 acceptance.
         deltas = []
         for _ in range(20):
-            a, b = rng.sample(range(m), 2)
-            swap(a, b)
-            d = max(_trail_sweep(g, inverse)) - cur_obj
+            a, b = _sample_pair(randrange, m)
+            d = resweep(*swap(a, b))[0] - cur_obj
             swap(a, b)
             if d > 0:
                 deltas.append(d)
         t0 = (sum(deltas) / len(deltas)) / math.log(2) if deltas else 1.0
 
     for step in range(1, steps + 1):
-        temp = t0 * sched.decay ** ((step - 1) // moves_per_level)
-        a, b = rng.sample(range(m), 2)
-        swap(a, b)
-        new_obj = max(_trail_sweep(g, inverse))
+        a, b = _sample_pair(randrange, m)
+        lo, hi = swap(a, b)
+        new_obj, new_f, new_b = resweep(lo, hi)
         delta = new_obj - cur_obj
-        accept = delta <= 0 or (temp > 0 and rng.random() < math.exp(-delta / temp))
-        if not accept:
-            swap(a, b)
-            continue
+        if delta > 0:  # uphill: the Metropolis rule at this step's temperature
+            temp = t0 * sched.decay ** ((step - 1) // moves_per_level)
+            if not (temp > 0 and rng.random() < math.exp(-delta / temp)):
+                swap(a, b)
+                continue
+        fwd[lo + 1 : c + 1] = new_f
+        bwd[c:hi] = new_b
         cur_obj = new_obj
         if new_obj < best_surrogate:
             best_surrogate = new_obj
@@ -172,10 +236,12 @@ def upper_bound_report(
     graph.  Its value is the verified psi, or the trail length when the
     psi budget runs out.  Then come ``restarts`` random orderings and
     ``restarts`` anneals from the coloring ordering; they only ever lower
-    the report.
+    the report.  Raises ValueError on a negative ``restarts``.
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
+    if restarts < 0:
+        raise ValueError(f"restarts must be non-negative, got {restarts}")
     if g.m == 0:
         ident = EdgeOrdering(())
         return UpperBoundReport(0, ident, True, (("coloring", 0, True),))

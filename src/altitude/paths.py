@@ -73,22 +73,30 @@ def verify_witness(g: Graph, ordering: EdgeOrdering, result: PathResult) -> bool
     return True
 
 
-def _trail_sweep(g: Graph, edges: Iterable[int], before: list | None = None) -> list[int]:
+def _trail_sweep(
+    g: Graph, edges: Iterable[int], before: list | None = None, best: list[int] | None = None
+) -> list[int]:
     """Relax both ends of every edge, in the order given; the one trail kernel.
 
     best[v] is the longest increasing trail ending (forward sweep) or
     starting (reverse sweep) at v among the edges swept so far.  An edge
     (u, v) extends the trail at the end holding more, or at either on a tie,
-    so the other end rises to that value plus one.  If ``before`` is a list,
-    before[e] = (best[u], best[v]) for e = (u, v), u < v, as the sweep found
-    them on reaching e.  The forward sweep's trail witness reads from it
-    which ends e raised: end x, with other end y, rose when
-    before[e][y > x] >= before[e][x > y].  In the reverse sweep before[e] is
-    (S_u(r+1), S_v(r+1)) for e's rank r, where S_x(r) is the longest
-    increasing trail leaving x on ranks >= r: the path search's bound.
+    so the other end rises to that value plus one.  The sweep starts from
+    ``best`` when given, which it updates in place and returns, so it can
+    resume where a sweep over the preceding edges stopped (the annealer
+    keeps such states at block boundaries); otherwise from all zeros.
+
+    If ``before`` is a list, before[e] = (best[u], best[v]) for e = (u, v),
+    u < v, as the sweep found them on reaching e.  The forward sweep's
+    trail witness reads from it which ends e raised: end x, with other end
+    y, rose when before[e][y > x] >= before[e][x > y].  In the reverse
+    sweep before[e] is (S_u(r+1), S_v(r+1)) for e's rank r, where S_x(r) is
+    the longest increasing trail leaving x on ranks >= r: the path search's
+    bound.
     """
     ends = g.edges
-    best = [0] * g.n
+    if best is None:
+        best = [0] * g.n
     for e in edges:
         u, v = ends[e]
         bu, bv = best[u], best[v]

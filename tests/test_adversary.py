@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
 import altitude as alt
 from altitude import adversary
-from corpus import random_graphs
+from corpus import named_small_graphs, random_graphs
 
 
 def test_matching_is_solved_immediately() -> None:
@@ -131,3 +134,93 @@ def test_report_strategies_golden() -> None:
         ("anneal-0", 5, True),
         ("anneal-1", 5, True),
     )
+
+
+@pytest.fixture(scope="module")
+def trace_graphs() -> dict[str, alt.Graph]:
+    cases = dict(named_small_graphs())
+    cases.update((f"corpus-{i}", g) for i, g in enumerate(random_graphs(20, 4, 30, 141, m_max=200)))
+    cases.update((f"q{d}", alt.make_hypercube(d)) for d in range(2, 8))
+    cases["gnp150"] = alt.sample_gnp(150, 0.1, 2000006)
+    return cases
+
+
+# (name, m, best_psi, verified, best_history, sha256 of repr(best_ordering.rank)
+# cut to 16 hex digits) of a 400-step anneal from random_ordering(g, 3) at
+# seed 5 and psi budget 20000, recorded while every move was scored by a
+# full trail sweep and drawn by random.sample; the history pins the step of
+# every improvement, so a changed move score or draw shows here.
+TRACE_GOLDEN = [
+    ("k3", 3, 2, True, ((0, 2),), "732b5bb2b29c30ea"),
+    ("k4", 6, 2, True, ((0, 3), (13, 2)), "ebeeab3ba225d42d"),
+    ("c4", 4, 2, True, ((0, 3), (1, 2)), "465d4849a19a4648"),
+    ("c5", 5, 3, True, ((0, 3),), "cb6b4bd4ad550ec8"),
+    ("c6", 6, 2, True, ((0, 3), (5, 2)), "aa4bdd2508b6e077"),
+    ("p3", 2, 2, True, ((0, 2),), "34e6f08aad18ac98"),
+    ("p5", 4, 2, True, ((0, 2),), "2f8f39f9f9e46314"),
+    ("star4", 4, 2, True, ((0, 2),), "2f8f39f9f9e46314"),
+    ("star2", 2, 2, True, ((0, 2),), "34e6f08aad18ac98"),
+    ("matching3", 3, 1, True, ((0, 1),), "732b5bb2b29c30ea"),
+    ("corpus-0", 34, 5, True, ((0, 7), (17, 6), (176, 5)), "e822f6910eba7213"),
+    ("corpus-1", 33, 7, True, ((0, 8), (22, 7)), "2bec6367e71576df"),
+    ("corpus-2", 3, 2, True, ((0, 2),), "732b5bb2b29c30ea"),
+    ("corpus-3", 139, 15, True, ((0, 18), (16, 17), (329, 15)), "45e0e248dabc49c0"),
+    ("corpus-4", 25, 6, True, ((0, 7), (22, 6)), "9c18b54b702c91c6"),
+    ("corpus-5", 192, 26, False, ((0, 29), (1, 28), (127, 27), (339, 26)), "1eef1fe8e96b8797"),
+    ("corpus-6", 17, 5, True, ((0, 6), (8, 5)), "e8e098bfc6a84080"),
+    ("corpus-7", 89, 12, True, ((0, 15), (8, 14), (18, 13), (173, 12)), "93beb074590cbd9b"),
+    ("corpus-8", 153, 23, False,
+     ((0, 28), (3, 27), (11, 26), (18, 25), (21, 24), (300, 23)),
+     "d554f1c94c1f314d"),
+    ("corpus-9", 49, 9, True, ((0, 10), (18, 9)), "187f58b1691bedc6"),
+    ("corpus-10", 47, 8, True, ((0, 8),), "93c0e62dd323156c"),
+    ("corpus-11", 198, 18, True,
+     ((0, 27), (6, 26), (20, 25), (66, 19), (92, 18)),
+     "220e6e2183bfc54e"),
+    ("corpus-12", 194, 28, False,
+     ((0, 33), (4, 32), (5, 31), (25, 30), (28, 29), (32, 28)),
+     "9ac750f5cf5ddee1"),
+    ("corpus-13", 1, 1, True, ((0, 1),), "28cb03b06c288e88"),
+    ("corpus-14", 16, 4, True, ((0, 5), (48, 4)), "b56c5f9f60281fd6"),
+    ("corpus-15", 76, 11, True, ((0, 12), (130, 11)), "8f47ae7fb8bac392"),
+    ("corpus-16", 34, 7, True, ((0, 8), (12, 7)), "4540533404fec556"),
+    ("corpus-17", 14, 3, True, ((0, 6), (1, 5), (2, 4), (18, 3)), "0aeb294090dc1dc1"),
+    ("corpus-18", 1, 1, True, ((0, 1),), "28cb03b06c288e88"),
+    ("corpus-19", 1, 1, True, ((0, 1),), "28cb03b06c288e88"),
+    ("q2", 4, 2, True, ((0, 3), (1, 2)), "465d4849a19a4648"),
+    ("q3", 12, 3, True, ((0, 4), (231, 3)), "5a44eec87a87716c"),
+    ("q4", 32, 6, True, ((0, 7), (10, 6)), "a45e6d8b55cc0100"),
+    ("q5", 80, 7, True, ((0, 10), (1, 9), (45, 8), (50, 7)), "aa747671e1ea07b8"),
+    ("q6", 192, 10, True, ((0, 12), (90, 10)), "faed037664b87417"),
+    ("q7", 448, 12, True, ((0, 16), (31, 14), (171, 12)), "8919b3aa4518ea76"),
+    ("gnp150", 1130, 29, True,
+     ((0, 41), (9, 40), (59, 36), (188, 33), (219, 32), (362, 29)),
+     "99514a7226995d73"),
+]
+
+
+@pytest.mark.parametrize("case", TRACE_GOLDEN, ids=[c[0] for c in TRACE_GOLDEN])
+def test_anneal_trace_golden(trace_graphs, case) -> None:
+    name, m, best_psi, verified, history, rank_digest = case
+    g = trace_graphs[name]
+    tr = alt.local_search_min_psi(g, alt.random_ordering(g, 3), steps=400, seed=5, psi_budget=20000)
+    got = hashlib.sha256(repr(tr.best_ordering.rank).encode()).hexdigest()[:16]
+    assert (g.m, tr.best_psi, tr.verified, tr.best_history, got) == (
+        m, best_psi, verified, history, rank_digest
+    )
+
+
+def test_sample_pair_replays_random_sample() -> None:
+    # the annealer's draw must leave the stream, and so every trace, as
+    # random.sample(range(m), 2) did
+    for m in range(2, 301):
+        for seed in range(20):
+            want, got = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                assert adversary._sample_pair(got.randrange, m) == tuple(want.sample(range(m), 2))
+            assert got.random() == want.random()
+
+
+def test_report_rejects_negative_restarts() -> None:
+    with pytest.raises(ValueError):
+        alt.upper_bound_report(alt.make_complete(3), seed=0, steps=50, restarts=-1)

@@ -428,14 +428,16 @@ def test_adversary_portfolio_rejects_a_schedule(capsys, k3_file):
 @pytest.mark.parametrize(
     "flags",
     [["--portfolio", "--ordering", "rand"], ["--portfolio", "--ordering", "coloring"],
-     ["--restarts", "7"], ["--restarts", "2"], ["--steps", "-3"], ["--portfolio", "--steps", "-1"]],
+     ["--restarts", "7"], ["--restarts", "2"], ["--steps", "-3"], ["--portfolio", "--steps", "-1"],
+     ["--portfolio", "--restarts", "-1"]],
     ids=["portfolio-ordering", "portfolio-default-ordering", "anneal-restarts",
-         "anneal-default-restarts", "negative-steps", "portfolio-negative-steps"],
+         "anneal-default-restarts", "negative-steps", "portfolio-negative-steps",
+         "portfolio-negative-restarts"],
 )
 def test_adversary_rejects_a_flag_it_would_ignore(capsys, k3_file, flags):
     # the portfolio always starts from the coloring ordering and anneal mode
-    # runs one anneal, so either flag would go unused; a negative step count
-    # would run no step at all
+    # runs one anneal, so either flag would go unused; a negative step or
+    # restart count would run no step or restart at all
     rc, out, err = run(capsys, "adversary", "--graph", k3_file, *flags)
     assert rc == 3
     assert out == ""

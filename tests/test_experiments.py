@@ -159,6 +159,16 @@ GNP_14_18_SEED_9 = [
     "18,0.3,1,3000018,49,10,8,true,7,true,8,3,true,0,,",
 ]
 
+# One campaign-gnp row (n = 100, p = 0.1, seed 0, m = 511): its anneal
+# scores moves on a graph of many rank blocks.  Recorded while every anneal
+# move was scored by a full trail sweep.
+GNP_100_SEED_0 = [
+    "# schema=altitude/experiment-gnp/1",
+    "n,p,trial,seed,m,delta_plus_1,coloring_psi,coloring_psi_exact,adversary_psi,"
+    "adversary_verified,pedestrian_max,sqrt_floor,floor_ok,gnp_k,union_exponent,union_negative",
+    "100,0.1,0,0,511,21,15,true,15,true,15,4,true,0,,",
+]
+
 
 def _golden(csv: str) -> list[str]:
     return [ln.rsplit(",", 1)[0] for ln in csv.strip().splitlines()]
@@ -171,6 +181,11 @@ def test_hypercube_campaign_golden() -> None:
 def test_gnp_campaign_golden() -> None:
     csv = experiment_gnp([14, 18], p=0.3, omega=5.0, eps=0.1, trials=2, seed=9)
     assert _golden(csv) == GNP_14_18_SEED_9
+
+
+def test_gnp_campaign_golden_many_blocks() -> None:
+    csv = experiment_gnp([100], p=0.1, omega=5.0, eps=0.1, trials=1, seed=0)
+    assert _golden(csv) == GNP_100_SEED_0
 
 
 def test_gnp_row_builds_one_misra_gries_coloring(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -40,6 +40,34 @@ def test_reverse_sweep_before_matches_oracle() -> None:
             assert before[e] == want, (e, r)
 
 
+def test_trail_sweep_resumes_from_best_in_place() -> None:
+    g = alt.make_hypercube(3)
+    phi = alt.random_ordering(g, 2)
+    head, tail = phi.inverse[:5], phi.inverse[5:]
+    start = _trail_sweep(g, head)
+    out = _trail_sweep(g, tail, best=start)
+    assert out is start
+    assert out == _trail_sweep(g, phi.inverse)
+
+
+def test_trail_value_splits_at_every_rank_cut() -> None:
+    # An increasing trail's part below a cut q ends where its part from q on
+    # starts: the value is max over x of F_x(q) + S_x(q), the annealer's score.
+    for g, phi in random_instances(60, 2, 12, seed=25):
+        want = max(_trail_sweep(g, phi.inverse))
+        if g.m <= 6:
+            assert want == brute_trail(g, phi)
+        fwd = [[0] * g.n]
+        for e in phi.inverse:
+            fwd.append(_trail_sweep(g, [e], best=fwd[-1][:]))
+        bwd = [[0] * g.n]
+        for e in reversed(phi.inverse):
+            bwd.append(_trail_sweep(g, [e], best=bwd[-1][:]))
+        for q in range(g.m + 1):
+            f, s = fwd[q], bwd[g.m - q]
+            assert max(a + b for a, b in zip(f, s)) == want, q
+
+
 def test_path_matches_oracle_on_small_instances() -> None:
     for g, phi in random_instances(150, 2, 9, seed=22, m_max=8):
         res = alt.longest_increasing_path(g, phi)
