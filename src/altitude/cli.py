@@ -252,12 +252,11 @@ def _cmd_pedestrian(args: argparse.Namespace) -> int:
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    if args.ks:
-        ks = [int(tok) for tok in args.ks.split(",") if tok]
-    elif args.k is not None:
-        ks = [args.k]
-    else:
-        raise ValueError("pass --k or --ks")
+    if (args.k is None) == (args.ks is None):
+        raise ValueError("pass exactly one of --k and --ks")
+    ks = [args.k] if args.ks is None else [int(tok) for tok in args.ks.split(",") if tok]
+    if not ks:
+        raise ValueError("--ks lists no k value")
     d = hypercube_dimension(g)
     lines = ["# schema=altitude/zeta/1", "graph,k,zeta,exact,bound_rhs,bound_holds"]
     any_inexact = False

@@ -34,9 +34,10 @@ Two cuts bound the whole subtree of a node, not one child:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .bounds import hypercube_k
+from .bounds import graham_kleitman, hypercube_k
 from .density import density_floor
 from .graphs import Graph, SoundnessError, hypercube_dimension, is_complete
 from .orderings import EdgeOrdering, coloring_ordering, greedy_edge_coloring, identity_ordering
@@ -420,13 +421,9 @@ def f_bounds_sandwich(g: Graph) -> SandwichReport:
         lowers.append(("hypercube-ratio", 1 if d == 1 else hypercube_k(d)))
         uppers.append(("hypercube-dimension", d))
     if is_complete(g) and g.n >= 2:
-        n = g.n
-        # ceil((sqrt(4n-3) - 1) / 2): smallest L with (2L+1)**2 >= 4n-3
-        L = 0
-        while (2 * L + 1) ** 2 < 4 * n - 3:
-            L += 1
-        lowers.append(("complete-sqrt", L))
-        uppers.append(("complete-three-quarters", (3 * n) // 4))
+        gk_lower, gk_upper = graham_kleitman(g.n)
+        lowers.append(("complete-sqrt", math.ceil(gk_lower)))
+        uppers.append(("complete-three-quarters", math.floor(gk_upper)))
 
     hi = min(v for _, v in uppers)
     certified = density_floor(g, hi, budget=200000)

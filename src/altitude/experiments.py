@@ -210,6 +210,8 @@ def experiment_gnp(
     capped at 1.  An explicit p must lie in [0, 1]."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not n_list:
+        raise ValueError("n_list must name at least one n")
     if p is not None and not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
     rows = []

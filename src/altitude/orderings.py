@@ -94,108 +94,66 @@ def greedy_edge_coloring(g: Graph) -> EdgeColoring:
     maximal fan at u, and either rotate it directly or first invert the
     alternating cd-path through u to make the fan's terminal color free at u.
     """
-    m = g.m
-    if m == 0:
-        return EdgeColoring((), ())
-    delta = max(len(a) for a in g.adj)
-    palette = delta + 1
-    color = [-1] * m
-    # at[v][c] = edge index of the c-colored edge at v
-    at: list[dict[int, int]] = [{} for _ in range(g.n)]
+    edges = g.edges  # the far end of edge e from its end x is sum(edges[e]) - x
+    palette = max((len(a) for a in g.adj), default=0) + 1
+    color = [-1] * g.m
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]  # at[v][c]: v's c-colored edge
 
-    def free_color(v: int) -> int:
-        used = at[v]
-        for c in range(palette):
-            if c not in used:
+    def free_color(x: int) -> int:
+        used = at[x]  # len(used) colored edges, so one of 0..len(used) is free
+        for c in range(len(used) + 1):
+            if c not in used and c < palette:
                 return c
-        raise SoundnessError("palette exhausted")  # impossible: deg(v) <= delta
+        raise SoundnessError("palette exhausted")  # impossible: deg(x) <= delta
 
-    def other_end(e: int, x: int) -> int:
-        u, v = g.edges[e]
-        return v if x == u else u
-
-    def invert_cd_path(start: int, c: int, d: int) -> None:
-        # Maximal path from `start` whose first edge is colored d, alternating
-        # d, c, d, ...; swap the two colors along it.
-        path = []
-        cur, want = start, d
-        while want in at[cur]:
-            e = at[cur][want]
-            path.append(e)
-            cur = other_end(e, cur)
-            want = c if want == d else d
-        for e in path:
-            u, v = g.edges[e]
-            del at[u][color[e]]
-            del at[v][color[e]]
-        for e in path:
-            nc = c if color[e] == d else d
-            color[e] = nc
-            u, v = g.edges[e]
-            at[u][nc] = e
-            at[v][nc] = e
-
-    for e0, (u, v) in enumerate(g.edges):
-        # Maximal fan of u: vertices F with fan_edge[i] joining u to F[i];
-        # the color of fan_edge[i+1] is free on F[i].
-        fan = [v]
-        fan_edges = [e0]
-        in_fan = {v}
-        while True:
-            tail = fan[-1]
-            ext = None
-            for c in range(palette):
-                if c in at[tail]:
-                    continue
-                e = at[u].get(c)
-                if e is None:
-                    continue
-                w = other_end(e, u)
-                if w not in in_fan:
-                    ext = (w, e)
-                    break
-            if ext is None:
-                break
-            fan.append(ext[0])
-            fan_edges.append(ext[1])
-            in_fan.add(ext[0])
-
-        c = free_color(u)
-        d = free_color(fan[-1])
-        if d in at[u]:
-            invert_cd_path(u, c, d)
-        # After the inversion d is free on u.  Find the first fan prefix that
-        # is still a fan under the current colors and whose tip has d free.
-        w_idx = None
-        for i, x in enumerate(fan):
-            if i > 0 and color[fan_edges[i]] in at[fan[i - 1]]:
-                break  # fan property broken from here on
-            if d not in at[x]:
-                w_idx = i
-                break
-        if w_idx is None:
-            raise SoundnessError("fan lemma violated")
-        # Rotate the prefix: edge i takes edge (i+1)'s color, the tip takes d.
-        # Two phases, since the old and new slots overlap at u.
-        affected = fan_edges[: w_idx + 1]
-        new_colors = [color[fan_edges[i + 1]] for i in range(w_idx)] + [d]
-        for e in affected:
+    def recolor(es: list[int], colors: list[int]) -> None:
+        # Two passes, since the old and new slots of the edges overlap.
+        for e in es:
             if color[e] != -1:
-                a, b = g.edges[e]
-                del at[a][color[e]]
-                del at[b][color[e]]
-                color[e] = -1
-        for e, nc in zip(affected, new_colors):
-            color[e] = nc
-            a, b = g.edges[e]
-            at[a][nc] = e
-            at[b][nc] = e
+                for x in edges[e]:
+                    del at[x][color[e]]
+        for e, c in zip(es, colors):
+            color[e] = c
+            for x in edges[e]:
+                at[x][c] = e
 
-    # Compact the palette (some of the delta+1 colors may be unused).
-    used = sorted(set(color))
-    remap = {c: i for i, c in enumerate(used)}
+    for e0, (u, v) in enumerate(edges):
+        # Maximal fan at u (vertex -> edge to u): each edge's color is free on the vertex before
+        fan, tail, at_u = {v: e0}, v, sorted(at[u].items())
+        while True:
+            for c, e in at_u:
+                if c not in at[tail] and (w := sum(edges[e]) - u) not in fan:
+                    break
+            else:
+                break
+            fan[w] = e
+            tail = w
+
+        # Swap c and d on the maximal path from u colored d, c, d, ... (empty if d is free on u)
+        c, d = free_color(u), free_color(tail)
+        path, x, want = [], u, d
+        while want in at[x]:
+            path.append(at[x][want])
+            x, want = sum(edges[path[-1]]) - x, c + d - want
+        recolor(path, [c + d - color[e] for e in path])
+        # Rotate the shortest fan prefix whose tip has d free: edge i takes
+        # edge (i+1)'s color, the tip takes d.  The prefix must still be a fan.
+        fan_edges = list(fan.values())
+        for i, x in enumerate(fan):
+            if d not in at[x]:
+                break
+            if i + 1 == len(fan) or color[fan_edges[i + 1]] in at[x]:
+                raise SoundnessError("fan lemma violated")
+        recolor(fan_edges[: i + 1], [color[e] for e in fan_edges[1 : i + 1]] + [d])
+
+    return _compact(color)
+
+
+def _compact(color: list[int]) -> EdgeColoring:
+    """Number the used colors 0, 1, ... in increasing order and count each class."""
+    remap = {c: i for i, c in enumerate(sorted(set(color)))}
     compact = tuple(remap[c] for c in color)
-    sizes = [0] * len(used)
+    sizes = [0] * len(remap)
     for c in compact:
         sizes[c] += 1
     return EdgeColoring(compact, tuple(sizes))
@@ -210,11 +168,7 @@ def hypercube_dimension_coloring(g: Graph) -> EdgeColoring:
     d = hypercube_dimension(g)
     if d is None:
         raise ValueError("graph is not a canonically labeled hypercube")
-    color = tuple((x ^ y).bit_length() - 1 for x, y in g.edges)
-    sizes = [0] * d
-    for c in color:
-        sizes[c] += 1
-    return EdgeColoring(color, tuple(sizes))
+    return _compact([(x ^ y).bit_length() - 1 for x, y in g.edges])
 
 
 def coloring_ordering(g: Graph, coloring: EdgeColoring, seed: int) -> EdgeOrdering:

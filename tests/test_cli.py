@@ -235,6 +235,22 @@ def test_zeta_on_a_recognised_cube_takes_the_closed_form(capsys, tmp_path, monke
     assert out.strip().splitlines()[-1] == "q9.txt,5,5,true,5.80482,true"
 
 
+def test_zeta_rejects_k_together_with_ks(capsys, q3_file):
+    # one of the two would go unused, and the output would not say which
+    rc, out, err = run(capsys, "zeta", "--graph", q3_file, "--k", "3", "--ks", "2")
+    assert rc == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("ks", [",", "", ",,"], ids=["comma", "empty", "commas"])
+def test_zeta_rejects_an_empty_k_list(capsys, q3_file, ks):
+    rc, out, err = run(capsys, "zeta", "--graph", q3_file, "--ks", ks)
+    assert rc == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
 # exact-f
 
 
@@ -647,6 +663,16 @@ def test_experiment_gnp_cli_deterministic(capsys, tmp_path):
 @pytest.mark.parametrize("p", ["1.5", "-0.1", "nan"])
 def test_experiment_gnp_rejects_p_outside_the_unit_interval(capsys, p):
     rc, out, err = run(capsys, "experiment", "gnp", "--n-list", "8", f"--p={p}", "--trials", "1")
+    assert rc == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
+
+@pytest.mark.parametrize("n_list", [",", ""], ids=["comma", "empty"])
+def test_experiment_gnp_rejects_an_empty_n_list(capsys, n_list):
+    rc, out, err = run(capsys, "experiment", "gnp", "--n-list", n_list, "--p", "0.3",
+                       "--trials", "1")
     assert rc == 3
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error:")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 
 import pytest
@@ -101,6 +102,28 @@ def test_sandwich_brackets_known_families() -> None:
 
     m3 = alt.f_bounds_sandwich(alt.make_matching(3))
     assert (m3.lower, m3.upper) == (1, 1)
+
+
+
+def _complete_bracket_by_integers(n: int) -> tuple[int, int]:
+    # smallest L with (2L+1)**2 >= 4n-3, i.e. ceil((sqrt(4n-3) - 1) / 2), and floor(3n/4)
+    L = 0
+    while (2 * L + 1) ** 2 < 4 * n - 3:
+        L += 1
+    return L, (3 * n) // 4
+
+
+def test_sandwich_complete_bracket_rounds_graham_kleitman() -> None:
+    # the sandwich rounds bounds.graham_kleitman inward; the rounding must
+    # match the integer forms of both bounds
+    for n in range(1, 2001):
+        lower, upper = alt.graham_kleitman(n)
+        assert (math.ceil(lower), math.floor(upper)) == _complete_bracket_by_integers(n), n
+    for n in range(2, 9):
+        s = alt.f_bounds_sandwich(alt.make_complete(n))
+        got = (dict(s.lower_candidates)["complete-sqrt"],
+               dict(s.upper_candidates)["complete-three-quarters"])
+        assert got == _complete_bracket_by_integers(n), n
 
 
 def test_sandwich_consistent_with_exact_value_on_corpus() -> None:

@@ -214,3 +214,9 @@ def test_campaign_argument_validation() -> None:
         experiment_hypercube(1)
     with pytest.raises(ValueError):
         experiment_gnp([10], 0.5, omega=5.0, eps=0.1, trials=0)
+
+
+def test_gnp_campaign_rejects_an_empty_n_list() -> None:
+    # no size means no row: a header-only CSV would read as a finished campaign
+    with pytest.raises(ValueError, match="n_list"):
+        experiment_gnp([], 0.5, omega=5.0, eps=0.1, trials=1)
