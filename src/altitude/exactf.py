@@ -30,6 +30,33 @@ Two cuts bound the whole subtree of a node, not one child:
   is extended by the other, so every completion has a path of
   2 + min(L_a, L_c) edges, L_a being the longest prefix path ending at a
   that avoids b and c, and L_c the one ending at c that avoids a and b.
+
+Sleep sets (Godefroid, Partial-Order Methods for the Verification of
+Concurrent Systems, LNCS 1032, 1996) let the search expand one ordering of
+each class of equivalent ones.  Two edges that share no vertex commute at
+adjacent ranks: consecutive edges of a path share a vertex, so swapping
+the two ranks keeps every increasing path increasing, and the orderings
+have the same increasing paths and the same value.  Each node carries a
+sleep set of unranked edges and makes no child for them.  Its children
+c_1, c_2, ... in pop order sleep on the node's set plus c_1..c_(i-1),
+minus every edge that meets c_i.  Take a completion of a node in which no
+sleeping edge z comes before all the edges that meet z, and let c_j be the
+first child that comes before all the edges meeting it there; the first
+edge of the completion is one.  Moving c_j to the front gives an
+equivalent ordering, and the rest of it again has the property for c_j's
+sleep set: a sleeping z there either slept at the node already or is an
+earlier c_i that would have come first.  So by induction every ordering
+is equivalent to one that reaches a leaf, or passes a node that was
+dropped or cut.  Whether a node is dropped or cut depends only on its
+prefix, never on which siblings were expanded, so a sibling dropped when
+popped may stay in the sleep sets: every completion of its prefix reaches
+the incumbent.
+
+The root ranks one representative per edge orbit, and only those enter
+sleep sets.  Every ordering is mapped by an automorphism to one that
+starts with a representative, the argument above holds with the
+representatives as the root's children, and a sleeping z is then always a
+representative whose subtree was searched.
 """
 
 from __future__ import annotations
@@ -187,32 +214,35 @@ class _RankedPrefix:
         self.wit = [1 << w for w in range(g.n)]
         self.undo: list[tuple[int, int, int, int]] = []  # beside ranked
 
-    def longest_ending_at(self, x: int, avoid: int) -> tuple[int, int]:
+    def longest_ending_at(self, x: int, avoid: int, need: int) -> tuple[int, int]:
         """Longest increasing path among ranked edges that ends at vertex x
-        and visits no vertex of the mask ``avoid``, with its vertex mask.
+        and visits no vertex of the mask ``avoid``, with its vertex mask; or
+        the first such path found of at least ``need`` edges.  With need =
+        din[x] the answer is always the longest.
 
         Callers first try the witness rule: if wit[x] & avoid == 0, din[x]
         and wit[x] are the answer.  Only a witness through the mask brings
         them here, where ``back`` searches backwards from x along falling
         ranks.  Its depth is at most din[x].  No path back from a vertex y is
         longer than din[y], so it skips a neighbour whose din cannot beat the
-        best path so far and leaves y once that path reaches din[y].
+        best path so far, and leaves y once that path reaches din[y] or what
+        y still needs.
         """
         adj, rank_of, din = self.adj, self.rank_of, self.din
 
-        def back(y: int, below: int, mask: int) -> tuple[int, int]:
+        def back(y: int, below: int, mask: int, need: int) -> tuple[int, int]:
             out, out_mask = 0, mask
             for w, e2 in adj[y]:
                 r2 = rank_of[e2]
                 if 0 < r2 < below and din[w] >= out and not mask >> w & 1:
-                    got, got_mask = back(w, r2, mask | (1 << w))
+                    got, got_mask = back(w, r2, mask | (1 << w), need - 1)
                     if got >= out:
                         out, out_mask = got + 1, got_mask
-                        if out == din[y]:
+                        if out >= need or out == din[y]:
                             break
             return out, out_mask
 
-        length, mask = back(x, len(self.ranked) + 1, (1 << x) | avoid)
+        length, mask = back(x, len(self.ranked) + 1, (1 << x) | avoid, need)
         return length, mask & ~avoid
 
     def top_values(self, candidates: list[int], floor: int) -> list[int]:
@@ -231,18 +261,19 @@ class _RankedPrefix:
                 u, v = v, u
             side = floor - 1
             if din[u] > side:
-                side = max(side, end(u, 1 << v)[0]) if wit[u] >> v & 1 else din[u]
+                side = max(side, end(u, 1 << v, din[u])[0]) if wit[u] >> v & 1 else din[u]
             if din[v] > side:
-                side = max(side, end(v, 1 << u)[0]) if wit[v] >> u & 1 else din[v]
+                side = max(side, end(v, 1 << u, din[v])[0]) if wit[v] >> u & 1 else din[v]
             out.append(side + 1)
         return out
 
-    def path_end(self, x: int, avoid: int) -> int:
+    def path_end(self, x: int, avoid: int, need: int) -> int:
         """Length of the longest increasing path among ranked edges that ends
-        at x and visits no vertex of the mask ``avoid``: din[x] when wit[x]
-        misses the mask, else the backward search."""
+        at x and visits no vertex of the mask ``avoid``, or of one with at
+        least ``need`` edges: din[x] when wit[x] misses the mask, else the
+        backward search, which stops once it reaches ``need``."""
         if self.wit[x] & avoid:
-            return self.longest_ending_at(x, avoid)[0]
+            return self.longest_ending_at(x, avoid, need)[0]
         return self.din[x]
 
     def pair_forces(self, unranked: list[int], t: int) -> bool:
@@ -265,8 +296,8 @@ class _RankedPrefix:
         for b, ends in far.items():
             for i, a in enumerate(ends):
                 for c in ends[i + 1:]:
-                    if (path_end(a, (1 << b) | (1 << c)) >= t
-                            and path_end(c, (1 << b) | (1 << a)) >= t):
+                    if (path_end(a, (1 << b) | (1 << c), t) >= t
+                            and path_end(c, (1 << b) | (1 << a), t) >= t):
                         return True
         return False
 
@@ -283,9 +314,9 @@ class _RankedPrefix:
         self.undo.append((da, wa, db, wb))
         sa = sb = -1  # -1: that end cannot lift the other
         if db >= da:
-            sb, mb = end(b, 1 << a) if wb >> a & 1 else (db, wb)
+            sb, mb = end(b, 1 << a, db) if wb >> a & 1 else (db, wb)
         if da >= db:
-            sa, ma = end(a, 1 << b) if wa >> b & 1 else (da, wa)
+            sa, ma = end(a, 1 << b, da) if wa >> b & 1 else (da, wa)
         if sb >= da:
             din[a], wit[a] = sb + 1, mb | (1 << a)
         if sa >= db:
@@ -307,12 +338,12 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
     Branch-and-bound over rank assignments; first-level branches range over
     one representative per edge orbit.  The incumbent starts at the
     sandwich's coloring ordering and its exact value, the floor at the
-    sandwich's lower bound, every candidate of which is proved.  The search keeps its own stack of
-    (prefix value, rank, edge) children, pushed in descending order so they
-    are expanded depth-first by ascending (value, edge); a child whose value
-    has reached the incumbent by the time it is popped is skipped.
-    ``budget`` caps node expansions; exhaustion returns the bracket
-    [floor, incumbent] flagged inexact.
+    sandwich's lower bound, every candidate of which is proved.  The search
+    keeps its own stack of (prefix value, rank, edge, sleep set) children,
+    pushed so that they are expanded depth-first by ascending (value,
+    edge); a child whose value has reached the incumbent by the time it is
+    popped is skipped.  ``budget`` caps node expansions; exhaustion returns
+    the bracket [floor, incumbent] flagged inexact.
 
     A child (u, v) takes the top rank, so its value is the larger of the
     prefix value and 1 + the longest paths ending at u avoiding v and at v
@@ -332,6 +363,18 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
       whichever edge ranks first, the other extends it.  Only ends whose din
       reaches incumbent - 2 are paired.
 
+    Both bounds read every unranked edge, but a node makes children only
+    for the edges outside its sleep set, an int with one bit per edge.  In
+    pop order, child c_i sleeps on the node's set plus c_1..c_(i-1), less
+    ``meets[c_i]``, the edges that share a vertex with c_i.  Edges that
+    share no vertex commute at adjacent ranks (the increasing paths stay
+    the same), so an ordering skipped under c_i ranks a sleeping z before
+    every edge that meets z, and moving z down to the node gives an
+    equivalent ordering through z's sibling.  That sibling was expanded,
+    or dropped or cut by a test on its prefix alone.  At the root only the
+    orbit representatives enter sleep sets, so a sleeping z is always a
+    searched representative; the module docstring gives the argument.
+
     A witness the search found, rather than the coloring ordering, is
     rechecked once by an unbudgeted psi search, and a mismatch raises
     ``SoundnessError``.
@@ -346,9 +389,12 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
     rank_of, ranked = prefix.rank_of, prefix.ranked
     explored = 0
 
-    stack = [(0, 0, -1)]  # the root ranks no edge
+    inc = [sum(1 << x for _, x in at) for at in g.adj]  # the edges at each vertex
+    meets = [inc[u] | inc[v] for u, v in g.edges]  # x and every edge sharing a vertex with it
+
+    stack = [(0, 0, -1, 0)]  # the root ranks no edge and sleeps on none
     while stack and best_val > floor:
-        val, r, e = stack.pop()
+        val, r, e, sleep = stack.pop()
         if val >= best_val:  # the incumbent improved since this child was pushed
             continue
         while len(ranked) >= r > 0:
@@ -365,12 +411,15 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
         values = prefix.top_values(unranked, val)
         if max(values) >= best_val or prefix.pair_forces(unranked, best_val - 2):
             continue  # every completion reaches the incumbent
-        children = [(child, r + 1, x) for child, x in zip(values, unranked)]
+        awake = [(child, x) for child, x in zip(values, unranked) if not sleep >> x & 1]
         if not r:  # the root ranks one representative per edge orbit
             reps = {orb[0] for orb in edge_orbits(g)}
-            children = [child for child in children if child[2] in reps]
-        children.sort(reverse=True)
-        stack += children
+            awake = [child for child in awake if child[1] in reps]
+        children = []
+        for child, x in sorted(awake):  # pop order
+            children.append((child, r + 1, x, sleep & ~meets[x]))
+            sleep |= 1 << x
+        stack += reversed(children)
     if best_ord is not bounds.ordering:
         check = longest_increasing_path(g, best_ord)
         if not check.exact or check.length != best_val:
