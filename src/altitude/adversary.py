@@ -22,7 +22,6 @@ from .orderings import (
     coloring_ordering,
     greedy_edge_coloring,
     hypercube_dimension_coloring,
-    random_ordering,
 )
 from .paths import _trail_sweep, longest_increasing_path
 from .pedestrian import sqrt_degree_floor
@@ -70,9 +69,13 @@ class UpperBoundReport:
     strategies: tuple[tuple[str, int, bool], ...]
 
 
-def _verified_psi(g: Graph, ordering: EdgeOrdering, budget: int | None) -> int | None:
+def _psi_or_trail(g: Graph, ordering: EdgeOrdering, budget: int | None) -> tuple[int, bool]:
+    """(psi, True) when the path search settles within ``budget``, else
+    (the trail value, False): an upper bound on psi either way."""
     res = longest_increasing_path(g, ordering, budget=budget)
-    return res.length if res.exact else None
+    if res.exact:
+        return res.length, True
+    return max(_trail_sweep(g, ordering.inverse)), False
 
 
 def _sample_pair(randrange: Callable[[int], int], m: int) -> tuple[int, int]:
@@ -122,13 +125,9 @@ def local_search_min_psi(
 
     inverse = list(init.inverse)
     rank = list(init.rank)
-    cur_obj = max(_trail_sweep(g, inverse))
 
     best_ord = init
-    exact0 = _verified_psi(g, init, psi_budget)
-    verified = exact0 is not None
-    best_psi = exact0 if exact0 is not None else cur_obj
-    best_surrogate = cur_obj
+    best_psi, verified = _psi_or_trail(g, init, psi_budget)
     history = [(0, best_psi)]
 
     if m < 2 or steps <= 0:
@@ -176,7 +175,8 @@ def local_search_min_psi(
 
     fwd = [[0] * g.n]
     bwd = [[0] * g.n] * (nblocks + 1)  # entries below c stay unused
-    _, fwd[1:], bwd[c:nblocks] = resweep(0, nblocks)
+    cur_obj, fwd[1:], bwd[c:nblocks] = resweep(0, nblocks)
+    best_surrogate = cur_obj
 
     randrange = rng.randrange
     moves_per_level = sched.moves_per_level or 100 * m
@@ -208,12 +208,9 @@ def local_search_min_psi(
         if new_obj < best_surrogate:
             best_surrogate = new_obj
             candidate = EdgeOrdering(tuple(rank))
-            exact = _verified_psi(g, candidate, psi_budget)
-            value = exact if exact is not None else new_obj
-            if value < best_psi or (exact is not None and not verified and value <= best_psi):
-                best_psi = value
-                best_ord = candidate
-                verified = exact is not None
+            value, exact = _psi_or_trail(g, candidate, psi_budget)
+            if value < best_psi or (exact and not verified and value <= best_psi):
+                best_psi, best_ord, verified = value, candidate, exact
                 history.append((step, best_psi))
 
     return SearchTrace(steps, best_psi, best_ord, verified, tuple(history))
@@ -226,7 +223,7 @@ def upper_bound_report(
     restarts: int = 2,
     psi_budget: int | None = 500000,
 ) -> UpperBoundReport:
-    """Least verified ordering value over the coloring, random and annealed orderings.
+    """Least ordering value over the coloring ordering and anneals from it.
 
     The first entry, ``coloring``, ranks the classes of a proper edge
     coloring in blocks, so an increasing path uses at most one edge per
@@ -234,9 +231,9 @@ def upper_bound_report(
     dimension coloring (d classes) on a canonically labelled Q_d and the
     Misra-Gries coloring (at most max_degree + 1 classes) on any other
     graph.  Its value is the verified psi, or the trail length when the
-    psi budget runs out.  Then come ``restarts`` random orderings and
-    ``restarts`` anneals from the coloring ordering; they only ever lower
-    the report.  Raises ValueError on a negative ``restarts``.
+    psi budget runs out.  Then come ``restarts`` anneals from the coloring
+    ordering; they only ever lower the report.  Raises ValueError on a
+    negative ``restarts``.
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
@@ -245,23 +242,12 @@ def upper_bound_report(
     if g.m == 0:
         ident = EdgeOrdering(())
         return UpperBoundReport(0, ident, True, (("coloring", 0, True),))
-    entries: list[tuple[str, int, bool, EdgeOrdering]] = []
-
-    def add(label: str, ordering: EdgeOrdering) -> None:
-        exact = _verified_psi(g, ordering, psi_budget)
-        if exact is not None:
-            entries.append((label, exact, True, ordering))
-        else:
-            entries.append((label, max(_trail_sweep(g, ordering.inverse)), False, ordering))
-
     if hypercube_dimension(g) is not None:
         coloring = hypercube_dimension_coloring(g)
     else:
         coloring = greedy_edge_coloring(g)
     base = coloring_ordering(g, coloring, seed)
-    add("coloring", base)
-    for i in range(restarts):
-        add(f"random-{i}", random_ordering(g, seed + 7919 * (i + 1)))
+    entries = [("coloring", *_psi_or_trail(g, base, psi_budget), base)]
     for i in range(restarts):
         trace = local_search_min_psi(
             g, base, steps, seed + 104729 * (i + 1), psi_budget=psi_budget

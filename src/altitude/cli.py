@@ -532,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--ordering", help="anneal mode's initial ordering spec (default coloring)")
     sp.add_argument("--steps", type=int, default=2000)
-    sp.add_argument("--restarts", type=int, help="--portfolio's restart count (default 2)")
+    sp.add_argument("--restarts", type=int, help="--portfolio's anneal count (default 2)")
     sp.add_argument("--budget", type=int, default=200000, help="exact-psi verification budget")
     sp.add_argument("--schedule", help="anneal-mode schedule, e.g. decay=0.95,moves=1200")
     sp.add_argument("--portfolio", action="store_true",

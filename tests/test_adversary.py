@@ -129,8 +129,6 @@ def test_report_strategies_golden() -> None:
     rep = alt.upper_bound_report(g, seed=0, steps=200, restarts=2)
     assert rep.strategies == (
         ("coloring", 6, True),
-        ("random-0", 9, True),
-        ("random-1", 7, True),
         ("anneal-0", 5, True),
         ("anneal-1", 5, True),
     )

@@ -8,6 +8,7 @@ files written via --out, and the exit code contract:
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 from pathlib import Path
 
@@ -464,7 +465,7 @@ def test_adversary_rejects_a_flag_it_would_ignore(capsys, k3_file, flags):
 
 def test_adversary_documented_defaults_still_apply(capsys, k3_file):
     # without --ordering anneal mode starts from the coloring ordering, and
-    # without --restarts the portfolio runs 2 random orderings and 2 anneals
+    # without --restarts the portfolio runs 2 anneals
     def doc(*flags):
         rc, out, _ = run(capsys, "adversary", "--graph", k3_file, "--steps", "50", *flags)
         assert rc == 0
@@ -888,3 +889,20 @@ def test_config_defaults_do_not_reach_the_next_call(monkeypatch, tmp_path):
     argv, want = _DEFAULT_NAMESPACES["psi"]
     del seen[1]["func"], seen[1]["command"]
     assert seen[1] == want
+
+
+def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
+    # bench/ hands these argvs to main; a flag the parser no longer takes
+    # (say --workers, which every campaign item passes) would exit 2 there
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    parser = cli.build_parser()
+    for name in workloads.WORKLOADS:
+        workdir = tmp_path / name
+        argvs = [item.argv for item in workloads.build(name, 0, workdir)]
+        argvs.append(workloads.warm_up(name, workdir))
+        for argv in argvs:
+            try:
+                parser.parse_args(list(argv))
+            except SystemExit:
+                pytest.fail(f"{name}: the parser rejects {' '.join(argv)}")

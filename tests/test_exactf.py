@@ -11,7 +11,15 @@ import pytest
 import altitude as alt
 from altitude import exactf
 from corpus import named_small_graphs, random_graphs
-from oracles import brute_completion_min, brute_f, brute_path_end, brute_top_value
+from oracles import brute_completion_min, brute_f, brute_path_end, brute_psi, brute_top_value
+
+# Ranks of an ordering of make_hypercube(4), in its canonical edge order,
+# with psi = 3: one below the dimension bound, and equal to the density
+# floor, so f(Q_4) = 3.
+Q4_PSI_3 = (
+    1, 17, 9, 24, 18, 20, 10, 2, 22, 11, 12, 26, 19, 3, 28, 4,
+    13, 21, 14, 31, 23, 5, 15, 6, 32, 25, 29, 16, 7, 27, 30, 8,
+)
 
 
 def test_exact_f_matches_factorial_enumeration() -> None:
@@ -25,6 +33,15 @@ def test_exact_f_matches_factorial_enumeration() -> None:
         # the witness ordering actually achieves the reported value
         wit = alt.longest_increasing_path(g, res.witness)
         assert wit.exact and wit.length == res.value
+
+
+def test_f_of_q4_is_three() -> None:
+    q4 = alt.make_hypercube(4)
+    phi = alt.EdgeOrdering(Q4_PSI_3)
+    assert brute_psi(q4, phi) == 3
+    res = alt.longest_increasing_path(q4, phi)
+    assert res.exact and res.length == 3
+    assert alt.density_floor(q4, 16, 200000) == 3
 
 
 def test_exact_f_forced_families() -> None:

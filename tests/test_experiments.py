@@ -169,6 +169,19 @@ GNP_100_SEED_0 = [
     "100,0.1,0,0,511,21,15,true,15,true,15,4,true,0,,",
 ]
 
+# A denser campaign (m 230-566), where each row's portfolio costs most.
+# Recorded while the portfolio also scored random orderings, which never
+# set a row's value.
+GNP_40_60_SEED_0 = [
+    "# schema=altitude/experiment-gnp/1",
+    "n,p,trial,seed,m,delta_plus_1,coloring_psi,coloring_psi_exact,adversary_psi,"
+    "adversary_verified,pedestrian_max,sqrt_floor,floor_ok,gnp_k,union_exponent,union_negative",
+    "40,0.3,0,0,230,18,14,true,14,true,13,4,true,0,,",
+    "40,0.3,1,1000003,235,20,14,true,14,true,15,4,true,0,,",
+    "60,0.3,0,2000006,505,23,21,true,21,true,20,5,true,0,,",
+    "60,0.3,1,3000009,566,31,21,true,21,true,22,5,true,0,,",
+]
+
 
 def _golden(csv: str) -> list[str]:
     return [ln.rsplit(",", 1)[0] for ln in csv.strip().splitlines()]
@@ -186,6 +199,11 @@ def test_gnp_campaign_golden() -> None:
 def test_gnp_campaign_golden_many_blocks() -> None:
     csv = experiment_gnp([100], p=0.1, omega=5.0, eps=0.1, trials=1, seed=0)
     assert _golden(csv) == GNP_100_SEED_0
+
+
+def test_gnp_campaign_golden_dense() -> None:
+    csv = experiment_gnp([40, 60], p=0.3, omega=5.0, eps=0.1, trials=2, seed=0)
+    assert _golden(csv) == GNP_40_60_SEED_0
 
 
 def test_gnp_row_builds_one_misra_gries_coloring(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -85,6 +85,49 @@ def test_path_at_most_trail_and_trail_floor() -> None:
         assert t.length >= -(-2 * g.m // g.n)  # every ordering admits a trail >= ceil(2m/n)
 
 
+# Metamorphic relations, checked where no oracle reaches (m up to ~110):
+# reversing an ordering reverses every increasing path, and a vertex
+# relabelling that keeps each edge's rank maps paths onto paths.
+META_BUDGET = 20000
+
+
+def _psi_pairs(transform) -> list[tuple[int, int, int]]:
+    """(m, psi(g, phi), psi of the transformed instance) wherever both settle."""
+    pairs = []
+    rng = random.Random(32)
+    for g, phi in random_instances(300, 3, 16, seed=31):
+        h, chi = transform(g, phi, rng)
+        a = alt.longest_increasing_path(g, phi, budget=META_BUDGET)
+        b = alt.longest_increasing_path(h, chi, budget=META_BUDGET)
+        if a.exact and b.exact:
+            pairs.append((g.m, a.length, b.length))
+    assert sum(m > 6 for m, _, _ in pairs) >= 200  # most of the corpus, far past the oracles
+    return pairs
+
+
+def test_psi_equals_psi_of_the_reversed_ordering() -> None:
+    def reverse(g, phi, rng):
+        return g, alt.EdgeOrdering(tuple(g.m + 1 - r for r in phi.rank))
+
+    for m, a, b in _psi_pairs(reverse):
+        assert a == b, m
+
+
+def test_psi_is_unchanged_by_a_relabelling_that_keeps_edge_ranks() -> None:
+    def relabel(g, phi, rng):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = alt.Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        index = {e: i for i, e in enumerate(h.edges)}
+        rank = [0] * g.m
+        for e, (u, v) in enumerate(g.edges):
+            rank[index[tuple(sorted((perm[u], perm[v])))]] = phi.rank[e]
+        return h, alt.EdgeOrdering(tuple(rank))
+
+    for m, a, b in _psi_pairs(relabel):
+        assert a == b, m
+
+
 def test_known_trail_values() -> None:
     # K_3 with identity ranks: edges (01)=1,(02)=2,(12)=3 walk 1,0,2,1
     k3 = alt.make_complete(3)
