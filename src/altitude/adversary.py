@@ -6,6 +6,14 @@ over rank swaps scoring moves by the trail value, re-sweeping only the rank
 blocks between the swapped ranks and a middle cut, and confirms
 improvements with the exact path search so no surrogate value is ever
 reported as psi.
+
+No ordering's trail value lies below ceil(2m/n) (Graham and Kleitman,
+1973): relaxing an edge (u, v) raises best[u] + best[v] by at least 2, so
+the sweep ends with sum(best) >= 2m over n vertices.  Once the annealer's
+best trail value reaches that floor no move can pass its test for a psi
+check, so it stops there, and at once when the start ordering is already
+at the floor (the dimension ordering of Q_d has trail d = 2m/n).  The
+result is the full run's, and ``iterations`` still reports the step budget.
 """
 
 from __future__ import annotations
@@ -109,16 +117,36 @@ def local_search_min_psi(
     Moves swap the ranks of two edges, drawn as ``random.sample`` would.
     The Metropolis rule runs on the trail surrogate, which a move recomputes
     from block snapshots of the trail sweep split at a middle rank cut (see
-    the comment in the body).  Whenever the surrogate drops below the best
+    the comment in ``_anneal``).  Whenever the surrogate drops below the best
     seen, the exact path value is computed and, when the computation
     completes, the incumbent is updated.  The returned best_psi is an exact
     psi whenever ``verified`` is True, otherwise a trail value (still an
     upper bound).
+
+    Every trail value is at least ceil(2m/n), since each edge relaxation
+    raises the sweep's sum(best) by at least 2.  So the search returns as
+    soon as its best trail value reaches that floor, or at once when the
+    start ordering is there: no later move could trigger a psi check.  The
+    trace is the full run's, with ``iterations`` still ``steps``.
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
     if init.m != g.m:
         raise ValueError("initial ordering does not match the graph")
+    return _anneal(g, init, _psi_or_trail(g, init, psi_budget), steps, seed, schedule, psi_budget)
+
+
+def _anneal(
+    g: Graph,
+    init: EdgeOrdering,
+    start: tuple[int, bool],
+    steps: int,
+    seed: int,
+    schedule: AnnealSchedule | None,
+    psi_budget: int | None,
+) -> SearchTrace:
+    """local_search_min_psi on a checked ``init`` whose ``_psi_or_trail``
+    value is ``start``, so a caller that has scored it does not again."""
     m = g.m
     sched = schedule or AnnealSchedule()
     rng = random.Random(seed)
@@ -127,7 +155,7 @@ def local_search_min_psi(
     rank = list(init.rank)
 
     best_ord = init
-    best_psi, verified = _psi_or_trail(g, init, psi_budget)
+    best_psi, verified = start
     history = [(0, best_psi)]
 
     if m < 2 or steps <= 0:
@@ -177,6 +205,9 @@ def local_search_min_psi(
     bwd = [[0] * g.n] * (nblocks + 1)  # entries below c stay unused
     cur_obj, fwd[1:], bwd[c:nblocks] = resweep(0, nblocks)
     best_surrogate = cur_obj
+    floor = -(-2 * m // g.n)
+    if best_surrogate == floor:
+        return SearchTrace(steps, best_psi, best_ord, verified, tuple(history))
 
     randrange = rng.randrange
     moves_per_level = sched.moves_per_level or 100 * m
@@ -206,12 +237,16 @@ def local_search_min_psi(
         bwd[c:hi] = new_b
         cur_obj = new_obj
         if new_obj < best_surrogate:
+            if new_obj < floor:
+                raise SoundnessError(f"re-swept trail value {new_obj} below the floor {floor}")
             best_surrogate = new_obj
             candidate = EdgeOrdering(tuple(rank))
             value, exact = _psi_or_trail(g, candidate, psi_budget)
             if value < best_psi or (exact and not verified and value <= best_psi):
                 best_psi, best_ord, verified = value, candidate, exact
                 history.append((step, best_psi))
+            if best_surrogate == floor:
+                break
 
     return SearchTrace(steps, best_psi, best_ord, verified, tuple(history))
 
@@ -247,11 +282,10 @@ def upper_bound_report(
     else:
         coloring = greedy_edge_coloring(g)
     base = coloring_ordering(g, coloring, seed)
-    entries = [("coloring", *_psi_or_trail(g, base, psi_budget), base)]
+    start = _psi_or_trail(g, base, psi_budget)
+    entries = [("coloring", *start, base)]
     for i in range(restarts):
-        trace = local_search_min_psi(
-            g, base, steps, seed + 104729 * (i + 1), psi_budget=psi_budget
-        )
+        trace = _anneal(g, base, start, steps, seed + 104729 * (i + 1), None, psi_budget)
         entries.append((f"anneal-{i}", trace.best_psi, trace.verified, trace.best_ordering))
 
     # Prefer verified values at equal bound.

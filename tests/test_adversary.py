@@ -208,6 +208,60 @@ def test_anneal_trace_golden(trace_graphs, case) -> None:
     )
 
 
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_anneal_from_the_dimension_ordering_draws_no_move(monkeypatch, d) -> None:
+    # Its trail value d = 2m/n is already the floor ceil(2m/n) below which no
+    # ordering's trail lies, so no move could pass the test for a psi check.
+    # TRACE_GOLDEN covers both exits of a run from a random start: k4, c4,
+    # c6, q2 and q3 reach the floor partway through, while p3, p5, star2,
+    # star4 and matching3 start at it.
+    def refuse(randrange, m):
+        raise AssertionError("annealing move drawn from an ordering at the trail floor")
+
+    monkeypatch.setattr(adversary, "_sample_pair", refuse)
+    g = alt.make_hypercube(d)
+    init = alt.coloring_ordering(g, alt.hypercube_dimension_coloring(g), seed=0)
+    tr = alt.local_search_min_psi(g, init, steps=1500, seed=1)
+    assert tr.iterations == 1500
+    assert tr.best_history == ((0, d),)
+    assert tr.best_ordering == init and tr.verified
+
+
+def test_report_scores_the_anneal_start_once(monkeypatch) -> None:
+    calls = []
+    search = adversary.longest_increasing_path
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(adversary, "longest_increasing_path", counting)
+    rep = alt.upper_bound_report(alt.make_hypercube(5), restarts=1)
+    assert rep.strategies == (("coloring", 5, True), ("anneal-0", 5, True))
+    assert len(calls) == 1
+
+
+def test_resweep_below_the_trail_floor_raises_soundness_error(monkeypatch) -> None:
+    # Sweeps are exact until the first move is drawn, then return all zeros,
+    # so the start (trail above the floor) passes and a move's score falls.
+    drawn = []
+    sample, sweep = adversary._sample_pair, adversary._trail_sweep
+
+    def draw(randrange, m):
+        drawn.append(m)
+        return sample(randrange, m)
+
+    def undercount(g, edges, before=None, best=None):
+        best = sweep(g, edges, before, best)
+        return [0] * g.n if drawn else best
+
+    monkeypatch.setattr(adversary, "_sample_pair", draw)
+    monkeypatch.setattr(adversary, "_trail_sweep", undercount)
+    g = alt.make_hypercube(4)
+    with pytest.raises(alt.SoundnessError):
+        alt.local_search_min_psi(g, alt.random_ordering(g, 3), steps=400, seed=5)
+
+
 def test_sample_pair_replays_random_sample() -> None:
     # the annealer's draw must leave the stream, and so every trace, as
     # random.sample(range(m), 2) did
