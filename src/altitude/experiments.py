@@ -1,12 +1,13 @@
 """Experiment campaigns: the hypercube table and the random-graph sandwich.
 
-Each row is recomputable from its own parameters and seed.  Rows are
-computed one after another in parameter order, so reruns give byte-identical
-CSV except for the wall-time column, which is always last.
+Each row is recomputable from its own parameters and seed, and rows are
+written in parameter order whichever process computed them, so reruns give
+byte-identical CSV except for the wall-time column, which is always last.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from io import StringIO
@@ -197,6 +198,15 @@ def _gnp_row(
     return ExperimentRow(vals, ms)
 
 
+# A row expected to have fewer edges takes under ~10 ms on a 2-core host,
+# about what starting a pool of two forked processes costs there.
+POOL_MIN_EDGES = 100
+
+
+def _expected_edges(n: int, p: float) -> float:
+    return p * n * (n - 1) / 2
+
+
 def experiment_gnp(
     n_list: Sequence[int],
     p: float | None,
@@ -205,18 +215,59 @@ def experiment_gnp(
     trials: int,
     seed: int = 0,
     psi_budget: int = 200000,
+    workers: int = 1,
 ) -> str:
     """Rows over n_list x trials; p=None applies the threshold density rule,
-    capped at 1.  An explicit p must lie in [0, 1]."""
+    capped at 1.  An explicit p must lie in [0, 1].
+
+    With ``workers`` > 1 and at least two rows expected to have
+    ``POOL_MIN_EDGES`` edges or more, every row runs in a pool of forked
+    processes, min(workers, those rows, cpu count) of them, largest expected
+    edge count first so that no large row starts last.  Otherwise every row
+    runs in this process and none is started.  The hypercube campaign has no
+    pool: its anneal stops at the trail floor before its first move, so a
+    row to d = 6 takes less than a process costs to start.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if not n_list:
         raise ValueError("n_list must name at least one n")
     if p is not None and not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
-    rows = []
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    params = []
     for n in n_list:
         pn = min(gnp_threshold_p(n, omega), 1.0) if p is None else p
         for t in range(trials):
-            rows.append(_gnp_row(n, pn, t, seed + 1000003 * len(rows), omega, eps, psi_budget))
+            params.append((n, pn, t, seed + 1000003 * len(params), omega, eps, psi_budget))
+    large = sum(_expected_edges(n, pn) >= POOL_MIN_EDGES for n, pn, *_ in params)
+    procs = min(workers, large, os.cpu_count() or 1)
+    if procs < 2:
+        rows = [_gnp_row(*args) for args in params]
+    else:
+        rows = _pooled_rows(params, procs)
     return rows_to_csv(SCHEMA_GNP, GNP_HEADER, rows)
+
+
+def _pooled_rows(params: list[tuple], procs: int) -> list[ExperimentRow]:
+    """``_gnp_row`` over params on ``procs`` forked processes, in params order.
+
+    The first failing row in params order raises, as it would serially; the
+    rows still queued are cancelled and every process is joined.  Workers are
+    forked, not spawned: a spawned one would start an interpreter and import
+    the package, which costs about as much as a campaign row, and the
+    executor forks all of them before it starts its own thread.
+    """
+    # Imported here, so that a campaign without a pool does not load them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    order = sorted(range(len(params)), key=lambda i: -_expected_edges(*params[i][:2]))
+    with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = {i: pool.submit(_gnp_row, *params[i]) for i in order}
+        try:
+            return [futures[i].result() for i in range(len(params))]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise

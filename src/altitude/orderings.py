@@ -98,13 +98,14 @@ def greedy_edge_coloring(g: Graph) -> EdgeColoring:
     palette = max((len(a) for a in g.adj), default=0) + 1
     color = [-1] * g.m
     at: list[dict[int, int]] = [{} for _ in range(g.n)]  # at[v][c]: v's c-colored edge
+    used = [0] * g.n  # bit c of used[v]: v has a c-colored edge
 
     def free_color(x: int) -> int:
-        used = at[x]  # len(used) colored edges, so one of 0..len(used) is free
-        for c in range(len(used) + 1):
-            if c not in used and c < palette:
-                return c
-        raise SoundnessError("palette exhausted")  # impossible: deg(x) <= delta
+        # the lowest zero bit; deg(x) <= delta leaves one below the palette
+        c = (~used[x] & (used[x] + 1)).bit_length() - 1
+        if c >= palette:
+            raise SoundnessError("palette exhausted")
+        return c
 
     def recolor(es: list[int], colors: list[int]) -> None:
         # Two passes, since the old and new slots of the edges overlap.
@@ -112,22 +113,24 @@ def greedy_edge_coloring(g: Graph) -> EdgeColoring:
             if color[e] != -1:
                 for x in edges[e]:
                     del at[x][color[e]]
+                    used[x] ^= 1 << color[e]
         for e, c in zip(es, colors):
             color[e] = c
             for x in edges[e]:
                 at[x][c] = e
+                used[x] |= 1 << c
 
     for e0, (u, v) in enumerate(edges):
-        # Maximal fan at u (vertex -> edge to u): each edge's color is free on the vertex before
-        fan, tail, at_u = {v: e0}, v, sorted(at[u].items())
-        while True:
-            for c, e in at_u:
-                if c not in at[tail] and (w := sum(edges[e]) - u) not in fan:
-                    break
-            else:
-                break
-            fan[w] = e
-            tail = w
+        # Maximal fan at u (vertex -> edge to u): each edge's color is free on
+        # the vertex before.  avail holds u's colors not yet in the fan, so the
+        # next edge is u's lowest-colored one whose color is free on the tail.
+        fan, tail, avail = {v: e0}, v, used[u]
+        while nxt := avail & ~used[tail]:
+            c = (nxt & -nxt).bit_length() - 1
+            avail ^= 1 << c
+            e = at[u][c]
+            tail = sum(edges[e]) - u
+            fan[tail] = e
 
         # Swap c and d on the maximal path from u colored d, c, d, ... (empty if d is free on u)
         c, d = free_color(u), free_color(tail)

@@ -10,14 +10,18 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
+import multiprocessing
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from altitude import cli, density, exactf
+from altitude import cli, density, exactf, experiments
 from altitude.cli import main
 from altitude.graphs import (
     Graph,
+    SoundnessError,
     make_complete,
     make_cycle,
     make_hypercube,
@@ -689,6 +693,68 @@ def test_experiment_gnp_caps_the_threshold_rule_at_one(capsys):
     assert (row[0], row[1], row[4]) == ("8", "1", "28")
 
 
+def _bench_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    return importlib.import_module("workloads")
+
+
+def _stable(text: str) -> list[str]:
+    return [ln.rsplit(",", 1)[0] for ln in text.strip().splitlines()]
+
+
+def test_experiment_gnp_bench_campaigns_do_not_depend_on_workers(capsys, monkeypatch, tmp_path):
+    for item in _bench_workloads(monkeypatch).build("campaign-gnp", 0, tmp_path):
+        argv = list(item.argv)
+        at = argv.index("--workers") + 1
+        got = []
+        for workers in ("1", "2"):
+            argv[at] = workers
+            rc, out, err = run(capsys, *argv)
+            got.append((rc, _stable(out), err))
+            assert multiprocessing.active_children() == []
+        assert got[0] == got[1] and got[0][0] == 0
+
+
+_REAL_GNP_ROW = experiments._gnp_row
+_STARTED: Path | None = None  # each row that starts, in any process, leaves a file here
+
+
+def _row_failing_at_50_and_60(n, p, trial, row_seed, *rest):
+    if n in (50, 60):
+        raise SoundnessError(f"planted failure on n={n}")
+    (_STARTED / str(row_seed)).touch()
+    time.sleep(0.1)
+    return _REAL_GNP_ROW(n, p, trial, row_seed, *rest)
+
+
+def test_experiment_gnp_failing_row_reports_the_same_at_any_worker_count(
+        capsys, monkeypatch, tmp_path):
+    # The pool takes n = 60 and 50 first; the first failing row in parameter
+    # order (n = 50) must be the one reported, and the queued rows cancelled.
+    monkeypatch.setattr(experiments, "_gnp_row", _row_failing_at_50_and_60)
+    argv = ["experiment", "gnp", "--n-list", "40,50,60," + ",".join(["40"] * 11),
+            "--p", "0.3", "--trials", "1"]
+    got = []
+    for workers in ("1", "2"):
+        monkeypatch.setattr(sys.modules[__name__], "_STARTED", tmp_path / workers)
+        (tmp_path / workers).mkdir()
+        got.append(run(capsys, *argv, "--workers", workers))
+        assert multiprocessing.active_children() == []
+    assert got[0] == got[1] == (3, "", "error: planted failure on n=50\n")
+    assert len(list((tmp_path / "1").iterdir())) == 1
+    assert len(list((tmp_path / "2").iterdir())) < 12
+
+
+@pytest.mark.parametrize("campaign", [["gnp", "--n-list", "8", "--p", "0.3"],
+                                      ["hypercube", "--d-max", "2"]], ids=["gnp", "hypercube"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_experiment_rejects_fewer_than_one_worker(capsys, campaign, workers):
+    rc, out, err = run(capsys, "experiment", *campaign, "--workers", workers)
+    assert rc == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+
+
 # exit codes and config
 
 
@@ -856,7 +922,7 @@ _DEFAULT_NAMESPACES = {
     "experiment": (
         ["experiment", "gnp"],
         {**_COMMON, "campaign": "gnp", "d_max": None, "n_list": None, "p": None, "omega": 5.0,
-         "eps": 0.1, "trials": 3, "psi_budget": 200000, "f_budget": 2000000, "workers": None},
+         "eps": 0.1, "trials": 3, "psi_budget": 200000, "f_budget": 2000000, "workers": 1},
     ),
 }
 
@@ -894,8 +960,7 @@ def test_config_defaults_do_not_reach_the_next_call(monkeypatch, tmp_path):
 def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
     # bench/ hands these argvs to main; a flag the parser no longer takes
     # (say --workers, which every campaign item passes) would exit 2 there
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    workloads = importlib.import_module("workloads")
+    workloads = _bench_workloads(monkeypatch)
     parser = cli.build_parser()
     for name in workloads.WORKLOADS:
         workdir = tmp_path / name

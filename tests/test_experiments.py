@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import multiprocessing
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import altitude as alt
+from altitude import experiments
 from altitude.experiments import (
     GNP_HEADER,
     HYPERCUBE_HEADER,
@@ -238,3 +244,93 @@ def test_gnp_campaign_rejects_an_empty_n_list() -> None:
     # no size means no row: a header-only CSV would read as a finished campaign
     with pytest.raises(ValueError, match="n_list"):
         experiment_gnp([], 0.5, omega=5.0, eps=0.1, trials=1)
+
+
+# ----------------------------------------------------------------------
+# Rows on worker processes
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n_list,p,trials,golden", [([40, 60], 0.3, 2, GNP_40_60_SEED_0),
+                                                    ([100], 0.1, 1, GNP_100_SEED_0)],
+                         ids=["40-60", "100"])
+def test_gnp_campaign_rows_do_not_depend_on_workers(n_list, p, trials, golden) -> None:
+    csv = experiment_gnp(n_list, p, omega=5.0, eps=0.1, trials=trials, seed=0, workers=2)
+    assert _golden(csv) == golden
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def inline_pool(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
+    """An executor that records its size and the rows submitted, in order,
+    and computes a placeholder row in-process instead of starting processes."""
+    seen: dict[str, list] = {"max_workers": [], "submitted": []}
+
+    class Inline:
+        def __init__(self, max_workers, mp_context=None):
+            seen["max_workers"].append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, n, p, trial, *rest):
+            seen["submitted"].append((n, trial))
+            done = concurrent.futures.Future()
+            done.set_result(ExperimentRow(tuple((h, f"{n}.{trial}") for h in GNP_HEADER), 0))
+            return done
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+    return seen
+
+
+@pytest.mark.parametrize("workers,cpus,want", [(64, 8, 3), (64, 2, 2), (2, 8, 2), (1, 8, None)])
+def test_gnp_pool_size_is_capped(inline_pool, monkeypatch, workers, cpus, want) -> None:
+    # rows of n = 10 expect 45 edges at p = 1: they do not count towards the size
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    experiment_gnp([10, 20, 30, 40], 1.0, omega=5.0, eps=0.1, trials=1, workers=workers)
+    assert inline_pool["max_workers"] == ([] if want is None else [want])
+
+
+def test_gnp_pool_takes_the_largest_rows_first(inline_pool) -> None:
+    csv = experiment_gnp([20, 40, 30], 0.5, omega=5.0, eps=0.1, trials=2, workers=2)
+    assert inline_pool["submitted"] == [(40, 0), (40, 1), (30, 0), (30, 1), (20, 0), (20, 1)]
+    # but the CSV keeps parameter order
+    assert [ln.split(",")[0] for ln in csv.splitlines()[2:]] == [
+        "20.0", "20.1", "40.0", "40.1", "30.0", "30.1"]
+
+
+@pytest.mark.parametrize("n_list", [[10, 12, 14], [10, 100]], ids=["all-small", "one-large"])
+def test_gnp_campaign_of_small_rows_starts_no_process(monkeypatch, n_list) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    csv = experiment_gnp(n_list, 0.1, omega=5.0, eps=0.1, trials=1, seed=0, workers=2)
+    assert len(csv.splitlines()) == 2 + len(n_list)
+
+
+def test_gnp_campaign_rejects_fewer_than_one_worker() -> None:
+    with pytest.raises(ValueError, match="workers"):
+        experiment_gnp([10], 0.5, omega=5.0, eps=0.1, trials=1, workers=0)
+
+
+def test_campaigns_without_a_pool_do_not_load_its_modules() -> None:
+    # loading them adds ~2.5 MB to the resident memory of a process
+    code = (
+        "import sys\n"
+        "from altitude.cli import main\n"
+        "main(['experiment', 'hypercube', '--d-max', '3', '--workers', '2'])\n"
+        "main(['experiment', 'gnp', '--n-list', '20', '--p', '0.2', '--trials', '2',"
+        " '--workers', '2'])\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"

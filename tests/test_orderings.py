@@ -122,6 +122,15 @@ def test_greedy_coloring_golden() -> None:
     assert got == COLORING_GOLDEN
 
 
+def test_greedy_coloring_large_star() -> None:
+    # every edge's fan at the center runs through all colored edges there;
+    # a fan scan that rescans the center's colors per step takes minutes
+    g = alt.make_star(1000)
+    col = alt.greedy_edge_coloring(g)
+    assert alt.proper_violation(g, col) is None
+    assert col.num_colors == 1000
+
+
 def test_dimension_coloring_classes_are_direction_matchings() -> None:
     for d in (1, 2, 3, 5):
         g = alt.make_hypercube(d)
