@@ -447,7 +447,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    if args.workers < 1:
+    if args.workers is not None and args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     if args.campaign == "hypercube":
         csv_text = experiment_hypercube(
@@ -576,9 +576,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=3)
     sp.add_argument("--psi-budget", dest="psi_budget", type=int, default=200000)
     sp.add_argument("--f-budget", dest="f_budget", type=int, default=2000000)
-    sp.add_argument("--workers", type=int, default=1,
-                    help="gnp: processes for the rows (default 1: in-process); "
-                         "no effect on hypercube")
+    sp.add_argument("--workers", type=int,
+                    help="gnp: at most this many processes for the rows (default: one per "
+                         "usable CPU); no effect on hypercube")
     _add_common(sp, graph=False)
     sp.set_defaults(func="_cmd_experiment")
 

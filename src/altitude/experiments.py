@@ -207,6 +207,13 @@ def _expected_edges(n: int, p: float) -> float:
     return p * n * (n - 1) / 2
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def experiment_gnp(
     n_list: Sequence[int],
     p: float | None,
@@ -215,18 +222,19 @@ def experiment_gnp(
     trials: int,
     seed: int = 0,
     psi_budget: int = 200000,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> str:
     """Rows over n_list x trials; p=None applies the threshold density rule,
     capped at 1.  An explicit p must lie in [0, 1].
 
-    With ``workers`` > 1 and at least two rows expected to have
-    ``POOL_MIN_EDGES`` edges or more, every row runs in a pool of forked
-    processes, min(workers, those rows, cpu count) of them, largest expected
-    edge count first so that no large row starts last.  Otherwise every row
-    runs in this process and none is started.  The hypercube campaign has no
-    pool: its anneal stops at the trail floor before its first move, so a
-    row to d = 6 takes less than a process costs to start.
+    When at least two rows are expected to have ``POOL_MIN_EDGES`` edges or
+    more and this process may use at least two CPUs, every row runs in a
+    pool of forked processes, min(those rows, usable CPUs) of them, largest
+    expected edge count first so that no large row starts last.  ``workers``
+    caps the pool (None: no cap; below 2: no pool).  Otherwise every row
+    runs in this process and none is started.  The hypercube campaign has no pool: its anneal
+    stops at the trail floor before its first move, so a row to d = 6 takes
+    less than a process costs to start.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -234,15 +242,13 @@ def experiment_gnp(
         raise ValueError("n_list must name at least one n")
     if p is not None and not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     params = []
     for n in n_list:
         pn = min(gnp_threshold_p(n, omega), 1.0) if p is None else p
         for t in range(trials):
             params.append((n, pn, t, seed + 1000003 * len(params), omega, eps, psi_budget))
     large = sum(_expected_edges(n, pn) >= POOL_MIN_EDGES for n, pn, *_ in params)
-    procs = min(workers, large, os.cpu_count() or 1)
+    procs = min(large, _usable_cpus(), large if workers is None else workers)
     if procs < 2:
         rows = [_gnp_row(*args) for args in params]
     else:

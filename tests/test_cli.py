@@ -705,14 +705,13 @@ def _stable(text: str) -> list[str]:
 def test_experiment_gnp_bench_campaigns_do_not_depend_on_workers(capsys, monkeypatch, tmp_path):
     for item in _bench_workloads(monkeypatch).build("campaign-gnp", 0, tmp_path):
         argv = list(item.argv)
-        at = argv.index("--workers") + 1
+        at = argv.index("--workers")
         got = []
-        for workers in ("1", "2"):
-            argv[at] = workers
-            rc, out, err = run(capsys, *argv)
+        for flag in (["--workers", "1"], ["--workers", "2"], []):  # [] : one per usable CPU
+            rc, out, err = run(capsys, *argv[:at], *flag, *argv[at + 2:])
             got.append((rc, _stable(out), err))
             assert multiprocessing.active_children() == []
-        assert got[0] == got[1] and got[0][0] == 0
+        assert got[0] == got[1] == got[2] and got[0][0] == 0
 
 
 _REAL_GNP_ROW = experiments._gnp_row
@@ -922,7 +921,7 @@ _DEFAULT_NAMESPACES = {
     "experiment": (
         ["experiment", "gnp"],
         {**_COMMON, "campaign": "gnp", "d_max": None, "n_list": None, "p": None, "omega": 5.0,
-         "eps": 0.1, "trials": 3, "psi_budget": 200000, "f_budget": 2000000, "workers": 1},
+         "eps": 0.1, "trials": 3, "psi_budget": 200000, "f_budget": 2000000, "workers": None},
     ),
 }
 

@@ -255,9 +255,11 @@ def test_gnp_campaign_rejects_an_empty_n_list() -> None:
                                                     ([100], 0.1, 1, GNP_100_SEED_0)],
                          ids=["40-60", "100"])
 def test_gnp_campaign_rows_do_not_depend_on_workers(n_list, p, trials, golden) -> None:
-    csv = experiment_gnp(n_list, p, omega=5.0, eps=0.1, trials=trials, seed=0, workers=2)
-    assert _golden(csv) == golden
-    assert multiprocessing.active_children() == []
+    for workers in (1, None):  # in-process, then pooled where two CPUs are usable
+        csv = experiment_gnp(n_list, p, omega=5.0, eps=0.1, trials=trials, seed=0,
+                             workers=workers)
+        assert _golden(csv) == golden
+        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture
@@ -286,19 +288,28 @@ def inline_pool(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     return seen
 
 
-@pytest.mark.parametrize("workers,cpus,want", [(64, 8, 3), (64, 2, 2), (2, 8, 2), (1, 8, None)])
-def test_gnp_pool_size_is_capped(inline_pool, monkeypatch, workers, cpus, want) -> None:
-    # rows of n = 10 expect 45 edges at p = 1: they do not count towards the size
+@pytest.mark.parametrize("workers,affinity,cpus,want", [
+    (None, 8, 8, 3), (None, 2, 8, 2), (None, 1, 8, None), (None, None, 2, 2),
+    (64, 8, 8, 3), (2, 8, 8, 2), (1, 8, 8, None)])
+def test_gnp_pool_size_is_capped(inline_pool, monkeypatch, workers, affinity, cpus, want) -> None:
+    # rows of n = 10 expect 45 edges at p = 1: they do not count towards the size.
+    # affinity None: an OS without sched_getaffinity, where the CPU count is used
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                            raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     experiment_gnp([10, 20, 30, 40], 1.0, omega=5.0, eps=0.1, trials=1, workers=workers)
     assert inline_pool["max_workers"] == ([] if want is None else [want])
 
 
 def test_gnp_pool_takes_the_largest_rows_first(inline_pool) -> None:
-    csv = experiment_gnp([20, 40, 30], 0.5, omega=5.0, eps=0.1, trials=2, workers=2)
+    csv = experiment_gnp([20, 40, 30], 0.5, omega=5.0, eps=0.1, trials=2)
     assert inline_pool["submitted"] == [(40, 0), (40, 1), (30, 0), (30, 1), (20, 0), (20, 1)]
     # but the CSV keeps parameter order
     assert [ln.split(",")[0] for ln in csv.splitlines()[2:]] == [
@@ -311,13 +322,9 @@ def test_gnp_campaign_of_small_rows_starts_no_process(monkeypatch, n_list) -> No
         raise AssertionError("a pool was started")
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-    csv = experiment_gnp(n_list, 0.1, omega=5.0, eps=0.1, trials=1, seed=0, workers=2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    csv = experiment_gnp(n_list, 0.1, omega=5.0, eps=0.1, trials=1, seed=0)
     assert len(csv.splitlines()) == 2 + len(n_list)
-
-
-def test_gnp_campaign_rejects_fewer_than_one_worker() -> None:
-    with pytest.raises(ValueError, match="workers"):
-        experiment_gnp([10], 0.5, omega=5.0, eps=0.1, trials=1, workers=0)
 
 
 def test_campaigns_without_a_pool_do_not_load_its_modules() -> None:
