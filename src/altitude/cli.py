@@ -14,6 +14,11 @@ Each flag declares its default on itself.  ``--config FILE`` (one
 true/false) turns its entries into the chosen subcommand's flag defaults, so
 explicit flags still win; keys that name no flag of that subcommand are
 ignored.
+
+Most subcommands run in one of several modes (a ``gen`` family, an ordering
+spec, a ``bounds`` switch, a campaign, ...).  ``_MODES`` says how to read the
+mode and which mode-dependent flags each mode reads; a flag the mode does not
+read exits 3 unless it keeps its default, which a ``--config`` entry sets.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 
-_COUNTS = ("budget", "psi_budget", "f_budget", "steps")  # must be >= 0
+_COUNTS = ("budget", "psi_budget", "steps")  # must be >= 0
 
 
 def _parse_bool(s: str) -> bool:
@@ -98,14 +103,18 @@ def _load_config(path: str) -> dict[str, str]:
     return entries
 
 
+def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    (commands,) = (a for a in parser._actions if a.dest == "command")
+    return commands.choices[command]
+
+
 def _set_config_defaults(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Make the ``--config`` entries the chosen subcommand's flag defaults.
 
     Each value is converted by its flag's own ``type``, or read as a boolean
     for a switch; keys that name no flag of the subcommand are ignored.
     """
-    (commands,) = (a for a in parser._actions if a.dest == "command")
-    sub = commands.choices[args.command]
+    sub = _subparser(parser, args.command)
     flags = {a.dest: a for a in sub._actions}
     sub.set_defaults(**{
         key: _parse_bool(raw) if flags[key].nargs == 0 else (flags[key].type or str)(raw)
@@ -169,24 +178,93 @@ def _pedestrian_battery(g: Graph, phi: EdgeOrdering, t: PedestrianTranscript) ->
 
 
 # ----------------------------------------------------------------------
+# Modes
+# ----------------------------------------------------------------------
+
+def _ordering_mode(args: argparse.Namespace) -> str:
+    return "file" if args.ordering.startswith("file:") else args.ordering
+
+
+def _zeta_mode(args: argparse.Namespace) -> str:
+    if (args.k is None) == (args.ks is None):
+        raise ValueError("pass exactly one of --k and --ks")
+    return "greedy" if args.greedy else "exact"
+
+
+def _bounds_mode(args: argparse.Namespace) -> str:
+    modes = _MODES["bounds"][1]
+    chosen = [mode for mode in modes if getattr(args, mode)]
+    if len(chosen) != 1:
+        raise ValueError(f"pick one of --{', --'.join(modes)}; {len(chosen)} given")
+    return chosen[0]
+
+
+_ORDERING_MODES = {
+    "identity": (), "file": (), "rand": ("seed",), "coloring": ("seed",), "dimension": ("seed",),
+}
+
+# For each subcommand with modes: how to read the mode from the parsed
+# arguments, and the flags each mode reads among those that some mode of the
+# subcommand does not read (every mode reads the flags listed for none).
+# gen lists each family's flags in its constructor's argument order.
+_MODES = {
+    "gen": (lambda args: args.family, {
+        "complete": ("n",), "hypercube": ("d",), "path": ("n",), "cycle": ("n",),
+        "star": ("leaves",), "matching": ("k",), "gnp": ("n", "p", "seed"),
+    }),
+    "psi": (_ordering_mode, _ORDERING_MODES),
+    "trail": (_ordering_mode, _ORDERING_MODES),
+    "pedestrian": (_ordering_mode, _ORDERING_MODES),
+    "verify": (_ordering_mode, _ORDERING_MODES),
+    "zeta": (_zeta_mode, {"greedy": ("seed",), "exact": ("budget",)}),
+    "adversary": (lambda args: "portfolio" if args.portfolio else "anneal",
+                  {"anneal": ("ordering", "schedule"), "portfolio": ("restarts",)}),
+    "bounds": (_bounds_mode, {"gk": ("n",), "hypercube": ("d",), "ineq6": ("d",),
+                              "sweep6": ("lo", "hi"), "gnp": ("n", "p", "omega", "eps")}),
+    "experiment": (lambda args: args.campaign, {
+        "hypercube": ("d_max",), "gnp": ("n_list", "p", "omega", "eps", "trials"),
+    }),
+}
+
+
+def _reject_unread_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Raise ValueError on a flag the run's mode does not read, unless it
+    keeps its default in ``parser``, the parser that parsed ``args``.
+
+    Reading the mode also rejects two mode-selecting values given together.
+    """
+    if args.command not in _MODES:
+        return
+    mode_of, modes = _MODES[args.command]
+    mode = mode_of(args)
+    if mode not in modes:  # an unknown ordering spec, which the handler reports
+        return
+    unread = {flag for flags in modes.values() for flag in flags}.difference(modes[mode])
+    for action in _subparser(parser, args.command)._actions:
+        if action.dest in unread and getattr(args, action.dest) != action.default:
+            raise ValueError(
+                f"{args.command} in {mode} mode does not read {action.option_strings[0]}"
+            )
+
+
+# ----------------------------------------------------------------------
 # Subcommand handlers
 # ----------------------------------------------------------------------
 
-# gen --family: the constructor and the flags it takes, in order
 _FAMILIES = {
-    "complete": (make_complete, ("n",)),
-    "hypercube": (make_hypercube, ("d",)),
-    "path": (make_path, ("n",)),
-    "cycle": (make_cycle, ("n",)),
-    "star": (make_star, ("leaves",)),
-    "matching": (make_matching, ("k",)),
-    "gnp": (sample_gnp, ("n", "p", "seed")),
+    "complete": make_complete,
+    "hypercube": make_hypercube,
+    "path": make_path,
+    "cycle": make_cycle,
+    "star": make_star,
+    "matching": make_matching,
+    "gnp": sample_gnp,
 }
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    make, flags = _FAMILIES[args.family]
-    g = make(*[_require(args, name) for name in flags])
+    flags = _MODES["gen"][1][args.family]
+    g = _FAMILIES[args.family](*[_require(args, name) for name in flags])
     _emit(serialize_graph(g), args.out)
     return EXIT_OK
 
@@ -252,8 +330,6 @@ def _cmd_pedestrian(args: argparse.Namespace) -> int:
 
 def _cmd_zeta(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    if (args.k is None) == (args.ks is None):
-        raise ValueError("pass exactly one of --k and --ks")
     ks = [args.k] if args.ks is None else [int(tok) for tok in args.ks.split(",") if tok]
     if not ks:
         raise ValueError("--ks lists no k value")
@@ -280,8 +356,6 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
 def _cmd_exact_f(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     res = exact_f(g, budget=args.budget)
-    print(f"f={res.value}" + ("" if res.exact else f" (bracket [{res.lower}, {res.value}])"))
-    print("witness: " + " ".join(str(r) for r in res.witness.rank))
     payload = {
         "schema": "altitude/exact-f/1",
         "n": g.n,
@@ -302,6 +376,9 @@ def _cmd_exact_f(args: argparse.Namespace) -> int:
         _emit_json(payload, args.out)
     if args.ordering_out:
         _emit(serialize_ordering(res.witness), args.ordering_out)
+    # printed after the files are written, so a failed write leaves stdout empty
+    print(f"f={res.value}" + ("" if res.exact else f" (bracket [{res.lower}, {res.value}])"))
+    print("witness: " + " ".join(str(r) for r in res.witness.rank))
     return EXIT_OK if res.exact else EXIT_BUDGET
 
 
@@ -326,13 +403,6 @@ def _parse_schedule(spec: str | None) -> AnnealSchedule | None:
 def _cmd_adversary(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     if args.portfolio:
-        for flag, value in (("--schedule", args.schedule), ("--ordering", args.ordering)):
-            if value is not None:
-                raise ValueError(f"{flag} applies only to anneal mode, not to --portfolio")
-    elif args.restarts is not None:
-        raise ValueError("--restarts applies only to --portfolio, not to anneal mode")
-    schedule = _parse_schedule(args.schedule)
-    if args.portfolio:
         restarts = 2 if args.restarts is None else args.restarts
         rep = upper_bound_report(
             g, seed=args.seed, steps=args.steps, restarts=restarts, psi_budget=args.budget
@@ -350,7 +420,8 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
             g, "coloring" if args.ordering is None else args.ordering, args.seed
         )
         trace = local_search_min_psi(
-            g, init, args.steps, args.seed, schedule=schedule, psi_budget=args.budget
+            g, init, args.steps, args.seed, schedule=_parse_schedule(args.schedule),
+            psi_budget=args.budget,
         )
         best_psi, witness, verified = trace.best_psi, trace.best_ordering, trace.verified
         payload = {
@@ -361,33 +432,29 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
             "verified": verified,
             "best_history": [[s, v] for s, v in trace.best_history],
         }
-    _emit_json(payload, args.out)
     if args.ordering_out:
         _emit(serialize_ordering(witness), args.ordering_out)
+    _emit_json(payload, args.out)
     return EXIT_OK if verified else EXIT_BUDGET
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    modes = ("gk", "hypercube", "ineq6", "sweep6", "gnp")
-    chosen = [mode for mode in modes if getattr(args, mode)]
-    if len(chosen) != 1:
-        raise ValueError(f"pick one of --{', --'.join(modes)}; {len(chosen)} given")
     payload: dict = {"schema": "altitude/bounds/1"}
     if args.gk:
         lo, hi = graham_kleitman(_require(args, "n"))
-        print(f"{lo:g}, {hi:g}")
+        summary = f"{lo:g}, {hi:g}"
         payload.update(name="complete-bracket", n=args.n, lower=lo, upper=hi)
     elif args.hypercube:
         lo, hi = hypercube_bounds(_require(args, "d"))
-        print(f"{lo:.6g}, {hi}")
+        summary = f"{lo:.6g}, {hi}"
         payload.update(name="hypercube-bracket", d=args.d, lower=lo, upper=hi)
     elif args.ineq6:
         ok = verify_inequality_6(_require(args, "d"))
-        print(str(ok).lower())
+        summary = str(ok).lower()
         payload.update(name="hypercube-key-inequality", d=args.d, holds=ok)
     elif args.sweep6:
         ok, failures = sweep_inequality_6(args.lo, args.hi)
-        print(f"all hold in [{args.lo}, {args.hi}]" if ok else f"failures: {failures}")
+        summary = f"all hold in [{args.lo}, {args.hi}]" if ok else f"failures: {failures}"
         payload.update(name="hypercube-key-inequality-sweep", lo=args.lo, hi=args.hi, holds=ok,
                        failures=list(failures))
     else:  # --gnp, the one mode left
@@ -395,11 +462,11 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         k = gnp_k(n, p, args.omega, args.eps)
         payload.update(name="gnp-lower", n=n, p=p, omega=args.omega, eps=args.eps, k=k)
         if k < 1:
-            print("vacuous (k < 1)")
+            summary = "vacuous (k < 1)"
             payload.update(vacuous=True)
         else:
             ub = gnp_union_bound_log(n, p, k)
-            print(f"k={k} exponent={ub.exponent:.6g} certifies={str(ub.certifies).lower()}")
+            summary = f"k={k} exponent={ub.exponent:.6g} certifies={str(ub.certifies).lower()}"
             payload.update(
                 vacuous=False,
                 union_exponent=ub.exponent,
@@ -408,6 +475,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
             )
     if args.out:
         _emit_json(payload, args.out)
+    print(summary)  # after the file, so a failed write leaves stdout empty
     return EXIT_OK
 
 
@@ -453,7 +521,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         csv_text = experiment_hypercube(
             _require(args, "d_max"),
             psi_budget=args.psi_budget,
-            f_budget=args.f_budget,
             seed=args.seed,
         )
     else:  # gnp; argparse's choices admit no other campaign
@@ -476,11 +543,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 # Parser assembly
 # ----------------------------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser, *, graph: bool = True) -> None:
+def _add_common(sp: argparse.ArgumentParser, *, graph: bool = True, seed: bool = True) -> None:
     if graph:
         sp.add_argument("--graph", required=True, help="graph file (n m header + edge lines)")
     sp.add_argument("--config", help="key=value config file (flags take precedence)")
-    sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+    if seed:
+        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
     sp.add_argument("--out", help="write machine-readable output here instead of stdout")
 
 
@@ -526,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func="_cmd_zeta")
 
     sp = sub.add_parser("exact-f", help="exact altitude for tiny graphs")
-    _add_common(sp)
+    _add_common(sp, seed=False)
     sp.add_argument("--budget", type=int, default=200000)
     sp.add_argument("--ordering-out", help="write the witness ordering file here")
     sp.set_defaults(func="_cmd_exact_f")
@@ -556,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.1)
     sp.add_argument("--lo", type=int, default=5)
     sp.add_argument("--hi", type=int, default=10**6)
-    _add_common(sp, graph=False)
+    _add_common(sp, graph=False, seed=False)
     sp.set_defaults(func="_cmd_bounds")
 
     sp = sub.add_parser("verify", help="full verification battery on one (graph, ordering)")
@@ -575,7 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=0.1)
     sp.add_argument("--trials", type=int, default=3)
     sp.add_argument("--psi-budget", dest="psi_budget", type=int, default=200000)
-    sp.add_argument("--f-budget", dest="f_budget", type=int, default=2000000)
     sp.add_argument("--workers", type=int,
                     help="gnp: at most this many processes for the rows (default: one per "
                          "usable CPU); no effect on hypercube")
@@ -592,8 +659,9 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    parser = _shared_parser()
     try:
-        args = _shared_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
@@ -603,6 +671,7 @@ def main(argv: list[str] | None = None) -> int:
             parser = build_parser()
             _set_config_defaults(parser, args)
             args = parser.parse_args(argv)  # the same flags again, so explicit ones win
+        _reject_unread_flags(parser, args)
         for dest in _COUNTS:
             value = getattr(args, dest, 0)
             if value < 0:

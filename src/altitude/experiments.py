@@ -76,11 +76,12 @@ HYPERCUBE_HEADER = (
 )
 
 
-def _hypercube_row(d: int, psi_budget: int, f_budget: int, seed: int) -> ExperimentRow:
+def _hypercube_row(d: int, psi_budget: int, seed: int) -> ExperimentRow:
     t0 = time.perf_counter()
     g = make_hypercube(d)
-    # Cubes small enough for the exact f skip the adversary: their report
-    # holds the coloring entry alone.
+    # Cubes small enough for the exact f (Q_2 and Q_3) skip the adversary:
+    # their report holds the coloring entry alone.  exact_f closes both at
+    # the sandwich without a search node, so it needs no budget.
     small = g.m <= 12
     rep = upper_bound_report(
         g, seed=seed, steps=1500, restarts=0 if small else 1, psi_budget=psi_budget
@@ -91,7 +92,7 @@ def _hypercube_row(d: int, psi_budget: int, f_budget: int, seed: int) -> Experim
 
     fval = fexact = adv_psi = adv_ver = None
     if small:
-        fres = exact_f(g, budget=f_budget)
+        fres = exact_f(g)
         fval, fexact = fres.value, fres.exact
     else:
         adv_psi, adv_ver = rep.best_psi, rep.verified
@@ -117,13 +118,12 @@ def _hypercube_row(d: int, psi_budget: int, f_budget: int, seed: int) -> Experim
 def experiment_hypercube(
     d_max: int,
     psi_budget: int = 200000,
-    f_budget: int = 2000000,
     seed: int = 0,
 ) -> str:
     """One row per dimension 2..d_max; returns the CSV text."""
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
-    rows = [_hypercube_row(d, psi_budget, f_budget, seed) for d in range(2, d_max + 1)]
+    rows = [_hypercube_row(d, psi_budget, seed) for d in range(2, d_max + 1)]
     return rows_to_csv(SCHEMA_HYPERCUBE, HYPERCUBE_HEADER, rows)
 
 

@@ -855,11 +855,9 @@ def test_config_file_coerces_int_float_and_bool_keys(capsys, q3_file, q3_relabel
         (("exact-f", "--graph", "{graph}", "--budget", "-2"), None),
         (("psi", "--graph", "{graph}"), "budget=-1"),
         (("experiment", "gnp", "--n-list", "12", "--p", "0.3", "--psi-budget", "-3"), None),
-        (("experiment", "hypercube", "--d-max", "2", "--f-budget", "-1"), None),
         (("experiment", "hypercube", "--d-max", "2"), "psi-budget=-5"),
     ],
-    ids=["psi-flag", "exact-f-flag", "psi-config", "gnp-psi-budget", "hypercube-f-budget",
-         "hypercube-config"],
+    ids=["psi-flag", "exact-f-flag", "psi-config", "gnp-psi-budget", "hypercube-config"],
 )
 def test_negative_budget_is_rejected(capsys, k3_file, tmp_path, argv, config):
     argv = [a.replace("{graph}", k3_file) for a in argv]
@@ -873,10 +871,22 @@ def test_negative_budget_is_rejected(capsys, k3_file, tmp_path, argv, config):
     assert len(err.strip().splitlines()) == 1 and "must be non-negative" in err
 
 
-@pytest.mark.parametrize("flag", ["--graph", "--config", "--out"])
-def test_unreadable_path_exits_3_without_traceback(capsys, q3_file, tmp_path, flag):
-    argv = ["psi", "--graph", q3_file, flag, str(tmp_path)]  # a directory, not a file
-    rc, out, err = run(capsys, *argv)
+@pytest.mark.parametrize(
+    "command, flag",
+    [("psi", "--graph"), ("psi", "--config"), ("psi", "--out"), ("exact-f", "--out"),
+     ("exact-f", "--ordering-out"), ("bounds", "--out"), ("adversary", "--ordering-out")],
+    ids=["--graph", "--config", "--out", "exact-f-out", "exact-f-ordering-out", "bounds-out",
+         "adversary-ordering-out"],
+)
+def test_unreadable_path_exits_3_without_traceback(capsys, q3_file, tmp_path, command, flag):
+    # a command that prints a result and also writes a file writes the file first
+    base = {
+        "psi": ["psi", "--graph", q3_file],
+        "exact-f": ["exact-f", "--graph", q3_file],
+        "bounds": ["bounds", "--gk", "--n", "7"],
+        "adversary": ["adversary", "--graph", q3_file, "--steps", "10"],
+    }[command]
+    rc, out, err = run(capsys, *base, flag, str(tmp_path))  # a directory, not a file
     assert rc == 3
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
@@ -885,7 +895,8 @@ def test_unreadable_path_exits_3_without_traceback(capsys, q3_file, tmp_path, fl
 _COMMON = {"config": None, "seed": 0, "out": None}
 _SEARCH = {**_COMMON, "graph": "g.txt", "ordering": "identity", "verify": False}
 
-# Namespaces each handler receives when only the required flags are given.
+# Namespaces each handler receives when only the required flags, and the
+# flag that picks the mode where there is no default mode, are given.
 _DEFAULT_NAMESPACES = {
     "gen": (
         ["gen", "--family", "path"],
@@ -896,12 +907,12 @@ _DEFAULT_NAMESPACES = {
     "trail": (["trail", "--graph", "g.txt"], _SEARCH),
     "pedestrian": (["pedestrian", "--graph", "g.txt"], _SEARCH),
     "zeta": (
-        ["zeta", "--graph", "g.txt"],
-        {**_COMMON, "graph": "g.txt", "k": None, "ks": None, "budget": 200000, "greedy": False},
+        ["zeta", "--graph", "g.txt", "--k", "2"],
+        {**_COMMON, "graph": "g.txt", "k": 2, "ks": None, "budget": 200000, "greedy": False},
     ),
     "exact_f": (
         ["exact-f", "--graph", "g.txt"],
-        {**_COMMON, "graph": "g.txt", "budget": 200000, "ordering_out": None},
+        {"config": None, "out": None, "graph": "g.txt", "budget": 200000, "ordering_out": None},
     ),
     "adversary": (
         ["adversary", "--graph", "g.txt"],
@@ -909,10 +920,10 @@ _DEFAULT_NAMESPACES = {
          "budget": 200000, "schedule": None, "portfolio": False, "ordering_out": None},
     ),
     "bounds": (
-        ["bounds"],
-        {**_COMMON, "gk": False, "hypercube": False, "ineq6": False, "sweep6": False,
-         "gnp": False, "n": None, "d": None, "p": None, "omega": 5.0, "eps": 0.1, "lo": 5,
-         "hi": 1000000},
+        ["bounds", "--gk"],
+        {"config": None, "out": None, "gk": True, "hypercube": False, "ineq6": False,
+         "sweep6": False, "gnp": False, "n": None, "d": None, "p": None, "omega": 5.0,
+         "eps": 0.1, "lo": 5, "hi": 1000000},
     ),
     "verify": (
         ["verify", "--graph", "g.txt"],
@@ -921,7 +932,7 @@ _DEFAULT_NAMESPACES = {
     "experiment": (
         ["experiment", "gnp"],
         {**_COMMON, "campaign": "gnp", "d_max": None, "n_list": None, "p": None, "omega": 5.0,
-         "eps": 0.1, "trials": 3, "psi_budget": 200000, "f_budget": 2000000, "workers": None},
+         "eps": 0.1, "trials": 3, "psi_budget": 200000, "workers": None},
     ),
 }
 
@@ -958,7 +969,9 @@ def test_config_defaults_do_not_reach_the_next_call(monkeypatch, tmp_path):
 
 def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
     # bench/ hands these argvs to main; a flag the parser no longer takes
-    # (say --workers, which every campaign item passes) would exit 2 there
+    # (say --workers, which every campaign item passes) would exit 2 there,
+    # and one the mode does not read (say psi --seed under a coloring
+    # ordering) would exit 3
     workloads = _bench_workloads(monkeypatch)
     parser = cli.build_parser()
     for name in workloads.WORKLOADS:
@@ -967,6 +980,10 @@ def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
         argvs.append(workloads.warm_up(name, workdir))
         for argv in argvs:
             try:
-                parser.parse_args(list(argv))
+                args = parser.parse_args(list(argv))
             except SystemExit:
                 pytest.fail(f"{name}: the parser rejects {' '.join(argv)}")
+            try:
+                cli._reject_unread_flags(parser, args)
+            except ValueError as exc:
+                pytest.fail(f"{name}: {' '.join(argv)}: {exc}")

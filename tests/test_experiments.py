@@ -68,6 +68,17 @@ def test_hypercube_campaign_dimension_six_bracket() -> None:
     assert int(d6["coloring_psi"]) <= 6
 
 
+def test_hypercube_campaign_solves_only_cubes_that_need_no_search() -> None:
+    # the campaign calls exact_f without a budget: every cube it solves
+    # closes at the sandwich, so no budget could change a row
+    _, _, rows = _parse(experiment_hypercube(6, seed=0))
+    solved = [int(r["d"]) for r in rows if r["exact_f"]]
+    assert solved == [2, 3]
+    for d in solved:
+        res = alt.exact_f(alt.make_hypercube(d), budget=0)
+        assert res.exact and res.explored == 0
+
+
 # experiment_hypercube(6, seed=0) without wall_ms, recorded with zeta on
 # cubes from the branch-and-bound search: Harper's closed form must match it
 HYPERCUBE_D6_SEED0 = """\
