@@ -268,7 +268,9 @@ def upper_bound_report(
     graph.  Its value is the verified psi, or the trail length when the
     psi budget runs out.  Then come ``restarts`` anneals from the coloring
     ordering; they only ever lower the report.  Raises ValueError on a
-    negative ``restarts``.
+    negative ``restarts``.  ``exactf.f_bounds_sandwich`` takes the coloring
+    entry, with no anneal and no psi budget, as its upper bound and as the
+    incumbent of the exact search.
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")

@@ -181,6 +181,12 @@ def gnp_union_bound_log(n: int, p: float, k: int) -> GnpUnionBound:
     return GnpUnionBound(exponent, n * ln_binom + tail)
 
 
+def gnp_certificate(n: int, p: float, omega: float, eps: float) -> tuple[int, GnpUnionBound | None]:
+    """``gnp_k`` and its union bound, or None when k < 1 or k > n (vacuous)."""
+    k = gnp_k(n, p, omega, eps)
+    return k, (gnp_union_bound_log(n, p, k) if 1 <= k <= n else None)
+
+
 def gnp_threshold_p(n: int, omega: float) -> float:
     """The density scale omega * ln(n) / sqrt(n) used by the sweeps."""
     if n < 2 or omega <= 0:

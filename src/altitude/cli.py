@@ -32,8 +32,7 @@ from pathlib import Path
 
 from .adversary import AnnealSchedule, local_search_min_psi, upper_bound_report
 from .bounds import (
-    gnp_k,
-    gnp_union_bound_log,
+    gnp_certificate,
     graham_kleitman,
     hypercube_bounds,
     sweep_inequality_6,
@@ -162,7 +161,7 @@ def _graph_and_ordering(args: argparse.Namespace, schema: str) -> tuple[Graph, E
     g = _read_graph(args.graph)
     phi = _resolve_ordering(g, args.ordering, args.seed)
     return g, phi, {
-        "schema": f"altitude/{schema}/1",
+        "schema": schema,
         "n": g.n,
         "m": g.m,
         "ordering": args.ordering,
@@ -277,7 +276,7 @@ def _require(args: argparse.Namespace, name: str):
 
 
 def _cmd_psi(args: argparse.Namespace) -> int:
-    g, phi, payload = _graph_and_ordering(args, "psi")
+    g, phi, payload = _graph_and_ordering(args, "altitude/psi/1")
     res = longest_increasing_path(g, phi, budget=args.budget)
     if args.verify:
         verify_witness(g, phi, res)
@@ -293,7 +292,7 @@ def _cmd_psi(args: argparse.Namespace) -> int:
 
 
 def _cmd_trail(args: argparse.Namespace) -> int:
-    g, phi, payload = _graph_and_ordering(args, "trail")
+    g, phi, payload = _graph_and_ordering(args, "altitude/trail/1")
     res = longest_increasing_trail(g, phi)
     if args.verify:
         verify_witness(g, phi, res)
@@ -303,7 +302,7 @@ def _cmd_trail(args: argparse.Namespace) -> int:
 
 
 def _cmd_pedestrian(args: argparse.Namespace) -> int:
-    g, phi, payload = _graph_and_ordering(args, "pedestrian")
+    g, phi, payload = _graph_and_ordering(args, "altitude/pedestrian/1")
     t = run_pedestrian(g, phi)
     payload.update(
         paths=[list(p) for p in t.paths],
@@ -357,7 +356,7 @@ def _cmd_exact_f(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     res = exact_f(g, budget=args.budget)
     payload = {
-        "schema": "altitude/exact-f/1",
+        "schema": "altitude/exact-f/2",
         "n": g.n,
         "m": g.m,
         "f": res.value,
@@ -459,13 +458,12 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                        failures=list(failures))
     else:  # --gnp, the one mode left
         n, p = _require(args, "n"), _require(args, "p")
-        k = gnp_k(n, p, args.omega, args.eps)
+        k, ub = gnp_certificate(n, p, args.omega, args.eps)
         payload.update(name="gnp-lower", n=n, p=p, omega=args.omega, eps=args.eps, k=k)
-        if k < 1:
-            summary = "vacuous (k < 1)"
+        if ub is None:
+            summary = "vacuous (k < 1)" if k < 1 else "vacuous (k > n)"
             payload.update(vacuous=True)
         else:
-            ub = gnp_union_bound_log(n, p, k)
             summary = f"k={k} exponent={ub.exponent:.6g} certifies={str(ub.certifies).lower()}"
             payload.update(
                 vacuous=False,
@@ -480,7 +478,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    g, phi, payload = _graph_and_ordering(args, "verify")
+    g, phi, payload = _graph_and_ordering(args, "altitude/verify/1")
     trail = longest_increasing_trail(g, phi)
     verify_witness(g, phi, trail)
     res = longest_increasing_path(g, phi, budget=args.budget)

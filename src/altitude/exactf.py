@@ -4,9 +4,10 @@ The search assigns ranks 1, 2, ..., m to edges one at a time.  Increasing
 paths live entirely among already-ranked edges, so the partial value can
 only grow as ranks are appended: a branch whose prefix already reaches the
 incumbent is dead.  The search starts from the ``f_bounds_sandwich``
-bracket: its coloring ordering and that ordering's exact value are the
-incumbent, and its proved lower bound (degree floor, density criterion,
-family formulas) is the floor, which settles many small graphs at once.
+bracket: the coloring entry of the upper-bound portfolio
+(``adversary.upper_bound_report``) and its exact value are the incumbent,
+and its proved lower bound (degree floor, density criterion, family
+formulas) is the floor, which settles many small graphs at once.
 
 A child appends edge (u, v) with the top rank, so every increasing path
 through it ends with it: the child's value is 1 + the longer of the longest
@@ -64,11 +65,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .adversary import upper_bound_report
 from .bounds import graham_kleitman, hypercube_k
 from .density import density_floor
 from .graphs import Graph, SoundnessError, hypercube_dimension, is_complete
-from .orderings import EdgeOrdering, coloring_ordering, greedy_edge_coloring, identity_ordering
-from .paths import longest_increasing_path, longest_increasing_trail
+from .orderings import EdgeOrdering, identity_ordering
+from .paths import longest_increasing_path
 from .pedestrian import sqrt_degree_floor
 
 _ORBIT_NODE_CAP = 20000
@@ -78,7 +80,7 @@ _ORBIT_MAP_CAP = 120
 @dataclass(frozen=True)
 class SandwichReport:
     """Best known bracket on f(G) with labeled sources, plus the coloring
-    ordering behind the coloring upper bounds and its exact value ``psi``."""
+    ordering behind ``coloring-ordering-path`` and its exact value ``psi``."""
 
     lower: int
     upper: int
@@ -438,31 +440,26 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
 def f_bounds_sandwich(g: Graph) -> SandwichReport:
     """Best lower and upper bounds on f(G) from every cheap source.
 
-    Upper: class count of a proper coloring, the trail value of its
-    ordering, the exact (unbudgeted) path value of that ordering, and
-    family formulas.  Lower: the square-root-of-average-degree floor, the
-    density criterion at growing k (connected graphs) up to the best upper
-    bound, since no k above it can pass, and family formulas for
-    hypercubes and complete graphs.  Maxima of pedestrian runs are
-    deliberately absent: they bound one ordering's value from below, not
-    the minimum over orderings.  The coloring ordering and its value are
-    returned as well; ``exact_f`` starts its search from them.
+    Upper: the exact (unbudgeted) psi of the coloring entry of
+    ``upper_bound_report`` (the dimension ordering on Q_d as generated,
+    Misra-Gries elsewhere), and family formulas.  Lower: the
+    square-root-of-average-degree floor, the density criterion at growing k
+    (connected graphs) up to the best upper bound, since no k above it can
+    pass, and family formulas for hypercubes and complete graphs.  Maxima
+    of pedestrian runs are deliberately absent: they bound one ordering's
+    value from below, not the minimum over orderings.  The coloring
+    ordering and its value are returned as well; ``exact_f`` starts its
+    search from them.
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
     if g.m == 0:
         return SandwichReport(0, 0, (("empty", 0),), (("empty", 0),), identity_ordering(g), 0)
 
-    coloring = greedy_edge_coloring(g)
-    phi = coloring_ordering(g, coloring, seed=0)
-    res = longest_increasing_path(g, phi)
-    if not res.exact:
+    rep = upper_bound_report(g, seed=0, restarts=0, psi_budget=None)
+    if not rep.verified:
         raise SoundnessError("an unbudgeted psi search returned an inexact value")
-    uppers = [
-        ("edge-coloring-classes", coloring.num_colors),
-        ("coloring-ordering-trail", longest_increasing_trail(g, phi).length),
-        ("coloring-ordering-path", res.length),
-    ]
+    uppers = [("coloring-ordering-path", rep.best_psi)]
     floor = sqrt_degree_floor(g)
     lowers = [("sqrt-average-degree", floor)]
     d = hypercube_dimension(g)
@@ -479,4 +476,4 @@ def f_bounds_sandwich(g: Graph) -> SandwichReport:
     # the density labels follow the degree floor, ahead of the family formulas
     lowers[1:1] = [(f"density-criterion-k{k}", k) for k in range(floor + 1, certified + 1)]
     lo = max(v for _, v in lowers)
-    return SandwichReport(lo, hi, tuple(lowers), tuple(uppers), phi, res.length)
+    return SandwichReport(lo, hi, tuple(lowers), tuple(uppers), rep.witness, rep.best_psi)

@@ -14,7 +14,7 @@ from io import StringIO
 from typing import Iterable, Sequence
 
 from .adversary import upper_bound_report
-from .bounds import gnp_k, gnp_threshold_p, gnp_union_bound_log, hypercube_k
+from .bounds import gnp_certificate, gnp_threshold_p, hypercube_k
 from .density import density_floor
 from .exactf import exact_f
 from .graphs import SoundnessError, degree_stats, make_hypercube, sample_gnp
@@ -79,13 +79,11 @@ HYPERCUBE_HEADER = (
 def _hypercube_row(d: int, psi_budget: int, seed: int) -> ExperimentRow:
     t0 = time.perf_counter()
     g = make_hypercube(d)
-    # Cubes small enough for the exact f (Q_2 and Q_3) skip the adversary:
-    # their report holds the coloring entry alone.  exact_f closes both at
-    # the sandwich without a search node, so it needs no budget.
+    # No anneal: the dimension ordering's trail d = 2m/n is the annealer's
+    # floor.  Q_2 and Q_3 report exact_f in place of the adversary; the
+    # sandwich closes both without a search node, so it needs no budget.
     small = g.m <= 12
-    rep = upper_bound_report(
-        g, seed=seed, steps=1500, restarts=0 if small else 1, psi_budget=psi_budget
-    )
+    rep = upper_bound_report(g, seed=seed, restarts=0, psi_budget=psi_budget)
     _, coloring_psi, coloring_exact = rep.strategies[0]
 
     cert = density_floor(g, g.n, budget=psi_budget)
@@ -166,15 +164,8 @@ def _gnp_row(
     if ped_max < floor:
         raise SoundnessError(f"pedestrian floor violated on n={n} seed={row_seed}")
 
-    if p > 0 and n >= 2:
-        kval = gnp_k(n, p, omega, eps)
-        if 1 <= kval <= n:
-            ub = gnp_union_bound_log(n, p, kval)
-            exponent, negative = ub.exponent, ub.certifies
-        else:
-            exponent, negative = None, None
-    else:
-        kval, exponent, negative = 0, None, None
+    kval, ub = gnp_certificate(n, p, omega, eps) if p > 0 and n >= 2 else (0, None)
+    exponent, negative = (None, None) if ub is None else (ub.exponent, ub.certifies)
 
     vals = (
         ("n", _fmt(n)),
@@ -232,9 +223,8 @@ def experiment_gnp(
     pool of forked processes, min(those rows, usable CPUs) of them, largest
     expected edge count first so that no large row starts last.  ``workers``
     caps the pool (None: no cap; below 2: no pool).  Otherwise every row
-    runs in this process and none is started.  The hypercube campaign has no pool: its anneal
-    stops at the trail floor before its first move, so a row to d = 6 takes
-    less than a process costs to start.
+    runs in this process and none is started.  The hypercube campaign has no pool: it runs
+    no anneal, so a row to d = 6 takes less than a process costs to start.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -78,9 +78,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":
         """Canonicalize an iterable of pairs: orient u < v, sort, reject dups."""

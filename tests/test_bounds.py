@@ -125,6 +125,17 @@ def test_union_bound_exponent_cases() -> None:
         alt.gnp_union_bound_log(10, 0.5, 11)
 
 
+def test_gnp_certificate_bounds_only_k_from_1_to_n() -> None:
+    k, ub = alt.gnp_certificate(10**4, 0.05, omega=5.0, eps=0.1)
+    assert k == 9 and ub == alt.gnp_union_bound_log(10**4, 0.05, 9)
+    assert alt.gnp_certificate(100, 0.5, omega=1.0, eps=0.999) == (0, None)  # k < 1
+    assert alt.gnp_certificate(10, 1.0, omega=0.01, eps=0.1) == (390, None)  # k > n
+    k, ub = alt.gnp_certificate(2, 1.0, omega=0.7, eps=0.5)  # k = n
+    assert k == 2 and ub == alt.gnp_union_bound_log(2, 1.0, 2)
+    with pytest.raises(OverflowError):
+        alt.gnp_certificate(2, 1.0, omega=1e-320, eps=0.1)
+
+
 def test_union_bound_negativity_condition() -> None:
     # exponent < 0 iff k ln n + p C(k,2) < p (n-1)/2
     for n, p, k in ((10**4, 0.05, 9), (200, 1.0, 11), (60, 1.0, 4), (1000, 0.3, 5)):

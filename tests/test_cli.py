@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from altitude import cli, density, exactf, experiments
+from altitude import adversary, cli, density, exactf, experiments
 from altitude.cli import main
 from altitude.graphs import (
     Graph,
@@ -289,29 +289,40 @@ def test_exact_f_budget_exhaustion_exits_4(capsys, tmp_path):
 
 
 # The search improves on the coloring ordering of K_5, so exact_f runs one more
-# psi search to recheck the witness it found; the sandwich settles Q_3.
-@pytest.mark.parametrize("graph, rechecks", [(make_complete(5), 1), (make_hypercube(3), 0)],
+# psi search to recheck the witness it found; the sandwich settles Q_3.  The
+# sandwich's coloring ordering and its psi come from the portfolio in
+# ``adversary``: Misra-Gries on K_5, the dimension coloring on Q_3.
+@pytest.mark.parametrize("graph, coloring, rechecks",
+                         [(make_complete(5), "greedy_edge_coloring", 1),
+                          (make_hypercube(3), "hypercube_dimension_coloring", 0)],
                          ids=["k5", "q3"])
-def test_exact_f_builds_its_bracket_once(monkeypatch, capsys, tmp_path, graph, rechecks):
+def test_exact_f_builds_its_bracket_once(monkeypatch, capsys, tmp_path, graph, coloring,
+                                         rechecks):
     path = tmp_path / "g.txt"
     path.write_text(serialize_graph(graph))
-    calls = dict.fromkeys(("greedy_edge_coloring", "longest_increasing_path", "density_floor"), 0)
+    counted = [(adversary, "greedy_edge_coloring"), (adversary, "hypercube_dimension_coloring"),
+               (adversary, "longest_increasing_path"), (exactf, "longest_increasing_path"),
+               (exactf, "density_floor")]
+    calls = {}
 
-    def counted(name):
-        real = getattr(exactf, name)
+    def count(mod, name):
+        real, key = getattr(mod, name), f"{mod.__name__.rsplit('.', 1)[1]}.{name}"
+        calls[key] = 0
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[key] += 1
             return real(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(mod, name, wrapper)
 
-    for name in calls:
-        monkeypatch.setattr(exactf, name, counted(name))
+    for mod, name in counted:
+        count(mod, name)
     rc, _, _ = run(capsys, "exact-f", "--graph", str(path), "--out", str(tmp_path / "f.json"))
     assert rc == 0
-    assert calls == {"greedy_edge_coloring": 1, "longest_increasing_path": 1 + rechecks,
-                     "density_floor": 1}
+    assert calls == dict.fromkeys(calls, 0) | {
+        f"adversary.{coloring}": 1, "adversary.longest_increasing_path": 1,
+        "exactf.longest_increasing_path": rechecks, "exactf.density_floor": 1,
+    }
 
 
 def _sandwich(lower, upper, lowers, uppers):
@@ -319,14 +330,16 @@ def _sandwich(lower, upper, lowers, uppers):
             "upper_candidates": uppers}
 
 
-_COLORING_UPPERS = [["edge-coloring-classes", 3], ["coloring-ordering-trail", 3],
-                    ["coloring-ordering-path", 3]]
+_COLORING_UPPERS = [["coloring-ordering-path", 3]]
 
 # stdout and --out JSON of `exact-f` (fields after "m"), recorded before the
 # bracket was built once per run; "explored" re-recorded when the top-value
 # and pair cuts came in, and again when sleeping edges stopped making
 # children (k5 36 -> 34, c7 26 -> 19; values, brackets and witnesses
-# unchanged both times).
+# unchanged both times).  Re-recorded when the sandwich took its coloring
+# ordering from the portfolio: the upper candidates lost
+# "edge-coloring-classes" and "coloring-ordering-trail", and q3's witness
+# is now the dimension ordering; values, brackets and "explored" stayed.
 _EXACT_F_GOLDEN = {
     "k5": (
         make_complete(5),
@@ -335,8 +348,7 @@ _EXACT_F_GOLDEN = {
          "witness_ranks": [1, 3, 7, 8, 5, 9, 4, 2, 10, 6],
          "sandwich": _sandwich(
              2, 3, [["sqrt-average-degree", 2], ["complete-sqrt", 2]],
-             [["edge-coloring-classes", 5], ["coloring-ordering-trail", 5],
-              ["coloring-ordering-path", 4], ["complete-three-quarters", 3]])},
+             [["coloring-ordering-path", 4], ["complete-three-quarters", 3]])},
     ),
     "c7": (
         make_cycle(7),
@@ -347,14 +359,13 @@ _EXACT_F_GOLDEN = {
     ),
     "q3": (
         make_hypercube(3),
-        "f=3\nwitness: 6 9 1 11 3 5 8 7 4 10 12 2\n",
+        "f=3\nwitness: 2 5 9 6 11 3 10 12 1 8 7 4\n",
         {"f": 3, "lower": 3, "exact": True, "explored": 0,
-         "witness_ranks": [6, 9, 1, 11, 3, 5, 8, 7, 4, 10, 12, 2],
+         "witness_ranks": [2, 5, 9, 6, 11, 3, 10, 12, 1, 8, 7, 4],
          "sandwich": _sandwich(
              3, 3,
              [["sqrt-average-degree", 2], ["density-criterion-k3", 3], ["hypercube-ratio", 2]],
-             [["edge-coloring-classes", 4], ["coloring-ordering-trail", 3],
-              ["coloring-ordering-path", 3], ["hypercube-dimension", 3]])},
+             [["coloring-ordering-path", 3], ["hypercube-dimension", 3]])},
     ),
     "gnp-8-0.4": (
         sample_gnp(8, 0.4, seed=6),
@@ -381,7 +392,7 @@ def test_exact_f_golden_outputs(capsys, tmp_path, case):
     rc, out, _ = run(capsys, "exact-f", "--graph", str(path), "--out", str(out_file))
     assert (rc, out) == (0, want_out)
     doc = json.loads(out_file.read_text())
-    assert doc == {"schema": "altitude/exact-f/1", "n": graph.n, "m": graph.m, **want_doc}
+    assert doc == {"schema": "altitude/exact-f/2", "n": graph.n, "m": graph.m, **want_doc}
 
 
 # adversary
@@ -527,6 +538,27 @@ def test_bounds_gnp_lower_bound(capsys):
     assert fields["k"] == "9"
     assert fields["certifies"] == "true"
     assert float(fields["exponent"]) < 0
+
+
+@pytest.mark.parametrize("omega, summary",
+                         [("0.01", "vacuous (k > n)"), ("1000", "vacuous (k < 1)")],
+                         ids=["k-above-n", "k-below-1"])
+def test_bounds_gnp_vacuous_exits_0(capsys, tmp_path, omega, summary):
+    out_file = tmp_path / "b.json"
+    rc, out, _ = run(capsys, "bounds", "--gnp", "--n", "10", "--p", "1", "--omega", omega,
+                     "--out", str(out_file))
+    assert (rc, out) == (0, summary + "\n")
+    doc = json.loads(out_file.read_text())
+    assert doc["vacuous"] is True and "union_exponent" not in doc
+
+
+def test_experiment_gnp_leaves_the_union_bound_blank_when_k_above_n(capsys):
+    # the same rule as `bounds --gnp`: k = 390 > n = 10 gets no union bound
+    rc, out, _ = run(capsys, "experiment", "gnp", "--n-list", "10", "--p", "1",
+                     "--omega", "0.01", "--trials", "1")
+    assert rc == 0
+    row = dict(zip(out.splitlines()[1].split(","), out.splitlines()[2].split(",")))
+    assert (row["gnp_k"], row["union_exponent"], row["union_negative"]) == ("390", "", "")
 
 
 def test_bounds_bad_domain(capsys):
@@ -758,13 +790,14 @@ def test_experiment_rejects_fewer_than_one_worker(capsys, campaign, workers):
 
 
 def test_soundness_error_exits_3_with_one_error_line(capsys, monkeypatch, tmp_path):
-    # exact_f needs the exact psi of its start ordering; an inexact one fails its check
-    real = exactf.longest_increasing_path
+    # exact_f needs the exact psi of its start ordering from the portfolio;
+    # an inexact one fails its check
+    real = adversary.longest_increasing_path
 
     def inexact(g, ordering, budget=None):
         return dataclasses.replace(real(g, ordering, budget), exact=False)
 
-    monkeypatch.setattr(exactf, "longest_increasing_path", inexact)
+    monkeypatch.setattr(adversary, "longest_increasing_path", inexact)
     path = tmp_path / "c5.txt"
     path.write_text(serialize_graph(make_cycle(5)))
     rc, out, err = run(capsys, "exact-f", "--graph", str(path))

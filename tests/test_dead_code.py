@@ -17,7 +17,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "altitude"
 
 # (module, qualified name) -> why it stays although nothing in the package uses it
 KEPT = {
-    ("graphs", "Graph.degree"): "public accessor for library users; the tests read degrees with it",
     ("density", "rodl_criterion"): "the paper's density criterion as a public check; the "
                                    "acceptance battery and tests/test_density.py call it",
 }

@@ -9,7 +9,7 @@ import random
 import pytest
 
 import altitude as alt
-from altitude import exactf
+from altitude import adversary, exactf
 from corpus import named_small_graphs, random_graphs
 from oracles import brute_completion_min, brute_f, brute_path_end, brute_psi, brute_top_value
 
@@ -160,13 +160,48 @@ def test_exact_f_respects_certified_floor_on_hypercube() -> None:
     assert res.lower == 3 and res.value == 3 and res.exact
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_exact_f_starts_q_d_at_the_dimension_bound(d: int) -> None:
+    # the incumbent is the dimension ordering, so even at budget 0 the
+    # reported value is d (a Misra-Gries ordering gives d + 1 for d = 4..6)
+    g = alt.make_hypercube(d)
+    res = alt.exact_f(g, budget=0)
+    assert res.value == res.bounds.upper == d
+    wit = alt.longest_increasing_path(g, res.witness)
+    assert wit.exact and wit.length == d
+
+
+def _connected_gnm(rng: random.Random, n: int, m: int) -> alt.Graph:
+    while True:
+        g = alt.sample_gnp(n, 2 * m / (n * (n - 1)), rng.randrange(1 << 30))
+        if g.m == m and alt.degree_stats(g).connected:
+            return g
+
+
+def test_sandwich_incumbent_is_the_portfolio_coloring_entry() -> None:
+    # The sandwich's ordering and psi are the portfolio's coloring entry:
+    # off the cubes, the Misra-Gries coloring ordering at seed 0.
+    rng = random.Random(131)
+    graphs = random_graphs(300, 5, 9, 5, m_max=13)
+    graphs += [_connected_gnm(rng, n, m) for n, m in ((6, 8), (7, 8), (8, 9), (7, 10), (8, 12))
+               for _ in range(3)]
+    for g in graphs:
+        s = alt.f_bounds_sandwich(g)
+        rep = alt.upper_bound_report(g, seed=0, restarts=0)
+        assert rep.verified
+        assert (s.ordering, s.psi) == (rep.witness, rep.best_psi), g.edges
+        if alt.hypercube_dimension(g) is None:
+            assert s.ordering == alt.coloring_ordering(g, alt.greedy_edge_coloring(g), seed=0)
+
+
 def test_inexact_start_value_raises_soundness_error(monkeypatch: pytest.MonkeyPatch) -> None:
-    real = exactf.longest_increasing_path
+    # the start value is the portfolio's psi, which must be verified
+    real = adversary.longest_increasing_path
 
     def inexact(g, ordering, budget=None):
         return dataclasses.replace(real(g, ordering, budget), exact=False)
 
-    monkeypatch.setattr(exactf, "longest_increasing_path", inexact)
+    monkeypatch.setattr(adversary, "longest_increasing_path", inexact)
     with pytest.raises(alt.SoundnessError):
         alt.exact_f(alt.make_cycle(5))
 
@@ -368,12 +403,14 @@ def test_exact_f_under_relabelling_and_edge_deletion() -> None:
 # bracket and witness stayed.  Before the cuts,
 # five items were capped with brackets pool0, pool4, pool5, pool11 [2, 3] and
 # pool8 [2, 4]; each now proves 3, inside its old bracket, and every item
-# that was exact keeps its value.
+# that was exact keeps its value.  q3's witness was re-recorded when the
+# sandwich took the dimension ordering from the portfolio (it was the
+# Misra-Gries coloring ordering); its value and bracket stayed.
 SEARCH_GOLDEN = {
     "k5": (3, 3, 34, True, (1, 3, 7, 8, 5, 9, 4, 2, 10, 6)),
     "c7": (3, 3, 19, True, (1, 4, 6, 5, 2, 3, 7)),
     "c8": (2, 2, 9, True, (1, 5, 6, 2, 7, 3, 8, 4)),
-    "q3": (3, 3, 0, True, (6, 9, 1, 11, 3, 5, 8, 7, 4, 10, 12, 2)),
+    "q3": (3, 3, 0, True, (2, 5, 9, 6, 11, 3, 10, 12, 1, 8, 7, 4)),
     "pool0": (3, 3, 87, True, (1, 3, 4, 8, 11, 7, 12, 5, 6, 2, 9, 10)),
     "pool1": (2, 2, 12, True, (1, 6, 3, 5, 4, 2)),
     "pool2": (3, 3, 58, True, (4, 1, 6, 5, 3, 2, 7)),

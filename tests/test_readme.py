@@ -1,7 +1,9 @@
-"""The README's "Command line" examples run as written."""
+"""The README's "Command line" examples run as written, and its output
+conventions name every schema the package writes."""
 
 from __future__ import annotations
 
+import re
 import shlex
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 from altitude.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src" / "altitude"
 
 
 def command_lines() -> list[list[str]]:
@@ -27,3 +30,12 @@ def test_readme_command_block_runs_in_order(capsys, monkeypatch: pytest.MonkeyPa
     for argv in argvs:
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+def test_output_conventions_name_every_schema() -> None:
+    # a schema bump without its README line fails here
+    section = README.read_text().split("\n### Output conventions\n", 1)[1].split("\n#", 1)[0]
+    pattern = re.compile(r"altitude/[a-z][a-z0-9-]*/\d+")
+    schemas = {s for p in SRC.glob("*.py") for s in pattern.findall(p.read_text())}
+    assert len(schemas) >= 10
+    assert sorted(s for s in schemas if f"`{s}`" not in section) == []
