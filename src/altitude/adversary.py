@@ -36,29 +36,6 @@ from .pedestrian import sqrt_degree_floor
 
 
 @dataclass(frozen=True)
-class AnnealSchedule:
-    """Geometric cooling: temperature = t0 * decay ** (step // moves_per_level).
-
-    t0=None calibrates the start so a median uphill move is accepted with
-    probability about one half; moves_per_level=None uses 100 * m.  Raises
-    ValueError unless 0 < decay <= 1, moves_per_level >= 1 and t0 >= 0, so
-    the temperature can neither grow nor overflow.
-    """
-
-    t0: float | None = None
-    decay: float = 0.95
-    moves_per_level: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 0 < self.decay <= 1:
-            raise ValueError(f"schedule decay must lie in (0, 1], got {self.decay}")
-        if self.moves_per_level is not None and not self.moves_per_level >= 1:
-            raise ValueError(f"schedule moves must be at least 1, got {self.moves_per_level}")
-        if self.t0 is not None and not self.t0 >= 0:
-            raise ValueError(f"schedule t0 must be at least 0, got {self.t0}")
-
-
-@dataclass(frozen=True)
 class SearchTrace:
     """Annealing outcome; best_psi never increases along best_history."""
 
@@ -109,19 +86,20 @@ def local_search_min_psi(
     init: EdgeOrdering,
     steps: int,
     seed: int,
-    schedule: AnnealSchedule | None = None,
     psi_budget: int | None = 500000,
 ) -> SearchTrace:
     """Simulated annealing over rank swaps, minimizing the ordering's value.
 
     Moves swap the ranks of two edges, drawn as ``random.sample`` would.
-    The Metropolis rule runs on the trail surrogate, which a move recomputes
-    from block snapshots of the trail sweep split at a middle rank cut (see
-    the comment in ``_anneal``).  Whenever the surrogate drops below the best
-    seen, the exact path value is computed and, when the computation
-    completes, the incumbent is updated.  The returned best_psi is an exact
-    psi whenever ``verified`` is True, otherwise a trail value (still an
-    upper bound).
+    The Metropolis rule runs on the trail surrogate at a temperature that
+    starts where 20 probe moves put it (a mean uphill move is accepted with
+    probability one half) and falls by a factor of 0.95 every 100 * m moves.
+    A move recomputes the surrogate from block snapshots of the trail sweep
+    split at a middle rank cut (see the comment in ``_anneal``).  Whenever
+    the surrogate drops below the best seen, the exact path value is
+    computed and, when the computation completes, the incumbent is updated.
+    The returned best_psi is an exact psi whenever ``verified`` is True,
+    otherwise a trail value (still an upper bound).
 
     Every trail value is at least ceil(2m/n), since each edge relaxation
     raises the sweep's sum(best) by at least 2.  So the search returns as
@@ -133,7 +111,7 @@ def local_search_min_psi(
         raise ValueError("graph has no vertices")
     if init.m != g.m:
         raise ValueError("initial ordering does not match the graph")
-    return _anneal(g, init, _psi_or_trail(g, init, psi_budget), steps, seed, schedule, psi_budget)
+    return _anneal(g, init, _psi_or_trail(g, init, psi_budget), steps, seed, psi_budget)
 
 
 def _anneal(
@@ -142,13 +120,11 @@ def _anneal(
     start: tuple[int, bool],
     steps: int,
     seed: int,
-    schedule: AnnealSchedule | None,
     psi_budget: int | None,
 ) -> SearchTrace:
     """local_search_min_psi on a checked ``init`` whose ``_psi_or_trail``
     value is ``start``, so a caller that has scored it does not again."""
     m = g.m
-    sched = schedule or AnnealSchedule()
     rng = random.Random(seed)
 
     inverse = list(init.inverse)
@@ -210,18 +186,16 @@ def _anneal(
         return SearchTrace(steps, best_psi, best_ord, verified, tuple(history))
 
     randrange = rng.randrange
-    moves_per_level = sched.moves_per_level or 100 * m
-    t0 = sched.t0
-    if t0 is None:
-        # Probe uphill deltas from the start point to aim at ~0.5 acceptance.
-        deltas = []
-        for _ in range(20):
-            a, b = _sample_pair(randrange, m)
-            d = resweep(*swap(a, b))[0] - cur_obj
-            swap(a, b)
-            if d > 0:
-                deltas.append(d)
-        t0 = (sum(deltas) / len(deltas)) / math.log(2) if deltas else 1.0
+    # Probe uphill deltas from the start point to aim at ~0.5 acceptance.
+    deltas = []
+    for _ in range(20):
+        a, b = _sample_pair(randrange, m)
+        d = resweep(*swap(a, b))[0] - cur_obj
+        swap(a, b)
+        if d > 0:
+            deltas.append(d)
+    t0 = (sum(deltas) / len(deltas)) / math.log(2) if deltas else 1.0
+    moves_per_level = 100 * m
 
     for step in range(1, steps + 1):
         a, b = _sample_pair(randrange, m)
@@ -229,7 +203,7 @@ def _anneal(
         new_obj, new_f, new_b = resweep(lo, hi)
         delta = new_obj - cur_obj
         if delta > 0:  # uphill: the Metropolis rule at this step's temperature
-            temp = t0 * sched.decay ** ((step - 1) // moves_per_level)
+            temp = t0 * 0.95 ** ((step - 1) // moves_per_level)
             if not (temp > 0 and rng.random() < math.exp(-delta / temp)):
                 swap(a, b)
                 continue
@@ -287,7 +261,7 @@ def upper_bound_report(
     start = _psi_or_trail(g, base, psi_budget)
     entries = [("coloring", *start, base)]
     for i in range(restarts):
-        trace = _anneal(g, base, start, steps, seed + 104729 * (i + 1), None, psi_budget)
+        trace = _anneal(g, base, start, steps, seed + 104729 * (i + 1), psi_budget)
         entries.append((f"anneal-{i}", trace.best_psi, trace.verified, trace.best_ordering))
 
     # Prefer verified values at equal bound.

@@ -140,7 +140,7 @@ def gnp_k(n: int, p: float, omega: float, eps: float) -> int:
         raise ValueError("n must be at least 2")
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
-    if omega <= 0:
+    if not omega > 0:  # also rejects NaN
         raise ValueError("omega must be positive")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
@@ -189,6 +189,8 @@ def gnp_certificate(n: int, p: float, omega: float, eps: float) -> tuple[int, Gn
 
 def gnp_threshold_p(n: int, omega: float) -> float:
     """The density scale omega * ln(n) / sqrt(n) used by the sweeps."""
-    if n < 2 or omega <= 0:
-        raise ValueError("need n >= 2 and omega > 0")
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    if not omega > 0:  # also rejects NaN
+        raise ValueError("omega must be positive")
     return omega * math.log(n) / math.sqrt(n)

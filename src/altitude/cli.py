@@ -30,7 +30,7 @@ import math
 import sys
 from pathlib import Path
 
-from .adversary import AnnealSchedule, local_search_min_psi, upper_bound_report
+from .adversary import local_search_min_psi, upper_bound_report
 from .bounds import (
     gnp_certificate,
     graham_kleitman,
@@ -217,7 +217,7 @@ _MODES = {
     "verify": (_ordering_mode, _ORDERING_MODES),
     "zeta": (_zeta_mode, {"greedy": ("seed",), "exact": ("budget",)}),
     "adversary": (lambda args: "portfolio" if args.portfolio else "anneal",
-                  {"anneal": ("ordering", "schedule"), "portfolio": ("restarts",)}),
+                  {"anneal": ("ordering",), "portfolio": ("restarts",)}),
     "bounds": (_bounds_mode, {"gk": ("n",), "hypercube": ("d",), "ineq6": ("d",),
                               "sweep6": ("lo", "hi"), "gnp": ("n", "p", "omega", "eps")}),
     "experiment": (lambda args: args.campaign, {
@@ -356,7 +356,7 @@ def _cmd_exact_f(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     res = exact_f(g, budget=args.budget)
     payload = {
-        "schema": "altitude/exact-f/2",
+        "schema": "altitude/exact-f/3",
         "n": g.n,
         "m": g.m,
         "f": res.value,
@@ -381,24 +381,6 @@ def _cmd_exact_f(args: argparse.Namespace) -> int:
     return EXIT_OK if res.exact else EXIT_BUDGET
 
 
-def _parse_schedule(spec: str | None) -> AnnealSchedule | None:
-    if not spec:
-        return None
-    kwargs: dict[str, float | int] = {}
-    for part in spec.split(","):
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key == "decay":
-            kwargs["decay"] = float(value)
-        elif key == "t0":
-            kwargs["t0"] = float(value)
-        elif key == "moves":
-            kwargs["moves_per_level"] = int(value)
-        else:
-            raise ValueError(f"unknown schedule key {key!r} (use decay, t0, moves)")
-    return AnnealSchedule(**kwargs)
-
-
 def _cmd_adversary(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     if args.portfolio:
@@ -418,10 +400,7 @@ def _cmd_adversary(args: argparse.Namespace) -> int:
         init = _resolve_ordering(
             g, "coloring" if args.ordering is None else args.ordering, args.seed
         )
-        trace = local_search_min_psi(
-            g, init, args.steps, args.seed, schedule=_parse_schedule(args.schedule),
-            psi_budget=args.budget,
-        )
+        trace = local_search_min_psi(g, init, args.steps, args.seed, psi_budget=args.budget)
         best_psi, witness, verified = trace.best_psi, trace.best_ordering, trace.verified
         payload = {
             "schema": "altitude/adversary/1",
@@ -603,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=2000)
     sp.add_argument("--restarts", type=int, help="--portfolio's anneal count (default 2)")
     sp.add_argument("--budget", type=int, default=200000, help="exact-psi verification budget")
-    sp.add_argument("--schedule", help="anneal-mode schedule, e.g. decay=0.95,moves=1200")
     sp.add_argument("--portfolio", action="store_true",
                     help="run the full strategy portfolio")
     sp.add_argument("--ordering-out", help="write the best ordering file here")

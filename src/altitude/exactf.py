@@ -6,8 +6,8 @@ only grow as ranks are appended: a branch whose prefix already reaches the
 incumbent is dead.  The search starts from the ``f_bounds_sandwich``
 bracket: the coloring entry of the upper-bound portfolio
 (``adversary.upper_bound_report``) and its exact value are the incumbent,
-and its proved lower bound (degree floor, density criterion, family
-formulas) is the floor, which settles many small graphs at once.
+and its proved lower bound (degree floor, density criterion) is the floor,
+which settles many small graphs at once.
 
 A child appends edge (u, v) with the top rank, so every increasing path
 through it ends with it: the child's value is 1 + the longer of the longest
@@ -62,13 +62,11 @@ representative whose subtree was searched.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .adversary import upper_bound_report
-from .bounds import graham_kleitman, hypercube_k
 from .density import density_floor
-from .graphs import Graph, SoundnessError, hypercube_dimension, is_complete
+from .graphs import Graph, SoundnessError
 from .orderings import EdgeOrdering, identity_ordering
 from .paths import longest_increasing_path
 from .pedestrian import sqrt_degree_floor
@@ -79,15 +77,14 @@ _ORBIT_MAP_CAP = 120
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Best known bracket on f(G) with labeled sources, plus the coloring
-    ordering behind ``coloring-ordering-path`` and its exact value ``psi``."""
+    """Bracket on f(G) with labeled sources, plus the coloring ordering
+    behind ``coloring-ordering-path``, whose exact value is ``upper``."""
 
     lower: int
     upper: int
     lower_candidates: tuple[tuple[str, int], ...]
     upper_candidates: tuple[tuple[str, int], ...]
     ordering: EdgeOrdering
-    psi: int
 
 
 @dataclass(frozen=True)
@@ -383,7 +380,7 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
     """
     bounds = f_bounds_sandwich(g)
     m = g.m
-    best_val, best_ord, floor = bounds.psi, bounds.ordering, bounds.lower
+    best_val, best_ord, floor = bounds.upper, bounds.ordering, bounds.lower
     if best_val <= floor:
         return AltitudeResult(best_val, best_val, best_ord, 0, True, bounds)
 
@@ -438,42 +435,36 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
 # ----------------------------------------------------------------------
 
 def f_bounds_sandwich(g: Graph) -> SandwichReport:
-    """Best lower and upper bounds on f(G) from every cheap source.
+    """Bracket on f(G) from a witnessed upper bound and proved floors.
 
     Upper: the exact (unbudgeted) psi of the coloring entry of
     ``upper_bound_report`` (the dimension ordering on Q_d as generated,
-    Misra-Gries elsewhere), and family formulas.  Lower: the
-    square-root-of-average-degree floor, the density criterion at growing k
-    (connected graphs) up to the best upper bound, since no k above it can
-    pass, and family formulas for hypercubes and complete graphs.  Maxima
-    of pedestrian runs are deliberately absent: they bound one ordering's
-    value from below, not the minimum over orderings.  The coloring
-    ordering and its value are returned as well; ``exact_f`` starts its
-    search from them.
+    Misra-Gries elsewhere), which is also the ordering returned;
+    ``exact_f`` starts its search from the two.  Lower: the
+    square-root-of-average-degree floor, then the density criterion at
+    growing k (connected graphs) up to the upper bound, since no k above it
+    can pass.
+
+    The paper's closed forms are left out, as each is either never tighter
+    than these or has no ordering behind it: on Q_d, ceil(d / log2 d) never
+    exceeds the density floor (inequality 6) and d is the dimension
+    ordering's psi; on K_n, ceil((sqrt(4n - 3) - 1) / 2) never exceeds the
+    degree floor ceil(sqrt(n - 1)), and 3n/4 comes with no ordering
+    (``bounds --gk`` prints that bracket).  Maxima of pedestrian runs are
+    absent too: they bound one ordering's value from below, not the minimum
+    over orderings.
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
     if g.m == 0:
-        return SandwichReport(0, 0, (("empty", 0),), (("empty", 0),), identity_ordering(g), 0)
+        return SandwichReport(0, 0, (("empty", 0),), (("empty", 0),), identity_ordering(g))
 
     rep = upper_bound_report(g, seed=0, restarts=0, psi_budget=None)
     if not rep.verified:
         raise SoundnessError("an unbudgeted psi search returned an inexact value")
-    uppers = [("coloring-ordering-path", rep.best_psi)]
     floor = sqrt_degree_floor(g)
+    certified = density_floor(g, rep.best_psi, budget=200000)
     lowers = [("sqrt-average-degree", floor)]
-    d = hypercube_dimension(g)
-    if d is not None and d >= 1:
-        lowers.append(("hypercube-ratio", 1 if d == 1 else hypercube_k(d)))
-        uppers.append(("hypercube-dimension", d))
-    if is_complete(g) and g.n >= 2:
-        gk_lower, gk_upper = graham_kleitman(g.n)
-        lowers.append(("complete-sqrt", math.ceil(gk_lower)))
-        uppers.append(("complete-three-quarters", math.floor(gk_upper)))
-
-    hi = min(v for _, v in uppers)
-    certified = density_floor(g, hi, budget=200000)
-    # the density labels follow the degree floor, ahead of the family formulas
-    lowers[1:1] = [(f"density-criterion-k{k}", k) for k in range(floor + 1, certified + 1)]
-    lo = max(v for _, v in lowers)
-    return SandwichReport(lo, hi, tuple(lowers), tuple(uppers), rep.witness, rep.best_psi)
+    lowers += [(f"density-criterion-k{k}", k) for k in range(floor + 1, certified + 1)]
+    uppers = (("coloring-ordering-path", rep.best_psi),)
+    return SandwichReport(certified, rep.best_psi, tuple(lowers), uppers, rep.witness)

@@ -192,12 +192,8 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
 
 
 # ----------------------------------------------------------------------
-# Family recognition (used for family-specific bound certificates)
+# Family recognition (the dimension coloring and Harper's zeta on Q_d)
 # ----------------------------------------------------------------------
-
-def is_complete(g: Graph) -> bool:
-    return g.n >= 1 and g.m == g.n * (g.n - 1) // 2
-
 
 def hypercube_dimension(g: Graph) -> int | None:
     """Return d if g is exactly make_hypercube(d) (same labels), else None."""

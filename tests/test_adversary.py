@@ -62,23 +62,6 @@ def test_search_is_reproducible() -> None:
     assert a == b
 
 
-def test_anneal_schedule_overrides_accepted() -> None:
-    g = alt.make_hypercube(3)
-    sched = alt.AnnealSchedule(t0=2.0, decay=0.9, moves_per_level=50)
-    tr = alt.local_search_min_psi(g, alt.random_ordering(g, 3), steps=800, seed=4, schedule=sched)
-    assert tr.best_psi >= 3
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [{"decay": 0.0}, {"decay": 1.5}, {"moves_per_level": 0}, {"t0": -1.0}],
-    ids=["decay-0", "decay-1.5", "moves-0", "t0-negative"],
-)
-def test_anneal_schedule_rejects_growing_or_overflowing_temperature(bad) -> None:
-    with pytest.raises(ValueError):
-        alt.AnnealSchedule(**bad)
-
-
 def test_report_hits_dimension_bound_on_hypercubes() -> None:
     for d in (2, 3, 4):
         rep = alt.upper_bound_report(alt.make_hypercube(d), seed=0, steps=300, restarts=1)
@@ -140,6 +123,7 @@ def trace_graphs() -> dict[str, alt.Graph]:
     cases.update((f"corpus-{i}", g) for i, g in enumerate(random_graphs(20, 4, 30, 141, m_max=200)))
     cases.update((f"q{d}", alt.make_hypercube(d)) for d in range(2, 8))
     cases["gnp150"] = alt.sample_gnp(150, 0.1, 2000006)
+    cases["k6"] = alt.make_complete(6)
     return cases
 
 
@@ -205,6 +189,42 @@ def test_anneal_trace_golden(trace_graphs, case) -> None:
     got = hashlib.sha256(repr(tr.best_ordering.rank).encode()).hexdigest()[:16]
     assert (g.m, tr.best_psi, tr.verified, tr.best_history, got) == (
         m, best_psi, verified, history, rank_digest
+    )
+
+
+# (name, seed, best_psi, verified, best_history, rank digest) of anneals
+# like TRACE_GOLDEN's but of 300 * m steps, so the temperature steps down
+# twice, and no trail value reaches the ceil(2m/n) floor, so every step runs.
+# They pin the fixed schedule (t0 from 20 probe moves, decay 0.95, 100 * m
+# moves per level): with no cooling (decay 1) k6 finds 4 at step 3515,
+# corpus-1 6 at 4818 and corpus-14 3 at 2243, and a decay of 0.94 or 0.96,
+# or 50 * m or 200 * m moves per level, changes at least one trace.
+COOLING_GOLDEN = [
+    ("k6", 4, 5, True, ((0, 5),), "c529344654f6f47b"),
+    ("corpus-1", 5, 7, True, ((0, 8), (22, 7)), "2bec6367e71576df"),
+    ("corpus-14", 2, 4, True, ((0, 5), (2, 4)), "e443d4ac03565ff1"),
+]
+
+
+@pytest.mark.parametrize("case", COOLING_GOLDEN, ids=[c[0] for c in COOLING_GOLDEN])
+def test_anneal_cooling_golden(monkeypatch, trace_graphs, case) -> None:
+    name, seed, best_psi, verified, history, rank_digest = case
+    g = trace_graphs[name]
+    steps = 300 * g.m
+    drawn = []
+    sample = adversary._sample_pair
+
+    def draw(randrange, m):
+        drawn.append(m)
+        return sample(randrange, m)
+
+    monkeypatch.setattr(adversary, "_sample_pair", draw)
+    tr = alt.local_search_min_psi(g, alt.random_ordering(g, 3), steps=steps, seed=seed,
+                                  psi_budget=20000)
+    got = hashlib.sha256(repr(tr.best_ordering.rank).encode()).hexdigest()[:16]
+    assert len(drawn) == 20 + steps  # the probe moves, then every step
+    assert (tr.best_psi, tr.verified, tr.best_history, got) == (
+        best_psi, verified, history, rank_digest
     )
 
 

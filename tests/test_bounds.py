@@ -22,6 +22,21 @@ def test_complete_graph_bounds_exact_values() -> None:
         assert hi == 0.75 * n
 
 
+def _complete_bracket_by_integers(n: int) -> tuple[int, int]:
+    # smallest L with (2L+1)**2 >= 4n-3, i.e. ceil((sqrt(4n-3) - 1) / 2), and floor(3n/4)
+    L = 0
+    while (2 * L + 1) ** 2 < 4 * n - 3:
+        L += 1
+    return L, (3 * n) // 4
+
+
+def test_graham_kleitman_rounds_to_the_integer_bracket() -> None:
+    # rounded inward, both bounds match their integer forms
+    for n in range(1, 2001):
+        lower, upper = alt.graham_kleitman(n)
+        assert (math.ceil(lower), math.floor(upper)) == _complete_bracket_by_integers(n), n
+
+
 def test_hypercube_ratio_and_k() -> None:
     lo, hi = alt.hypercube_bounds(2)
     assert (lo, hi) == (2.0, 2)  # pinches f(Q_2) to 2
@@ -102,8 +117,9 @@ def test_gnp_k_values_and_validation() -> None:
         alt.gnp_k(1, 0.5, omega=1.0, eps=0.1)
     with pytest.raises(ValueError):
         alt.gnp_k(100, 0.0, omega=1.0, eps=0.1)
-    with pytest.raises(ValueError):
-        alt.gnp_k(100, 0.5, omega=0.0, eps=0.1)
+    for omega in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="omega must be positive"):
+            alt.gnp_k(100, 0.5, omega=omega, eps=0.1)
     with pytest.raises(ValueError):
         alt.gnp_k(100, 0.5, omega=1.0, eps=1.0)
 
@@ -158,3 +174,6 @@ def test_union_bound_decreases_along_threshold_parameterization() -> None:
 def test_threshold_density_rule() -> None:
     assert abs(alt.gnp_threshold_p(10**4, 10.0) - 10 * math.log(10**4) / 100) < 1e-12
     assert alt.gnp_threshold_p(200, 3.0) > 1  # caller caps at 1
+    for omega in (0.0, math.nan):
+        with pytest.raises(ValueError, match="omega must be positive"):
+            alt.gnp_threshold_p(200, omega)

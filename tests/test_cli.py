@@ -340,6 +340,9 @@ _COLORING_UPPERS = [["coloring-ordering-path", 3]]
 # ordering from the portfolio: the upper candidates lost
 # "edge-coloring-classes" and "coloring-ordering-trail", and q3's witness
 # is now the dimension ordering; values, brackets and "explored" stayed.
+# Re-recorded when the sandwich dropped its family formulas: k5 and q3 lost
+# their four family candidates and k5's sandwich upper is the coloring
+# ordering's 4 (it was complete-three-quarters' 3); the rest stayed.
 _EXACT_F_GOLDEN = {
     "k5": (
         make_complete(5),
@@ -347,8 +350,7 @@ _EXACT_F_GOLDEN = {
         {"f": 3, "lower": 3, "exact": True, "explored": 34,
          "witness_ranks": [1, 3, 7, 8, 5, 9, 4, 2, 10, 6],
          "sandwich": _sandwich(
-             2, 3, [["sqrt-average-degree", 2], ["complete-sqrt", 2]],
-             [["coloring-ordering-path", 4], ["complete-three-quarters", 3]])},
+             2, 4, [["sqrt-average-degree", 2]], [["coloring-ordering-path", 4]])},
     ),
     "c7": (
         make_cycle(7),
@@ -363,9 +365,7 @@ _EXACT_F_GOLDEN = {
         {"f": 3, "lower": 3, "exact": True, "explored": 0,
          "witness_ranks": [2, 5, 9, 6, 11, 3, 10, 12, 1, 8, 7, 4],
          "sandwich": _sandwich(
-             3, 3,
-             [["sqrt-average-degree", 2], ["density-criterion-k3", 3], ["hypercube-ratio", 2]],
-             [["coloring-ordering-path", 3], ["hypercube-dimension", 3]])},
+             3, 3, [["sqrt-average-degree", 2], ["density-criterion-k3", 3]], _COLORING_UPPERS)},
     ),
     "gnp-8-0.4": (
         sample_gnp(8, 0.4, seed=6),
@@ -392,7 +392,7 @@ def test_exact_f_golden_outputs(capsys, tmp_path, case):
     rc, out, _ = run(capsys, "exact-f", "--graph", str(path), "--out", str(out_file))
     assert (rc, out) == (0, want_out)
     doc = json.loads(out_file.read_text())
-    assert doc == {"schema": "altitude/exact-f/2", "n": graph.n, "m": graph.m, **want_doc}
+    assert doc == {"schema": "altitude/exact-f/3", "n": graph.n, "m": graph.m, **want_doc}
 
 
 # adversary
@@ -429,14 +429,15 @@ def test_adversary_portfolio_and_ordering_out(capsys, q3_file, tmp_path):
     assert brute_psi(make_hypercube(3), ordering) == doc["best_psi"]
 
 
-def test_adversary_schedule_flag(capsys, k3_file):
-    rc, out, _ = run(
-        capsys,
-        "adversary", "--graph", k3_file, "--steps", "100",
-        "--schedule", "decay=0.9,moves=20",
-    )
-    assert rc == 0
-    assert json.loads(out)["best_psi"] == 2
+def test_adversary_schedule_flag(capsys, k3_file, tmp_path):
+    # The anneal's schedule is fixed, so --schedule is an unknown flag, and a
+    # schedule= line in a --config file is ignored like any key naming no flag.
+    argv = ["adversary", "--graph", k3_file, "--steps", "100"]
+    rc, out, err = run(capsys, *argv, "--schedule", "decay=0.9,moves=20")
+    assert (rc, out) == (2, "") and "--schedule" in err
+    conf = tmp_path / "anneal.conf"
+    conf.write_text("schedule=decay=0.9,moves=20\n")
+    assert run(capsys, *argv, "--config", str(conf)) == run(capsys, *argv)
 
 
 @pytest.mark.parametrize("spec", ["moves=-1", "decay=1.5,moves=1", "moves=0"])
@@ -444,19 +445,16 @@ def test_adversary_rejects_bad_schedule(capsys, k3_file, spec):
     rc, out, err = run(
         capsys, "adversary", "--graph", k3_file, "--steps", "20000", "--schedule", spec
     )
-    assert rc == 3
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --schedule" in err
 
 
 def test_adversary_portfolio_rejects_a_schedule(capsys, k3_file):
-    # the portfolio's anneals run the default schedule, so a given one would go unused
     rc, out, err = run(
         capsys, "adversary", "--graph", k3_file, "--portfolio", "--schedule", "decay=0.9"
     )
-    assert rc == 3
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+    assert (rc, out) == (2, "")
+    assert "unrecognized arguments: --schedule" in err
 
 
 @pytest.mark.parametrize(
@@ -559,6 +557,23 @@ def test_experiment_gnp_leaves_the_union_bound_blank_when_k_above_n(capsys):
     assert rc == 0
     row = dict(zip(out.splitlines()[1].split(","), out.splitlines()[2].split(",")))
     assert (row["gnp_k"], row["union_exponent"], row["union_negative"]) == ("390", "", "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "--gnp", "--n", "10", "--p", "0.5"], "omega must be positive"),
+        (["bounds", "--gnp", "--n", "10"], "--p is required"),
+        (["experiment", "gnp", "--n-list", "10", "--p", "0.5", "--trials", "1"],
+         "omega must be positive"),
+        (["experiment", "gnp", "--n-list", "10", "--trials", "1"], "omega must be positive"),
+    ],
+    ids=["bounds-p", "bounds-no-p", "experiment-p", "experiment-no-p"],
+)
+def test_nan_omega_exits_3(capsys, argv, message):
+    rc, out, err = run(capsys, *argv, "--omega", "nan")
+    assert (rc, out) == (3, "")
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:") and message in err
 
 
 def test_bounds_bad_domain(capsys):
@@ -950,7 +965,7 @@ _DEFAULT_NAMESPACES = {
     "adversary": (
         ["adversary", "--graph", "g.txt"],
         {**_COMMON, "graph": "g.txt", "ordering": None, "steps": 2000, "restarts": None,
-         "budget": 200000, "schedule": None, "portfolio": False, "ordering_out": None},
+         "budget": 200000, "portfolio": False, "ordering_out": None},
     ),
     "bounds": (
         ["bounds", "--gk"],

@@ -110,37 +110,37 @@ def test_edge_orbits_partition_all_edges() -> None:
 def test_sandwich_brackets_known_families() -> None:
     k4 = alt.f_bounds_sandwich(alt.make_complete(4))
     assert (k4.lower, k4.upper) == (2, 3)
-    assert dict(k4.upper_candidates)["complete-three-quarters"] == 3
+    assert k4.upper_candidates == (("coloring-ordering-path", 3),)
 
     q3 = alt.f_bounds_sandwich(alt.make_hypercube(3))
     assert (q3.lower, q3.upper) == (3, 3)
-    assert dict(q3.upper_candidates)["hypercube-dimension"] == 3
-    assert dict(q3.lower_candidates)["density-criterion-k3"] == 3
+    assert q3.lower_candidates == (("sqrt-average-degree", 2), ("density-criterion-k3", 3))
 
     m3 = alt.f_bounds_sandwich(alt.make_matching(3))
     assert (m3.lower, m3.upper) == (1, 1)
 
 
-
-def _complete_bracket_by_integers(n: int) -> tuple[int, int]:
-    # smallest L with (2L+1)**2 >= 4n-3, i.e. ceil((sqrt(4n-3) - 1) / 2), and floor(3n/4)
-    L = 0
-    while (2 * L + 1) ** 2 < 4 * n - 3:
-        L += 1
-    return L, (3 * n) // 4
+@pytest.mark.parametrize("d", range(2, 15))
+def test_density_floor_reaches_the_hypercube_ratio(d: int) -> None:
+    # ceil(d / log2 d), the paper's floor on f(Q_d), never beats the density
+    # floor, so the sandwich leaves it out
+    assert alt.density_floor(alt.make_hypercube(d), d, None) >= alt.hypercube_k(d)
 
 
-def test_sandwich_complete_bracket_rounds_graham_kleitman() -> None:
-    # the sandwich rounds bounds.graham_kleitman inward; the rounding must
-    # match the integer forms of both bounds
-    for n in range(1, 2001):
-        lower, upper = alt.graham_kleitman(n)
-        assert (math.ceil(lower), math.floor(upper)) == _complete_bracket_by_integers(n), n
-    for n in range(2, 9):
-        s = alt.f_bounds_sandwich(alt.make_complete(n))
-        got = (dict(s.lower_candidates)["complete-sqrt"],
-               dict(s.upper_candidates)["complete-three-quarters"])
-        assert got == _complete_bracket_by_integers(n), n
+def test_degree_floor_reaches_the_complete_graph_floor() -> None:
+    # ceil((sqrt(4n-3) - 1)/2), Graham and Kleitman's floor on f(K_n), never
+    # beats the degree floor ceil(sqrt(n-1)), so the sandwich leaves it out
+    for n in range(2, 81):
+        lower, _ = alt.graham_kleitman(n)
+        assert alt.sqrt_degree_floor(alt.make_complete(n)) >= math.ceil(lower), n
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_exact_f_on_k_n_at_budget_0_reports_the_sandwich_upper(n: int) -> None:
+    # the sandwich's upper bound is the value of the ordering the search
+    # starts from, so at budget 0 the reported value is that bound
+    res = alt.exact_f(alt.make_complete(n), budget=0)
+    assert res.value == res.bounds.upper
 
 
 def test_sandwich_consistent_with_exact_value_on_corpus() -> None:
@@ -189,7 +189,7 @@ def test_sandwich_incumbent_is_the_portfolio_coloring_entry() -> None:
         s = alt.f_bounds_sandwich(g)
         rep = alt.upper_bound_report(g, seed=0, restarts=0)
         assert rep.verified
-        assert (s.ordering, s.psi) == (rep.witness, rep.best_psi), g.edges
+        assert (s.ordering, s.upper) == (rep.witness, rep.best_psi), g.edges
         if alt.hypercube_dimension(g) is None:
             assert s.ordering == alt.coloring_ordering(g, alt.greedy_edge_coloring(g), seed=0)
 
