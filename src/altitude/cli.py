@@ -342,7 +342,7 @@ def _cmd_zeta(args: argparse.Namespace) -> int:
         any_inexact |= not exact
         if d is not None and d >= 1:
             rhs = k * math.log2(k) / 2
-            holds = hypercube_zeta_bound_check(d, k, value) if exact else None
+            holds = hypercube_zeta_bound_check(k, value) if exact else None
             bound_rhs, bound_holds = f"{rhs:.6g}", ("" if holds is None else str(holds).lower())
         else:
             bound_rhs, bound_holds = "", ""
@@ -495,11 +495,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     if args.campaign == "hypercube":
-        csv_text = experiment_hypercube(
-            _require(args, "d_max"),
-            psi_budget=args.psi_budget,
-            seed=args.seed,
-        )
+        csv_text = experiment_hypercube(_require(args, "d_max"))
     else:  # gnp; argparse's choices admit no other campaign
         n_list = [int(tok) for tok in _require(args, "n_list").split(",") if tok]
         csv_text = experiment_gnp(
@@ -614,7 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("campaign", choices=["hypercube", "gnp"])
     sp.add_argument("--d-max", dest="d_max", type=int)
     sp.add_argument("--n-list", dest="n_list", help="comma-separated n values")
-    sp.add_argument("--p", type=float, help="edge density in [0, 1] (omit for the threshold rule)")
+    sp.add_argument("--p", type=float, help="edge density in [0, 1]; omitted, omega*ln(n)/sqrt(n) "
+                    "capped at 1, which is K_n for every n <= 1279 at the default omega")
     sp.add_argument("--omega", type=float, default=5.0)
     sp.add_argument("--eps", type=float, default=0.1)
     sp.add_argument("--trials", type=int, default=3)

@@ -213,13 +213,13 @@ def density_floor(g: Graph, ceiling: int, budget: int | None) -> int:
     return floor
 
 
-def hypercube_zeta_bound_check(d: int, k: int, zeta_k: int) -> bool:
+def hypercube_zeta_bound_check(k: int, zeta_k: int) -> bool:
     """True iff zeta_k <= k*log2(k)/2, decided exactly.
 
     The comparison is equivalent to the integer-power comparison
     4**zeta_k <= k**k, so the verdict is rigorous in both directions with
     no transcendental evaluation at all.
     """
-    if d < 0 or k < 1 or zeta_k < 0:
-        raise ValueError("need d >= 0, k >= 1, zeta_k >= 0")
+    if k < 1 or zeta_k < 0:
+        raise ValueError("need k >= 1, zeta_k >= 0")
     return 4**zeta_k <= k**k

@@ -14,12 +14,12 @@ through it ends with it: the child's value is 1 + the longer of the longest
 path ending at u that avoids v and the one ending at v that avoids u.  The
 branch keeps, per vertex w, ``din[w]``, the longest increasing path among
 the ranked edges that ends at w, and ``wit[w]``, the vertex mask of one such
-path.  A path end that must avoid a vertex mask is exactly din[u] where
-wit[u] misses the mask: no path ending at u is longer, and this one avoids
-it.  Only a witness through the mask sends it to the backward search
-``longest_ending_at.back``, whose depth is at most din[u].  Ranking an edge
-changes din and wit only at its two ends, and backtracking restores them
-from an undo record.
+path.  One method, ``longest_ending_at``, answers every path end that must
+avoid a vertex mask: it is exactly din[u] where wit[u] misses the mask, as
+no path ending at u is longer and this one avoids it.  Only a witness
+through the mask runs the backward search ``longest_ending_at.back``, whose
+depth is at most din[u].  Ranking an edge changes din and wit only at its
+two ends, and backtracking restores them from an undo record.
 
 Two cuts bound the whole subtree of a node, not one child:
 
@@ -216,17 +216,20 @@ class _RankedPrefix:
     def longest_ending_at(self, x: int, avoid: int, need: int) -> tuple[int, int]:
         """Longest increasing path among ranked edges that ends at vertex x
         and visits no vertex of the mask ``avoid``, with its vertex mask; or
-        the first such path found of at least ``need`` edges.  With need =
+        the first such path found of at least ``need`` edges.  With need >=
         din[x] the answer is always the longest.
 
-        Callers first try the witness rule: if wit[x] & avoid == 0, din[x]
-        and wit[x] are the answer.  Only a witness through the mask brings
-        them here, where ``back`` searches backwards from x along falling
-        ranks.  Its depth is at most din[x].  No path back from a vertex y is
-        longer than din[y], so it skips a neighbour whose din cannot beat the
-        best path so far, and leaves y once that path reaches din[y] or what
-        y still needs.
+        When wit[x] misses the mask, din[x] and wit[x] are the answer: no
+        path ending at x is longer, and this one avoids the mask.  Only a
+        witness through the mask runs ``back``, which searches backwards
+        from x along falling ranks.  Its depth is at most din[x].  No path
+        back from a vertex y is longer than din[y], so it skips a neighbour
+        whose din cannot beat the best path so far, and leaves y once that
+        path reaches din[y] or what y still needs.
         """
+        wit = self.wit[x]
+        if not wit & avoid:
+            return self.din[x], wit
         adj, rank_of, din = self.adj, self.rank_of, self.din
 
         def back(y: int, below: int, mask: int, need: int) -> tuple[int, int]:
@@ -249,10 +252,11 @@ class _RankedPrefix:
         ends with it once it takes the next rank above the prefix, raised to
         ``floor``.
 
-        The larger din goes first, and a side whose din cannot lift the
-        value is not evaluated at all.
+        Each side is a ``longest_ending_at`` query that avoids the other
+        end.  The larger din goes first, and a side whose din cannot lift
+        the value is not evaluated at all.
         """
-        din, wit, edges, end = self.din, self.wit, self.edges, self.longest_ending_at
+        din, edges, end = self.din, self.edges, self.longest_ending_at
         out = []
         for x in candidates:
             u, v = edges[x]
@@ -260,20 +264,11 @@ class _RankedPrefix:
                 u, v = v, u
             side = floor - 1
             if din[u] > side:
-                side = max(side, end(u, 1 << v, din[u])[0]) if wit[u] >> v & 1 else din[u]
+                side = max(side, end(u, 1 << v, din[u])[0])
             if din[v] > side:
-                side = max(side, end(v, 1 << u, din[v])[0]) if wit[v] >> u & 1 else din[v]
+                side = max(side, end(v, 1 << u, din[v])[0])
             out.append(side + 1)
         return out
-
-    def path_end(self, x: int, avoid: int, need: int) -> int:
-        """Length of the longest increasing path among ranked edges that ends
-        at x and visits no vertex of the mask ``avoid``, or of one with at
-        least ``need`` edges: din[x] when wit[x] misses the mask, else the
-        backward search, which stops once it reaches ``need``."""
-        if self.wit[x] & avoid:
-            return self.longest_ending_at(x, avoid, need)[0]
-        return self.din[x]
 
     def pair_forces(self, unranked: list[int], t: int) -> bool:
         """Whether two unranked edges (a, b) and (b, c) force a path of t + 2
@@ -284,7 +279,7 @@ class _RankedPrefix:
         and b), followed by both edges, is increasing.  That needs paths of
         t edges at both a and c, so only ends with din >= t are paired.
         """
-        din, edges, path_end = self.din, self.edges, self.path_end
+        din, edges, end = self.din, self.edges, self.longest_ending_at
         far: dict[int, list[int]] = {}  # shared vertex b -> far ends with din >= t
         for x in unranked:
             u, v = edges[x]
@@ -295,8 +290,8 @@ class _RankedPrefix:
         for b, ends in far.items():
             for i, a in enumerate(ends):
                 for c in ends[i + 1:]:
-                    if (path_end(a, (1 << b) | (1 << c), t) >= t
-                            and path_end(c, (1 << b) | (1 << a), t) >= t):
+                    if (end(a, (1 << b) | (1 << c), t)[0] >= t
+                            and end(c, (1 << b) | (1 << a), t)[0] >= t):
                         return True
         return False
 
@@ -309,13 +304,13 @@ class _RankedPrefix:
         """
         a, b = self.edges[e]
         din, wit, end = self.din, self.wit, self.longest_ending_at
-        da, db, wa, wb = din[a], din[b], wit[a], wit[b]
-        self.undo.append((da, wa, db, wb))
+        da, db = din[a], din[b]
+        self.undo.append((da, wit[a], db, wit[b]))
         sa = sb = -1  # -1: that end cannot lift the other
         if db >= da:
-            sb, mb = end(b, 1 << a, db) if wb >> a & 1 else (db, wb)
+            sb, mb = end(b, 1 << a, db)
         if da >= db:
-            sa, ma = end(a, 1 << b, da) if wa >> b & 1 else (da, wa)
+            sa, ma = end(a, 1 << b, da)
         if sb >= da:
             din[a], wit[a] = sb + 1, mb | (1 << a)
         if sa >= db:
@@ -346,11 +341,11 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
 
     A child (u, v) takes the top rank, so its value is the larger of the
     prefix value and 1 + the longest paths ending at u avoiding v and at v
-    avoiding u.  ``_RankedPrefix`` keeps din/wit along the branch: the u
-    side is din[u] when wit[u] avoids v, and only a witness through v runs
-    the backward search ``back``.  The values equal those of a backward
-    search for every child, so the nodes and the witness do not depend on
-    how often that happens.
+    avoiding u.  ``_RankedPrefix`` keeps din/wit along the branch, and its
+    ``longest_ending_at`` gives the u side as din[u] when wit[u] avoids v;
+    only a witness through v runs the backward search ``back``.  The values
+    equal those of a backward search for every child, so the nodes and the
+    witness do not depend on how often that happens.
 
     A node computes this value for every unranked edge and dies, with its
     whole subtree, when one of two bounds reaches the incumbent:

@@ -15,8 +15,7 @@ from typing import Iterable, Sequence
 
 from .adversary import upper_bound_report
 from .bounds import gnp_certificate, gnp_threshold_p, hypercube_k
-from .density import density_floor
-from .exactf import exact_f
+from .exactf import f_bounds_sandwich
 from .graphs import SoundnessError, degree_stats, make_hypercube, sample_gnp
 from .orderings import random_ordering
 from .pedestrian import run_pedestrian, sqrt_degree_floor
@@ -76,52 +75,37 @@ HYPERCUBE_HEADER = (
 )
 
 
-def _hypercube_row(d: int, psi_budget: int, seed: int) -> ExperimentRow:
+def _hypercube_row(d: int) -> ExperimentRow:
     t0 = time.perf_counter()
     g = make_hypercube(d)
-    # No anneal: the dimension ordering's trail d = 2m/n is the annealer's
-    # floor.  Q_2 and Q_3 report exact_f in place of the adversary; the
-    # sandwich closes both without a search node, so it needs no budget.
-    small = g.m <= 12
-    rep = upper_bound_report(g, seed=seed, restarts=0, psi_budget=psi_budget)
-    _, coloring_psi, coloring_exact = rep.strategies[0]
-
-    cert = density_floor(g, g.n, budget=psi_budget)
-
-    fval = fexact = adv_psi = adv_ver = None
-    if small:
-        fres = exact_f(g)
-        fval, fexact = fres.value, fres.exact
-    else:
-        adv_psi, adv_ver = rep.best_psi, rep.verified
-
+    # The sandwich's psi is the dimension ordering's, unbudgeted and
+    # verified; no anneal, as its trail d = 2m/n is the annealer's floor.
+    # Where the bracket closes, f is exact and no adversary is needed.
+    s = f_bounds_sandwich(g)
+    closed = s.lower == s.upper
     vals = (
         ("d", _fmt(d)),
         ("n", _fmt(g.n)),
         ("m", _fmt(g.m)),
         ("lower_ratio", _fmt(hypercube_k(d))),
         ("upper_dim", _fmt(d)),
-        ("coloring_psi", _fmt(coloring_psi)),
-        ("coloring_psi_exact", _fmt(coloring_exact)),
-        ("cert_lower", _fmt(cert)),
-        ("exact_f", _fmt(fval)),
-        ("exact_f_is_exact", _fmt(fexact)),
-        ("adversary_psi", _fmt(adv_psi)),
-        ("adversary_verified", _fmt(adv_ver)),
+        ("coloring_psi", _fmt(s.upper)),
+        ("coloring_psi_exact", _fmt(True)),
+        ("cert_lower", _fmt(s.lower)),
+        ("exact_f", _fmt(s.upper if closed else None)),
+        ("exact_f_is_exact", _fmt(True if closed else None)),
+        ("adversary_psi", _fmt(None if closed else s.upper)),
+        ("adversary_verified", _fmt(None if closed else True)),
     )
     ms = int((time.perf_counter() - t0) * 1000)
     return ExperimentRow(vals, ms)
 
 
-def experiment_hypercube(
-    d_max: int,
-    psi_budget: int = 200000,
-    seed: int = 0,
-) -> str:
+def experiment_hypercube(d_max: int) -> str:
     """One row per dimension 2..d_max; returns the CSV text."""
     if d_max < 2:
         raise ValueError("d_max must be at least 2")
-    rows = [_hypercube_row(d, psi_budget, seed) for d in range(2, d_max + 1)]
+    rows = [_hypercube_row(d) for d in range(2, d_max + 1)]
     return rows_to_csv(SCHEMA_HYPERCUBE, HYPERCUBE_HEADER, rows)
 
 

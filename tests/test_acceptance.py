@@ -208,7 +208,7 @@ def test_criterion_6_densest_subset_grid(capsys: pytest.CaptureFixture[str]) -> 
         values[(d, k)] = r.value
         if not r.exact:
             failures.append(f"zeta_{k}(Q_{d}) inexact")
-        if not hypercube_zeta_bound_check(d, k, r.value):
+        if not hypercube_zeta_bound_check(k, r.value):
             failures.append(f"zeta_{k}(Q_{d}) = {r.value} breaks the k*log2(k)/2 cap")
     # the cap is tight at k = 2 everywhere and at (d, k) = (3, 4)
     for (d, k), z in values.items():
@@ -281,7 +281,7 @@ def test_criterion_9_experiment_determinism(capsys: pytest.CaptureFixture[str]) 
         return [lines[0]] + [ln.rsplit(",", 1)[0] for ln in lines[1:]]
 
     failures = []
-    hyp = [experiment_hypercube(3, seed=0) for _ in range(2)]
+    hyp = [experiment_hypercube(3) for _ in range(2)]
     if stable(hyp[0]) != stable(hyp[1]):
         failures.append("hypercube campaign not reproducible")
     gnp_args = dict(p=0.3, omega=3.0, eps=0.1, trials=2, seed=1, psi_budget=50000)

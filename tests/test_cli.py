@@ -698,6 +698,16 @@ def test_experiment_hypercube_cli(capsys):
     assert len(lines) == 4  # schema + header + d=2 + d=3
 
 
+def test_experiment_hypercube_seed_budget_and_workers_change_nothing(capsys):
+    # the rows read only the bounds sandwich; the flags are accepted anyway
+    rc, plain, _ = run(capsys, "experiment", "hypercube", "--d-max", "6")
+    rc_flags, flagged, _ = run(capsys, "experiment", "hypercube", "--d-max", "6", "--seed", "7",
+                               "--psi-budget", "0", "--workers", "2")
+    assert rc == rc_flags == 0
+    assert [ln.rsplit(",", 1)[0] for ln in flagged.splitlines()] == [
+        ln.rsplit(",", 1)[0] for ln in plain.splitlines()]
+
+
 def test_experiment_gnp_cli_deterministic(capsys, tmp_path):
     argv = ["experiment", "gnp", "--n-list", "30", "--p", "0.3", "--trials", "2", "--seed", "1"]
     rc, out_a, _ = run(capsys, *argv)

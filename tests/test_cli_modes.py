@@ -90,10 +90,9 @@ INERT = {
     ("verify", "dimension", "budget"): "a cube's dimension ordering needs no search node",
     ("experiment", None, "workers"): "the CSV is the same at any worker count by design",
     ("experiment", "hypercube", "psi_budget"):
-        "the dimension ordering's psi and Harper's zeta need no search node on a cube",
+        "the rows read only the bounds sandwich, whose budgets are fixed",
     ("experiment", "hypercube", "seed"):
-        "on Q_2 and Q_3 the coloring entry is the only strategy and its psi is the "
-        "dimension count under any shuffle within the classes",
+        "the rows read only the bounds sandwich, whose seed is fixed",
 }
 
 

@@ -127,13 +127,13 @@ def test_sqrt_floor_from_criterion_shape() -> None:
 
 def test_hypercube_zeta_bound_exact_comparison() -> None:
     # zeta <= k*log2(k)/2 decided as 4**zeta <= k**k
-    assert alt.hypercube_zeta_bound_check(3, 4, 4)  # equality: 4*2/2 = 4
-    assert alt.hypercube_zeta_bound_check(3, 2, 1)  # equality: 2*1/2 = 1
-    assert alt.hypercube_zeta_bound_check(4, 1, 0)
-    assert not alt.hypercube_zeta_bound_check(3, 4, 5)
-    assert not alt.hypercube_zeta_bound_check(0, 2, 2)
+    assert alt.hypercube_zeta_bound_check(4, 4)  # equality: 4*2/2 = 4
+    assert alt.hypercube_zeta_bound_check(2, 1)  # equality: 2*1/2 = 1
+    assert alt.hypercube_zeta_bound_check(1, 0)
+    assert not alt.hypercube_zeta_bound_check(4, 5)
+    assert not alt.hypercube_zeta_bound_check(2, 2)
     with pytest.raises(ValueError):
-        alt.hypercube_zeta_bound_check(3, 0, 1)
+        alt.hypercube_zeta_bound_check(0, 1)
 
 
 def test_hypercube_zeta_equals_popcount_sum() -> None:

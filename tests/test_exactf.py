@@ -207,12 +207,14 @@ def test_inexact_start_value_raises_soundness_error(monkeypatch: pytest.MonkeyPa
 
 
 class _CountingPrefix(exactf._RankedPrefix):
-    """Counts the path-end evaluations that reach the backward search."""
+    """Counts the path-end queries whose witness meets the mask, the ones
+    that run the backward search."""
 
     fallbacks = 0
 
     def longest_ending_at(self, x: int, avoid: int, need: int) -> tuple[int, int]:
-        self.fallbacks += 1
+        if self.wit[x] & avoid:
+            self.fallbacks += 1
         return super().longest_ending_at(x, avoid, need)
 
 
@@ -264,8 +266,8 @@ def _random_walk_prefixes(g: alt.Graph, prefix: exactf._RankedPrefix, rng: rando
 def test_path_ends_avoiding_two_vertices_match_brute_force() -> None:
     # The pair cut needs a prefix path of t edges ending at a that avoids
     # both b and c; din/wit answer it when the witness misses them, back
-    # otherwise.  Asked for more edges than any path has, path_end gives
-    # the longest; asked for t, it is exact below t and at least t above.
+    # otherwise.  Asked for more edges than any path has, longest_ending_at
+    # gives the longest; asked for t, it is exact below t and at least t above.
     rng = random.Random(101)
     graphs = [g for _, g in named_small_graphs()]
     graphs += random_graphs(20, 4, 8, seed=103, m_max=10)
@@ -283,10 +285,10 @@ def test_path_ends_avoiding_two_vertices_match_brute_force() -> None:
                         continue
                     want = brute_path_end(g, prefix.ranked, x, {b, c})
                     avoid = (1 << b) | (1 << c)
-                    got = prefix.path_end(x, avoid, g.m + 1)
+                    got = prefix.longest_ending_at(x, avoid, g.m + 1)[0]
                     assert got == want, (g.edges, prefix.ranked, x, b, c)
                     t = rng.randrange(1, want + 2)
-                    got = prefix.path_end(x, avoid, t)
+                    got = prefix.longest_ending_at(x, avoid, t)[0]
                     assert min(got, t) == min(want, t) and got <= want, (g.edges, x, b, c, t)
                     checked += 1
         fallbacks += prefix.fallbacks

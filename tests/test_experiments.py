@@ -39,7 +39,7 @@ def _strip_wall(csv: str) -> str:
 
 
 def test_hypercube_campaign_rows() -> None:
-    schema_line, header, rows = _parse(experiment_hypercube(4, seed=0))
+    schema_line, header, rows = _parse(experiment_hypercube(4))
     assert schema_line == f"# schema={SCHEMA_HYPERCUBE}"
     assert header == list(HYPERCUBE_HEADER) + ["wall_ms"]
     assert [r["d"] for r in rows] == ["2", "3", "4"]
@@ -53,13 +53,13 @@ def test_hypercube_campaign_rows() -> None:
     assert int(d3["cert_lower"]) <= 3 <= int(d3["upper_dim"])
 
     d4 = rows[2]
-    assert d4["exact_f"] == ""  # too large for the exact branch
+    assert d4["exact_f"] == ""  # the sandwich leaves a gap
     assert int(d4["adversary_psi"]) <= 4
     assert int(d4["cert_lower"]) >= int(d4["lower_ratio"]) >= 2
 
 
 def test_hypercube_campaign_dimension_six_bracket() -> None:
-    _, _, rows = _parse(experiment_hypercube(6, seed=0))
+    _, _, rows = _parse(experiment_hypercube(6))
     d6 = rows[-1]
     assert d6["d"] == "6"
     assert int(d6["cert_lower"]) >= 3  # density certificate from zeta_3 = 2
@@ -69,9 +69,9 @@ def test_hypercube_campaign_dimension_six_bracket() -> None:
 
 
 def test_hypercube_campaign_solves_only_cubes_that_need_no_search() -> None:
-    # the campaign calls exact_f without a budget: every cube it solves
-    # closes at the sandwich, so no budget could change a row
-    _, _, rows = _parse(experiment_hypercube(6, seed=0))
+    # the campaign reports exact_f where the sandwich closes, which is
+    # where exact_f explores no node, so no budget could change a row
+    _, _, rows = _parse(experiment_hypercube(6))
     solved = [int(r["d"]) for r in rows if r["exact_f"]]
     assert solved == [2, 3]
     for d in solved:
@@ -79,9 +79,9 @@ def test_hypercube_campaign_solves_only_cubes_that_need_no_search() -> None:
         assert res.exact and res.explored == 0
 
 
-# experiment_hypercube(6, seed=0) without wall_ms, recorded with zeta on
+# experiment_hypercube(6) without wall_ms, recorded with zeta on
 # cubes from the branch-and-bound search: Harper's closed form must match it
-HYPERCUBE_D6_SEED0 = """\
+HYPERCUBE_D6 = """\
 # schema=altitude/experiment-hypercube/1
 d,n,m,lower_ratio,upper_dim,coloring_psi,coloring_psi_exact,cert_lower,exact_f,exact_f_is_exact,adversary_psi,adversary_verified
 2,4,4,2,2,2,true,2,2,true,,
@@ -92,9 +92,9 @@ d,n,m,lower_ratio,upper_dim,coloring_psi,coloring_psi_exact,cert_lower,exact_f,e
 
 
 def test_hypercube_campaign_golden_to_dimension_eight() -> None:
-    csv = experiment_hypercube(8, seed=0)
+    csv = experiment_hypercube(8)
     lines = [ln if ln.startswith("#") else ln.rsplit(",", 1)[0] for ln in csv.strip().splitlines()]
-    assert "\n".join(lines[:7]) == HYPERCUBE_D6_SEED0
+    assert "\n".join(lines[:7]) == HYPERCUBE_D6
     _, _, rows = _parse(csv)
     assert [r["d"] for r in rows] == [str(d) for d in range(2, 9)]
     assert [int(r["cert_lower"]) for r in rows] == [2, 3, 3, 3, 4, 5, 5]
@@ -102,9 +102,21 @@ def test_hypercube_campaign_golden_to_dimension_eight() -> None:
 
 
 def test_hypercube_campaign_reproducible() -> None:
-    a = experiment_hypercube(3, seed=5)
-    b = experiment_hypercube(3, seed=5)
+    a = experiment_hypercube(3)
+    b = experiment_hypercube(3)
     assert _strip_wall(a) == _strip_wall(b)
+
+
+def test_hypercube_rows_read_the_sandwich_to_dimension_ten() -> None:
+    # past the goldens' d = 8 too, each row is the sandwich's bracket, and
+    # exact_f is filled exactly where the bracket closes
+    _, _, rows = _parse(experiment_hypercube(10))
+    assert [r["d"] for r in rows] == [str(d) for d in range(2, 11)]
+    for r in rows:
+        s = alt.f_bounds_sandwich(alt.make_hypercube(int(r["d"])))
+        assert (int(r["cert_lower"]), int(r["coloring_psi"])) == (s.lower, s.upper)
+        closed = s.lower == s.upper
+        assert bool(r["exact_f"]) == closed and bool(r["adversary_psi"]) != closed
 
 
 def test_gnp_campaign_rows_and_guarantees() -> None:
@@ -137,6 +149,14 @@ def test_gnp_threshold_rule_records_union_bound() -> None:
     assert r["union_negative"] == "true" and want.certifies
 
 
+def test_gnp_threshold_rule_gives_complete_graphs_below_1280() -> None:
+    # at omega = 5, omega*ln(n)/sqrt(n) >= 1 for every n <= 1279, so every
+    # row without p is K_n
+    _, _, rows = _parse(experiment_gnp([30], None, omega=5.0, eps=0.1, trials=2, seed=0))
+    assert [(r["p"], r["m"]) for r in rows] == [("1", "435")] * 2
+    assert alt.gnp_threshold_p(1279, 5.0) >= 1 > alt.gnp_threshold_p(1280, 5.0)
+
+
 def test_gnp_vacuous_rows() -> None:
     _, _, rows = _parse(experiment_gnp([12], 0.0, omega=5.0, eps=0.1, trials=1, seed=0))
     r = rows[0]
@@ -157,7 +177,7 @@ def test_gnp_campaign_reproducible() -> None:
 # Golden rows, recorded before the campaign rows took their coloring bound
 # from upper_bound_report; the reproducibility tests above compare two runs
 # of one version and cannot catch a refactor that changes rows.
-HYPERCUBE_4_SEED_0 = [
+HYPERCUBE_4 = [
     "# schema=altitude/experiment-hypercube/1",
     "d,n,m,lower_ratio,upper_dim,coloring_psi,coloring_psi_exact,cert_lower,"
     "exact_f,exact_f_is_exact,adversary_psi,adversary_verified",
@@ -205,7 +225,7 @@ def _golden(csv: str) -> list[str]:
 
 
 def test_hypercube_campaign_golden() -> None:
-    assert _golden(experiment_hypercube(4, seed=0)) == HYPERCUBE_4_SEED_0
+    assert _golden(experiment_hypercube(4)) == HYPERCUBE_4
 
 
 def test_gnp_campaign_golden() -> None:
