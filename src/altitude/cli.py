@@ -221,7 +221,7 @@ _MODES = {
     "bounds": (_bounds_mode, {"gk": ("n",), "hypercube": ("d",), "ineq6": ("d",),
                               "sweep6": ("lo", "hi"), "gnp": ("n", "p", "omega", "eps")}),
     "experiment": (lambda args: args.campaign, {
-        "hypercube": ("d_max",), "gnp": ("n_list", "p", "omega", "eps", "trials"),
+        "hypercube": ("d_max",), "gnp": ("n_list", "p", "omega", "eps", "trials", "psi_budget"),
     }),
 }
 

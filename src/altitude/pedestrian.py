@@ -3,13 +3,17 @@
 One marker (pedestrian) starts on each vertex.  Edges are processed in rank
 order; the two pedestrians at an edge's endpoints swap places iff neither
 would step onto a vertex it already visited.  Each pedestrian therefore
-walks an increasing path.  Three facts make the transcript useful:
+walks an increasing path.  The transcript records only what happened (the
+paths, the edges walked and the swap decisions); the lemmas below derive
+the sets they need from the paths and the graph.  Three facts make the
+transcript useful:
 
-- coverage: every edge ends up inside some pedestrian's visited set, so the
-  visited sets of size <= k+1 cover E(G) whenever no pedestrian walked more
-  than k edges;
+- coverage: every edge has both endpoints visited by some pedestrian, so
+  the visited sets V_i, each of size <= k+1, cover E(G) whenever no
+  pedestrian walked more than k edges;
 - counting: m <= sum_i (|U_i| - |E_i|/2), where U_i is the edge set induced
-  by pedestrian i's vertices, with exact half-integer arithmetic;
+  by V_i and E_i the edges pedestrian i walked, with exact half-integer
+  arithmetic;
 - a floor: max_i |E_i| >= ceil(sqrt(average degree)) on every run, which
   also lower-bounds the longest increasing path of the ordering.
 """
@@ -23,6 +27,7 @@ from typing import Sequence
 
 from .graphs import Graph
 from .orderings import EdgeOrdering
+from .paths import PathResult, WitnessError, verify_witness
 
 
 class TranscriptError(ValueError):
@@ -31,25 +36,25 @@ class TranscriptError(ValueError):
 
 @dataclass(frozen=True)
 class PedestrianTranscript:
-    """Everything a pedestrian run produced.
+    """What a pedestrian run did.
 
-    paths[i] is pedestrian i's vertex sequence (it starts at vertex i);
-    edge_sets[i] its traversed edges E_i; vertex_sets[i] its visited
-    vertices V_i; induced_sets[i] the edges U_i induced by V_i.  swap_log
-    has one (edge, swapped) entry per edge in rank order.  final_position[i]
-    is where pedestrian i stopped.
+    paths[i] is pedestrian i's vertex sequence (it starts at vertex i) and
+    walks[i] the edges it took, in the order it took them.  swap_log has one
+    (edge, swapped) entry per edge in rank order.
     """
 
     paths: tuple[tuple[int, ...], ...]
-    edge_sets: tuple[frozenset[int], ...]
-    vertex_sets: tuple[frozenset[int], ...]
-    induced_sets: tuple[frozenset[int], ...]
+    walks: tuple[tuple[int, ...], ...]
     swap_log: tuple[tuple[int, bool], ...]
-    final_position: tuple[int, ...]
+
+    @property
+    def final_position(self) -> tuple[int, ...]:
+        """final_position[i] is where pedestrian i stopped."""
+        return tuple(p[-1] for p in self.paths)
 
     @property
     def max_path_edges(self) -> int:
-        return max((len(s) for s in self.edge_sets), default=0)
+        return max((len(w) for w in self.walks), default=0)
 
 
 @dataclass(frozen=True)
@@ -78,15 +83,14 @@ class CountingReport:
 
 
 def run_pedestrian(g: Graph, ordering: EdgeOrdering) -> PedestrianTranscript:
-    """Simulate the pedestrians under the given ordering and record everything."""
+    """Simulate the pedestrians under the given ordering and record the walks."""
     if ordering.m != g.m:
         raise ValueError("ordering does not match the graph's edge count")
     n = g.n
-    pos = list(range(n))  # pedestrian -> vertex
     who = list(range(n))  # vertex -> pedestrian
     paths: list[list[int]] = [[i] for i in range(n)]
     visited: list[set[int]] = [{i} for i in range(n)]
-    edge_sets: list[set[int]] = [set() for _ in range(n)]
+    walks: list[list[int]] = [[] for _ in range(n)]
     swap_log: list[tuple[int, bool]] = []
     for e in ordering.inverse:
         u, v = g.edges[e]
@@ -95,27 +99,16 @@ def run_pedestrian(g: Graph, ordering: EdgeOrdering) -> PedestrianTranscript:
         swap_log.append((e, swap))
         if swap:
             who[u], who[v] = j, i
-            pos[i], pos[j] = v, u
             paths[i].append(v)
             visited[i].add(v)
-            edge_sets[i].add(e)
+            walks[i].append(e)
             paths[j].append(u)
             visited[j].add(u)
-            edge_sets[j].add(e)
-
-    induced: list[frozenset[int]] = []
-    for i in range(n):
-        vs = visited[i]
-        induced.append(
-            frozenset(e for x in vs for w, e in g.adj[x] if x < w and w in vs)
-        )
+            walks[j].append(e)
     return PedestrianTranscript(
         paths=tuple(tuple(p) for p in paths),
-        edge_sets=tuple(frozenset(s) for s in edge_sets),
-        vertex_sets=tuple(frozenset(s) for s in visited),
-        induced_sets=tuple(induced),
+        walks=tuple(tuple(w) for w in walks),
         swap_log=tuple(swap_log),
-        final_position=tuple(pos),
     )
 
 
@@ -123,15 +116,17 @@ def check_invariants(g: Graph, ordering: EdgeOrdering, t: PedestrianTranscript) 
     """Replay the simulation independently and compare every recorded field.
 
     Raises TranscriptError on the first disagreement: wrong swap decision,
-    broken one-pedestrian-per-vertex occupancy, path/visited-set mismatch,
-    bad set cardinalities, or edge-membership parity not in {0, 2}.
+    broken one-pedestrian-per-vertex occupancy, a path or walk that differs
+    from the replay or fails ``paths.verify_witness`` as an increasing path,
+    or edge-membership parity not in {0, 2}.
     """
     n = g.n
-    if len(t.paths) != n or len(t.swap_log) != g.m:
+    if len(t.paths) != n or len(t.walks) != n or len(t.swap_log) != g.m:
         raise TranscriptError("transcript shape does not match the graph")
     who = list(range(n))
     pos = list(range(n))
     paths: list[list[int]] = [[i] for i in range(n)]
+    walks: list[list[int]] = [[] for _ in range(n)]
     visited: list[set[int]] = [{i} for i in range(n)]
     for step, e in enumerate(ordering.inverse):
         u, v = g.edges[e]
@@ -144,61 +139,45 @@ def check_invariants(g: Graph, ordering: EdgeOrdering, t: PedestrianTranscript) 
             pos[i], pos[j] = v, u
             paths[i].append(v)
             visited[i].add(v)
+            walks[i].append(e)
             paths[j].append(u)
             visited[j].add(u)
+            walks[j].append(e)
         if sorted(pos) != list(range(n)) or any(pos[who[x]] != x for x in range(n)):
             raise TranscriptError(f"occupancy broken after step {step}")
+    members = [0] * g.m
     for i in range(n):
+        walk = PathResult("path", len(t.walks[i]), t.paths[i], t.walks[i], True, 0)
+        try:
+            verify_witness(g, ordering, walk)
+        except WitnessError as exc:
+            raise TranscriptError(f"pedestrian {i}: {exc}") from None
         if tuple(paths[i]) != t.paths[i]:
             raise TranscriptError(f"path of pedestrian {i} disagrees with replay")
-        if t.vertex_sets[i] != visited[i]:
-            raise TranscriptError(f"vertex set of pedestrian {i} disagrees")
-        replay_edges = {
-            _edge_of(g, paths[i][s], paths[i][s + 1]) for s in range(len(paths[i]) - 1)
-        }
-        if t.edge_sets[i] != replay_edges:
-            raise TranscriptError(f"edge set of pedestrian {i} disagrees")
-        if len(t.vertex_sets[i]) != len(t.edge_sets[i]) + 1:
-            raise TranscriptError(f"pedestrian {i}: |V| != |E| + 1")
-        vs = t.vertex_sets[i]
-        want_u = frozenset(e for x in vs for w, e in g.adj[x] if x < w and w in vs)
-        if t.induced_sets[i] != want_u:
-            raise TranscriptError(f"induced edge set of pedestrian {i} disagrees")
-        ranks = [ordering.rank[_edge_of(g, a, b)] for a, b in zip(paths[i], paths[i][1:])]
-        if any(r2 <= r1 for r1, r2 in zip(ranks, ranks[1:])):
-            raise TranscriptError(f"path of pedestrian {i} is not increasing")
-        if len(set(paths[i])) != len(paths[i]):
-            raise TranscriptError(f"path of pedestrian {i} repeats a vertex")
-    if t.final_position != tuple(pos):
-        raise TranscriptError("final positions disagree with replay")
-    for e in range(g.m):
-        members = sum(1 for s in t.edge_sets if e in s)
-        if members not in (0, 2):
-            raise TranscriptError(f"edge {e} lies in {members} pedestrian paths")
-
-
-def _edge_of(g: Graph, a: int, b: int) -> int:
-    for w, e in g.adj[a]:
-        if w == b:
-            return e
-    raise TranscriptError(f"no edge joins {a} and {b}")
+        if tuple(walks[i]) != t.walks[i]:
+            raise TranscriptError(f"walk of pedestrian {i} disagrees with replay")
+        for e in t.walks[i]:
+            members[e] += 1
+    for e, count in enumerate(members):
+        if count not in (0, 2):
+            raise TranscriptError(f"edge {e} lies in {count} pedestrian paths")
 
 
 def verify_coverage(g: Graph, t: PedestrianTranscript) -> CoverageReport:
     """Check E(G) is covered by the induced sets U_i, sizes capped as promised.
 
-    Every edge must lie in at least one U_i, and every |V_i| must be at most
-    one more than the longest pedestrian walk.
+    Every edge must have both endpoints visited by one pedestrian, and every
+    |V_i| must be at most one more than the longest pedestrian walk.
     """
     cap = t.max_path_edges + 1
-    for i, vs in enumerate(t.vertex_sets):
-        if len(vs) > cap:
-            return CoverageReport(False, None)
-    covered: set[int] = set()
-    for s in t.induced_sets:
-        covered |= s
-    for e in range(g.m):
-        if e not in covered:
+    if any(len(set(p)) > cap for p in t.paths):
+        return CoverageReport(False, None)
+    visitors = [0] * g.n  # vertex -> bitmask of the pedestrians that visited it
+    for i, path in enumerate(t.paths):
+        for x in path:
+            visitors[x] |= 1 << i
+    for e, (u, v) in enumerate(g.edges):
+        if not visitors[u] & visitors[v]:
             return CoverageReport(False, e)
     return CoverageReport(True, None)
 
@@ -208,20 +187,25 @@ def verify_counting(
 ) -> CountingReport:
     """Evaluate the counting inequality exactly, plus the zeta chain if given.
 
-    zeta_values[s] must be the maximum edge count over s-vertex subsets, for
-    every s up to max |V_i|; it feeds the per-pedestrian comparison and the
-    aggregate bound m <= n (zeta(k) - (k-1)/2).
+    |U_i| is read off the adjacency masks of V_i and |E_i| is the length of
+    walk i.  zeta_values[s] must be the maximum edge count over s-vertex
+    subsets, for every s up to max |V_i|; it feeds the per-pedestrian
+    comparison and the aggregate bound m <= n (zeta(k) - (k-1)/2).
     """
-    per = tuple(
-        Fraction(len(u)) - Fraction(len(e), 2)
-        for u, e in zip(t.induced_sets, t.edge_sets)
-    )
+    vertex_sets = [set(path) for path in t.paths]
+    per = []
+    for vs, walk in zip(vertex_sets, t.walks):
+        v_mask = 0
+        for x in vs:
+            v_mask |= 1 << x
+        twice_u = sum((g.adj_mask[x] & v_mask).bit_count() for x in vs)
+        per.append(Fraction(twice_u - len(walk), 2))
     rhs = sum(per, Fraction(0))
-    k = max((len(vs) for vs in t.vertex_sets), default=0)
+    k = max((len(vs) for vs in vertex_sets), default=0)
     report = {
         "lhs": g.m,
         "rhs": rhs,
-        "per_pedestrian": per,
+        "per_pedestrian": tuple(per),
         "holds": g.m <= rhs,
         "k": k,
     }
@@ -231,7 +215,7 @@ def verify_counting(
         zk = Fraction(zeta_values[k]) - Fraction(k - 1, 2)
         per_ok = all(
             term <= Fraction(zeta_values[len(vs)]) - Fraction(len(vs) - 1, 2) <= zk
-            for term, vs in zip(per, t.vertex_sets)
+            for term, vs in zip(per, vertex_sets)
         )
         agg = g.n * zk
         report.update(

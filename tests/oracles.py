@@ -143,3 +143,9 @@ def brute_zeta(g: Graph, k: int) -> int:
         inside = set(subset)
         best = max(best, sum(1 for a, b in g.edges if a in inside and b in inside))
     return best
+
+
+def brute_induced(g: Graph, vertices) -> set[int]:
+    """Indices of the edges with both endpoints in ``vertices``."""
+    inside = set(vertices)
+    return {e for e, (a, b) in enumerate(g.edges) if a in inside and b in inside}

@@ -134,7 +134,7 @@ def test_criterion_3_pedestrian_battery(
         if not verify_counting(g, t).holds:
             failures.append(f"instance {idx}: counting inequality fails")
         for e in range(g.m):
-            if sum(1 for s in t.edge_sets if e in s) not in (0, 2):
+            if sum(1 for w in t.walks if e in w) not in (0, 2):
                 failures.append(f"instance {idx}: edge {e} membership parity")
                 break
         if t.max_path_edges < sqrt_degree_floor(g):

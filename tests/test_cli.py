@@ -8,6 +8,7 @@ files written via --out, and the exit code contract:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import importlib
 import json
 import multiprocessing
@@ -686,6 +687,38 @@ def test_graph_ordering_commands_golden_outputs(capsys, k3_file, q3_file, graph,
     assert out == json.dumps(want, indent=2) + "\n"
 
 
+# stdout of `pedestrian --verify` and `verify` on `gen --family gnp --n 40
+# --p 0.5 --seed 3` (m = 394) under `--ordering rand --seed 2`, recorded
+# while the transcript still stored its vertex and induced edge sets:
+# (exit code, sha256 of stdout, fields of the JSON).
+_GOLDEN_DENSE = {
+    "pedestrian": (0, "cf3bbdf07ed27140c6ed6abafe84ec6ea256bf2512e49f8f43485cac2d382dce", {
+        "max_path_edges": 21,
+        "verification": {"coverage": True, "counting_lhs": 394, "counting_rhs": "2090",
+                         "counting_holds": True, "sqrt_floor": 5, "floor_ok": True}}),
+    "verify": (4, "69aa6d847d3ebaba64c2027648dfa347aca6d71ba5e23958bbaeb6fa0b2b3e1e", {
+        "psi": 28, "psi_exact": False, "trail": 44, "pedestrian_max": 21,
+        "checks": {k: True for k in _ALL_CHECKS_PASS if k != "pedestrian_le_path"},
+        "ok": True}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GOLDEN_DENSE))
+def test_dense_gnp_pedestrian_and_verify_golden_outputs(capsys, tmp_path, command):
+    graph = tmp_path / "g40.txt"
+    assert main(["gen", "--family", "gnp", "--n", "40", "--p", "0.5", "--seed", "3",
+                 "--out", str(graph)]) == 0
+    capsys.readouterr()
+    extra = ["--verify"] if command == "pedestrian" else []
+    rc, out, err = run(capsys, command, "--graph", str(graph), "--ordering", "rand",
+                       "--seed", "2", *extra)
+    want_rc, want_sha, fields = _GOLDEN_DENSE[command]
+    assert rc == want_rc and err == ""
+    doc = json.loads(out)
+    assert {key: doc[key] for key in fields} == fields
+    assert hashlib.sha256(out.encode()).hexdigest() == want_sha
+
+
 # experiment
 
 
@@ -699,13 +732,18 @@ def test_experiment_hypercube_cli(capsys):
 
 
 def test_experiment_hypercube_seed_budget_and_workers_change_nothing(capsys):
-    # the rows read only the bounds sandwich; the flags are accepted anyway
+    # the rows read only the bounds sandwich; --seed and --workers are accepted
+    # anyway, and --psi-budget, which only the gnp rows read, is rejected
     rc, plain, _ = run(capsys, "experiment", "hypercube", "--d-max", "6")
     rc_flags, flagged, _ = run(capsys, "experiment", "hypercube", "--d-max", "6", "--seed", "7",
-                               "--psi-budget", "0", "--workers", "2")
+                               "--workers", "2")
     assert rc == rc_flags == 0
     assert [ln.rsplit(",", 1)[0] for ln in flagged.splitlines()] == [
         ln.rsplit(",", 1)[0] for ln in plain.splitlines()]
+    rc_budget, out, err = run(capsys, "experiment", "hypercube", "--d-max", "6",
+                              "--psi-budget", "0")
+    assert rc_budget == 3 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
 
 
 def test_experiment_gnp_cli_deterministic(capsys, tmp_path):

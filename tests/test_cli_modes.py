@@ -89,8 +89,6 @@ INERT = {
     ("psi", "dimension", "budget"): "a cube's dimension ordering needs no search node",
     ("verify", "dimension", "budget"): "a cube's dimension ordering needs no search node",
     ("experiment", None, "workers"): "the CSV is the same at any worker count by design",
-    ("experiment", "hypercube", "psi_budget"):
-        "the rows read only the bounds sandwich, whose budgets are fixed",
     ("experiment", "hypercube", "seed"):
         "the rows read only the bounds sandwich, whose seed is fixed",
 }

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 
 import altitude as alt
 from corpus import random_instances
-from oracles import brute_zeta
+from oracles import brute_induced, brute_zeta
 
 
 def test_triangle_transcript_by_hand() -> None:
@@ -17,8 +18,7 @@ def test_triangle_transcript_by_hand() -> None:
     g = alt.make_complete(3)
     t = alt.run_pedestrian(g, alt.identity_ordering(g))
     assert t.paths == ((0, 1), (1, 0, 2), (2, 0))
-    assert tuple(len(s) for s in t.edge_sets) == (1, 2, 1)
-    assert tuple(len(s) for s in t.induced_sets) == (1, 3, 1)
+    assert t.walks == ((0,), (0, 1), (1,))
     assert t.swap_log == ((0, True), (1, True), (2, False))
     assert t.final_position == (1, 2, 0)
     assert t.max_path_edges == 2
@@ -29,6 +29,7 @@ def test_triangle_transcript_by_hand() -> None:
     cnt = alt.verify_counting(g, t)
     assert cnt.lhs == 3
     assert cnt.rhs == Fraction(3)  # (1 - 1/2) + (3 - 1) + (1 - 1/2), equality
+    assert cnt.per_pedestrian == (Fraction(1, 2), 2, Fraction(1, 2))
     assert cnt.holds and cnt.k == 3
 
 
@@ -36,7 +37,7 @@ def test_matching_pedestrians_each_walk_one_edge() -> None:
     g = alt.make_matching(5)
     for seed in range(4):
         t = alt.run_pedestrian(g, alt.random_ordering(g, seed))
-        assert all(len(es) == 1 for es in t.edge_sets)
+        assert all(len(w) == 1 for w in t.walks)
         assert all(swapped for _, swapped in t.swap_log)
         cnt = alt.verify_counting(g, t)
         assert cnt.lhs == 5 and cnt.rhs == Fraction(5)  # equality on matchings
@@ -68,7 +69,7 @@ def test_counting_zeta_chain_on_connected_graphs() -> None:
             continue
         count += 1
         t = alt.run_pedestrian(g, phi)
-        k = max(len(vs) for vs in t.vertex_sets)
+        k = max(len(set(path)) for path in t.paths)
         zetas = [brute_zeta(g, s) for s in range(k + 1)]
         cnt = alt.verify_counting(g, t, zeta_values=zetas)
         assert cnt.per_pedestrian_zeta_holds
@@ -80,13 +81,57 @@ def test_counting_zeta_chain_on_connected_graphs() -> None:
 def test_coverage_negative_control_reports_dropped_edge() -> None:
     g = alt.make_complete(3)
     t = alt.run_pedestrian(g, alt.identity_ordering(g))
-    # edge 2 = (1,2) lies only in U_1; dropping it breaks coverage
-    mutated = list(t.induced_sets)
-    mutated[1] = mutated[1] - {2}
-    bad = replace(t, induced_sets=tuple(mutated))
+    # edge 2 = (1,2) lies only in U_1; cutting pedestrian 1's path to (1, 0)
+    # drops vertex 2 from V_1 and breaks coverage
+    bad = replace(t, paths=(t.paths[0], (1, 0), t.paths[2]))
     cov = alt.verify_coverage(g, bad)
     assert not cov.ok
     assert cov.violating_edge == 2
+
+
+def _set_based(g: alt.Graph, t: alt.PedestrianTranscript, zetas: list[int]) -> tuple:
+    """Coverage and counting from explicit vertex and induced edge sets."""
+    vertex_sets = [set(path) for path in t.paths]
+    induced = [brute_induced(g, vs) for vs in vertex_sets]
+    cap = max((len(w) for w in t.walks), default=0) + 1
+    uncovered = [e for e in range(g.m) if not any(e in u for u in induced)]
+    if any(len(vs) > cap for vs in vertex_sets):
+        coverage = (False, None)
+    else:
+        coverage = (not uncovered, uncovered[0] if uncovered else None)
+    per = tuple(Fraction(len(u)) - Fraction(len(w), 2) for u, w in zip(induced, t.walks))
+    k = max(len(vs) for vs in vertex_sets)
+    zk = Fraction(zetas[k]) - Fraction(k - 1, 2)
+    per_ok = all(
+        term <= Fraction(zetas[len(vs)]) - Fraction(len(vs) - 1, 2) <= zk
+        for term, vs in zip(per, vertex_sets)
+    )
+    return coverage, per, sum(per), k, per_ok, g.n * zk, g.m <= g.n * zk
+
+
+def test_mask_evaluation_matches_set_based_evaluation() -> None:
+    rng = random.Random(53)
+    uncovered = 0
+    for g, phi in random_instances(150, 2, 10, seed=53):
+        t = alt.run_pedestrian(g, phi)
+        walkers = [i for i, path in enumerate(t.paths) if len(path) > 1]
+        cases = [t]
+        if walkers:
+            # pedestrian i's path cut short, and with its start repeated at the end
+            i = rng.choice(walkers)
+            path = t.paths[i]
+            for tampered in (path[: rng.randrange(1, len(path))], path + path[:1]):
+                cases.append(replace(t, paths=t.paths[:i] + (tampered,) + t.paths[i + 1:]))
+        for case in cases:
+            k = max(len(set(path)) for path in case.paths)
+            zetas = [brute_zeta(g, s) for s in range(k + 1)]
+            cov = alt.verify_coverage(g, case)
+            cnt = alt.verify_counting(g, case, zeta_values=zetas)
+            got = ((cov.ok, cov.violating_edge), cnt.per_pedestrian, cnt.rhs, cnt.k,
+                   cnt.per_pedestrian_zeta_holds, cnt.aggregate_rhs, cnt.aggregate_holds)
+            assert got == _set_based(g, case, zetas)
+            uncovered += cov.violating_edge is not None
+    assert uncovered >= 20  # the cut paths must exercise violating_edge
 
 
 def test_replay_rejects_tampered_transcripts() -> None:
@@ -104,18 +149,17 @@ def test_replay_rejects_tampered_transcripts() -> None:
     with pytest.raises(alt.TranscriptError):
         alt.check_invariants(g, phi, wrong_path)
 
-    perm = list(t.final_position)
-    perm[0], perm[1] = perm[1], perm[0]
-    moved = replace(t, final_position=tuple(perm))
-    with pytest.raises(alt.TranscriptError):
-        alt.check_invariants(g, phi, moved)
+    reversed_walk = replace(t, walks=(t.walks[0][::-1],) + t.walks[1:])
+    assert reversed_walk.walks != t.walks
+    with pytest.raises(alt.TranscriptError, match="pedestrian 0: step 0"):
+        alt.check_invariants(g, phi, reversed_walk)
 
 
 def test_edge_membership_parity_zero_or_two() -> None:
     for g, phi in random_instances(60, 2, 16, seed=47):
         t = alt.run_pedestrian(g, phi)
         for e in range(g.m):
-            members = sum(1 for es in t.edge_sets if e in es)
+            members = sum(1 for w in t.walks if e in w)
             assert members in (0, 2)
 
 
