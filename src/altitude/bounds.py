@@ -11,11 +11,9 @@ govern the hypercube quantities, natural logarithms the random-graph ones.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 _TIE = 1e-13  # relative margin within which a float comparison is settled exactly
-_LOG2_E = 1 / math.log(2)
 
 
 def graham_kleitman(n: int) -> tuple[float, float]:
@@ -75,58 +73,33 @@ def verify_inequality_6(d: int) -> bool:
     return k**k < (1 << (d + k - 1))
 
 
-def _k_runs(lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (k, first, last) for each maximal run of d in [lo, hi], lo >= 5,
-    that shares k = ceil(d/log2 d).
-
-    d/log2 d rises by less than 1 per step, so k rises by one per run, and the
-    run of k ends at floor(x) for the root of x = k*log2(x), which Newton finds
-    from the previous root moved on by dx/dk, usually in one step.  A root
-    within ``_TIE``*x of an integer is settled exactly.  Float rounding of
-    lo/log2 lo may overshoot k by one, so the walk starts a run early and
-    skips the runs that end before lo.
-    """
-    log2 = math.log2
-    k = math.ceil(lo / log2(lo)) - 1
-    x, first = float(lo), lo
-    lg = log2(x)
-    while first <= hi:
-        tol = _TIE * x
-        x += lg * lg / (lg - _LOG2_E)
-        while True:
-            lg = log2(x)
-            step = (x - k * lg) / (1 - k * _LOG2_E / x)
-            x -= step
-            if step * step < tol:  # the error left is about step**2/x
-                break
-        last = int(x)
-        if x - last <= tol and hypercube_k(last) > k:
-            last -= 1
-        elif last + 1 - x <= tol and hypercube_k(last + 1) == k:
-            last += 1
-        if last >= first:
-            yield k, first, (last if last < hi else hi)
-            first = last + 1
-        k += 1
-
-
 def sweep_inequality_6(lo: int = 5, hi: int = 10**6) -> tuple[bool, tuple[int, ...]]:
     """Check the d-range [lo, hi]; returns (all hold, failures).
 
-    Walks the runs of constant k = ceil(d/log2 d) in O(1) memory, about
-    (hi - lo)/log2 hi steps.  Within a run the left side k*log2(k) - k + 1 is
-    fixed, so only the d up to it can fail; ``verify_inequality_6`` decides
-    those exactly, and a margin of ``_TIE`` covers float error, so the
-    outcome matches the exact per-d sweep.
+    One step per k = ceil(d/log2 d) in O(1) memory: for d >= 5, k never
+    falls and rises by at most one per step, so every k between those of lo
+    and hi has a run of d.  Across that run the left side
+    y = k*log2(k) - k + 1 is fixed, so only the d up to y can fail.  The run
+    ends at the larger root x of x = k*log2(x), and x > k*log2(k) > y, so
+    the walk down from y starts inside the run or below it.  A run that
+    starts above y (d/log2 d < k - 1 at d = y) is skipped without a walk.
+    ``verify_inequality_6`` decides each d walked exactly, and a margin of
+    ``_TIE`` on y and on the skip covers float error, so the outcome matches
+    the exact per-d sweep.
     """
     if lo < 5 or hi < lo:
         raise ValueError("need 5 <= lo <= hi")
     failures = []
-    for k, first, last in _k_runs(lo, hi):
-        top = k * math.log2(k) - k + 1 + _TIE * first  # the largest d that may fail
-        if top >= first:
-            top = min(last, int(top))
-            failures += [d for d in range(first, top + 1) if not verify_inequality_6(d)]
+    for k in range(hypercube_k(lo), hypercube_k(hi) + 1):
+        d = min(hi, int((k * math.log2(k) - k + 1) * (1 + _TIE)))  # the largest d that may fail
+        if d < lo or d < (k - 1) * math.log2(d) * (1 - _TIE):
+            continue
+        run = []
+        while d >= lo and hypercube_k(d) == k:
+            if not verify_inequality_6(d):
+                run.append(d)
+            d -= 1
+        failures += reversed(run)
     return (not failures, tuple(failures))
 
 

@@ -43,8 +43,8 @@ class WitnessError(ValueError):
 def verify_witness(g: Graph, ordering: EdgeOrdering, result: PathResult) -> bool:
     """Re-validate a witness from scratch; raises WitnessError on any defect.
 
-    Deliberately shares no state with the search code: edges are looked up
-    by endpoint pair in a fresh dict and every claimed property is checked.
+    Deliberately shares no state with the search code: each edge index is
+    range-checked, its pair read from ``g.edges``, and every claim checked.
     """
     if result.kind not in ("path", "trail"):
         raise WitnessError(f"unknown witness kind {result.kind!r}")
@@ -55,7 +55,6 @@ def verify_witness(g: Graph, ordering: EdgeOrdering, result: PathResult) -> bool
         if len(vs) != 1 or not (0 <= vs[0] < g.n):
             raise WitnessError("empty walk must sit on a single valid vertex")
         return True
-    lookup = {e: i for i, e in enumerate(g.edges)}
     if len(set(es)) != len(es):
         raise WitnessError("walk repeats an edge")
     if result.kind == "path" and len(set(vs)) != len(vs):
@@ -63,8 +62,7 @@ def verify_witness(g: Graph, ordering: EdgeOrdering, result: PathResult) -> bool
     prev_rank = 0
     for i, e in enumerate(es):
         a, b = vs[i], vs[i + 1]
-        key = (a, b) if a < b else (b, a)
-        if lookup.get(key) != e:
+        if not (0 <= e < g.m and g.edges[e] == ((a, b) if a < b else (b, a))):
             raise WitnessError(f"step {i}: edge {e} does not join {a} and {b}")
         r = ordering.rank[e]
         if r <= prev_rank:

@@ -143,7 +143,7 @@ def check_invariants(g: Graph, ordering: EdgeOrdering, t: PedestrianTranscript) 
             paths[j].append(u)
             visited[j].add(u)
             walks[j].append(e)
-        if sorted(pos) != list(range(n)) or any(pos[who[x]] != x for x in range(n)):
+        if pos[who[u]] != u or pos[who[v]] != v:
             raise TranscriptError(f"occupancy broken after step {step}")
     members = [0] * g.m
     for i in range(n):

@@ -80,32 +80,33 @@ def test_inequality_six_sweep_clean() -> None:
 
 
 def test_inequality_six_sweep_matches_per_d_exact_answer_on_sub_ranges() -> None:
-    # (6) holds on all of [5, 3000], so this set is empty; the sweep must not
+    # (6) holds on all of these d, so this set is empty; the sweep must not
     # report a d the exact test passes, whatever sub-range it starts in.
-    failing = {d for d in range(5, 3001) if not alt.verify_inequality_6(d)}
-    for lo in range(5, 399, 3):
-        for hi in (lo, lo + 1, lo + 53, 2500):
-            want = tuple(sorted(d for d in failing if lo <= d <= hi))
-            assert bounds.sweep_inequality_6(lo, hi) == (not want, want), (lo, hi)
+    # d/log2 d is an integer at 16, 256 and 65536, where k's run starts or
+    # ends only by the exact comparison: ranges start and end next to them.
+    failing = {d for d in [*range(5, 3001), *range(65535, 65598)]
+               if not alt.verify_inequality_6(d)}
+    ranges = [(lo, hi) for lo in range(5, 399, 3) for hi in (lo, lo + 1, lo + 53, 2500)]
+    ranges += [(lo, hi) for tie in (16, 256, 65536) for lo in (tie - 1, tie, tie + 1)
+               for hi in (tie - 1, tie, tie + 1, lo + 60) if hi >= lo]
+    for lo, hi in ranges:
+        want = tuple(sorted(d for d in failing if lo <= d <= hi))
+        assert bounds.sweep_inequality_6(lo, hi) == (not want, want), (lo, hi)
 
 
-def test_k_runs_agree_with_hypercube_k() -> None:
-    want: list[list[int]] = []
-    for d in range(5, 20001):
-        k = alt.hypercube_k(d)
-        if want and want[-1][0] == k:
-            want[-1][2] = d
-        else:
-            want.append([k, d, d])
-    assert list(bounds._k_runs(5, 20000)) == [tuple(run) for run in want]
-    # d/log2 d is an integer at 16, 256 and 65536: runs that start or end there
-    for lo in (15, 16, 17, 255, 256, 257, 65535, 65536, 65537):
-        hi = lo + 60
-        runs = list(bounds._k_runs(lo, hi))
-        assert [k for k, first, last in runs for _ in range(first, last + 1)] == [
-            alt.hypercube_k(d) for d in range(lo, hi + 1)
-        ], lo
-        assert all(k2 == k1 + 1 for (k1, _, _), (k2, _, _) in zip(runs, runs[1:]))
+def test_inequality_six_sweep_does_one_step_per_k(monkeypatch) -> None:
+    # a few hypercube_k calls per k, not one per d (about 10^5 here)
+    calls = 0
+    hypercube_k = bounds.hypercube_k
+
+    def counting(d: int) -> int:
+        nonlocal calls
+        calls += 1
+        return hypercube_k(d)
+
+    monkeypatch.setattr(bounds, "hypercube_k", counting)
+    assert bounds.sweep_inequality_6(5, 10**5) == (True, ())
+    assert calls <= hypercube_k(10**5) - hypercube_k(5) + 3
 
 
 def test_gnp_k_values_and_validation() -> None:

@@ -527,6 +527,32 @@ def test_bounds_inequality_point_and_sweep(capsys):
     assert rc == 0 and out.strip() == "all hold in [5, 1000]"
 
 
+def _sweep_doc(lo: int, hi: int) -> str:
+    return ('{\n  "schema": "altitude/bounds/1",\n  "name": "hypercube-key-inequality-sweep",\n'
+            f'  "lo": {lo},\n  "hi": {hi},\n  "holds": true,\n  "failures": []\n}}')
+
+
+# stdout, stderr, the --out file and the exit code, byte for byte; [255, 257]
+# and [16, 65537] start, end or cross the integer d/log2 d at 16, 256, 65536
+_GOLDEN_SWEEP6 = {
+    "default": ([], 0, "all hold in [5, 1000000]\n", "", _sweep_doc(5, 10**6)),
+    "16-65537": (["--lo", "16", "--hi", "65537"], 0, "all hold in [16, 65537]\n", "",
+                 _sweep_doc(16, 65537)),
+    "255-257": (["--lo", "255", "--hi", "257"], 0, "all hold in [255, 257]\n", "",
+                _sweep_doc(255, 257)),
+    "lo-4": (["--lo", "4"], 3, "", "error: need 5 <= lo <= hi\n", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_SWEEP6))
+def test_bounds_sweep6_golden_outputs(capsys, tmp_path, case):
+    argv, want_rc, want_out, want_err, want_doc = _GOLDEN_SWEEP6[case]
+    out_file = tmp_path / "sweep.json"
+    got = run(capsys, "bounds", "--sweep6", *argv, "--out", str(out_file))
+    assert got == (want_rc, want_out, want_err)
+    assert (out_file.read_text() if out_file.exists() else None) == want_doc
+
+
 def test_bounds_gnp_lower_bound(capsys):
     rc, out, _ = run(
         capsys,

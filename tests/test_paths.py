@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -424,6 +425,13 @@ def test_witness_checker_rejects_corrupted_results() -> None:
     with pytest.raises(alt.WitnessError):
         # consecutive vertices must actually be joined by the claimed edge
         alt.verify_witness(g, phi, tampered(vertices=(3, 3, 3)[: len(good.vertices)]))
+    # an edge index out of range, even one Python would accept (-1 names the
+    # last edge, (2, 3)), and a vertex outside the graph
+    for vertices, edges in (((2, 3), (-1,)), ((2, 3), (g.m,)), ((3, g.n), (5,))):
+        one_step = tampered(length=1, vertices=vertices, edges=edges)
+        message = f"step 0: edge {edges[0]} does not join {vertices[0]} and {vertices[1]}"
+        with pytest.raises(alt.WitnessError, match=re.escape(message)):
+            alt.verify_witness(g, phi, one_step)
 
 
 def test_trail_witness_checker_rejects_repeated_edge() -> None:
