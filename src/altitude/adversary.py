@@ -5,7 +5,9 @@ trail length is a certificate since paths are trails.  The annealer walks
 over rank swaps scoring moves by the trail value, re-sweeping only the rank
 blocks between the swapped ranks and a middle cut, and confirms
 improvements with the exact path search so no surrogate value is ever
-reported as psi.
+reported as psi.  A re-sweep stops early once it has passed the swapped
+blocks on its side of the cut and its state equals the stored snapshot
+there: every later snapshot, and so the value, is then as stored.
 
 No ordering's trail value lies below ceil(2m/n) (Graham and Kleitman,
 1973): relaxing an edge (u, v) raises best[u] + best[v] by at least 2, so
@@ -60,7 +62,7 @@ def _psi_or_trail(g: Graph, ordering: EdgeOrdering, budget: int | None) -> tuple
     res = longest_increasing_path(g, ordering, budget=budget)
     if res.exact:
         return res.length, True
-    return max(_trail_sweep(g, ordering.inverse)), False
+    return max(_trail_sweep(g, [g.edges[e] for e in ordering.inverse])), False
 
 
 def _sample_pair(randrange: Callable[[int], int], m: int) -> tuple[int, int]:
@@ -126,8 +128,6 @@ def _anneal(
     value is ``start``, so a caller that has scored it does not again."""
     m = g.m
     rng = random.Random(seed)
-
-    inverse = list(init.inverse)
     rank = list(init.rank)
 
     best_ord = init
@@ -145,41 +145,58 @@ def _anneal(
     # bwd[k] (k >= c) the reverse best[] over blocks k and up.  Swapping the
     # positions i < j changes neither fwd[k] for k * size <= i nor bwd[k]
     # for k * size > j, so a move re-sweeps only the blocks from i's up to
-    # the cut and from j's down to it.
+    # the cut and from j's down to it.  Once a forward re-sweep has passed
+    # the last edited block below the cut, a state equal to the stored one
+    # leaves every later one as it was, so it stops there; so does the
+    # reverse re-sweep below the first edited block above the cut.
+    # blocks[k] holds block k's endpoint pairs in rank order.
     size = 2 * math.isqrt(m)
     nblocks = -(-m // size)
     c = nblocks // 2
+    ends = g.edges
+    blocks = [[ends[e] for e in init.inverse[k * size : (k + 1) * size]] for k in range(nblocks)]
 
     def swap(a: int, b: int) -> tuple[int, int]:
-        """Swap the ranks of edges a and b, its own undo; return the blocks
-        to re-sweep as (lo, hi): forward from lo, in reverse from hi - 1."""
+        """Swap the ranks of edges a and b, its own undo; return the two
+        blocks it edited, the lower first."""
         ra, rb = rank[a], rank[b]
         rank[a], rank[b] = rb, ra
-        inverse[ra - 1], inverse[rb - 1] = b, a
-        if ra > rb:
-            ra, rb = rb, ra
-        lo, hi = (ra - 1) // size, (rb - 1) // size + 1
-        return (lo if lo < c else c), (hi if hi > c else c)  # not min/max: per-move cost
+        ka, kb = (ra - 1) // size, (rb - 1) // size
+        blocks[ka][ra - 1 - ka * size] = ends[b]
+        blocks[kb][rb - 1 - kb * size] = ends[a]
+        return (ka, kb) if ka < kb else (kb, ka)  # not min/max: per-move cost
 
-    def resweep(lo: int, hi: int) -> tuple[int, list, list]:
-        """The trail value, with fwd[lo + 1:c + 1] and bwd[c:hi] re-swept
-        from fwd[lo] and bwd[hi]; fwd and bwd themselves stay as they are."""
-        f = fwd[lo]
+    def resweep(i: int, j: int) -> tuple[int, list, list]:
+        """The trail value after edits in blocks i <= j, with the snapshots
+        that changed: new_f for fwd[i + 1:], new_b for bwd[j], bwd[j - 1],
+        and down; fwd and bwd themselves stay as they are."""
         new_f = []
-        for k in range(lo, c):
-            f = _trail_sweep(g, inverse[k * size : (k + 1) * size], best=f[:])
+        last = j if j < c else i
+        f = fwd[i if i < c else c]
+        for k in range(i, c):
+            f = _trail_sweep(g, blocks[k], best=f[:])
+            if k >= last and f == fwd[k + 1]:
+                f = fwd[c]
+                break
             new_f.append(f)
-        s = bwd[hi]
         new_b = []
-        for k in range(hi - 1, c - 1, -1):
-            s = _trail_sweep(g, reversed(inverse[k * size : (k + 1) * size]), best=s[:])
+        first = i if i >= c else j
+        s = bwd[j + 1 if j >= c else c]
+        for k in range(j, c - 1, -1):
+            s = _trail_sweep(g, reversed(blocks[k]), best=s[:])
+            if k <= first and s == bwd[k]:
+                s = bwd[c]
+                break
             new_b.append(s)
-        new_b.reverse()
         return max(map(add, f, s)), new_f, new_b
 
     fwd = [[0] * g.n]
+    for k in range(c):
+        fwd.append(_trail_sweep(g, blocks[k], best=fwd[k][:]))
     bwd = [[0] * g.n] * (nblocks + 1)  # entries below c stay unused
-    cur_obj, fwd[1:], bwd[c:nblocks] = resweep(0, nblocks)
+    for k in range(nblocks - 1, c - 1, -1):
+        bwd[k] = _trail_sweep(g, reversed(blocks[k]), best=bwd[k + 1][:])
+    cur_obj = max(map(add, fwd[c], bwd[c]))
     best_surrogate = cur_obj
     floor = -(-2 * m // g.n)
     if best_surrogate == floor:
@@ -199,16 +216,16 @@ def _anneal(
 
     for step in range(1, steps + 1):
         a, b = _sample_pair(randrange, m)
-        lo, hi = swap(a, b)
-        new_obj, new_f, new_b = resweep(lo, hi)
+        i, j = swap(a, b)
+        new_obj, new_f, new_b = resweep(i, j)
         delta = new_obj - cur_obj
         if delta > 0:  # uphill: the Metropolis rule at this step's temperature
             temp = t0 * 0.95 ** ((step - 1) // moves_per_level)
             if not (temp > 0 and rng.random() < math.exp(-delta / temp)):
                 swap(a, b)
                 continue
-        fwd[lo + 1 : c + 1] = new_f
-        bwd[c:hi] = new_b
+        fwd[i + 1 : i + 1 + len(new_f)] = new_f
+        bwd[j + 1 - len(new_b) : j + 1] = new_b[::-1]
         cur_obj = new_obj
         if new_obj < best_surrogate:
             if new_obj < floor:

@@ -617,8 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=3)
     sp.add_argument("--psi-budget", dest="psi_budget", type=int, default=200000)
     sp.add_argument("--workers", type=int,
-                    help="gnp: at most this many processes for the rows (default: one per "
-                         "usable CPU); no effect on hypercube")
+                    help="gnp: at most this many processes for the rows, this one included "
+                         "(default: one per usable CPU); no effect on hypercube")
     _add_common(sp, graph=False)
     sp.set_defaults(func="_cmd_experiment")
 

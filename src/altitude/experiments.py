@@ -8,6 +8,8 @@ byte-identical CSV except for the wall-time column, which is always last.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
 from io import StringIO
@@ -173,8 +175,12 @@ def _gnp_row(
     return ExperimentRow(vals, ms)
 
 
-# A row expected to have fewer edges takes under ~10 ms on a 2-core host,
-# about what starting a pool of two forked processes costs there.
+# On a 2-core host, forking one process with its pipes and reaping it costs
+# ~2.3 ms, and a row expected to have 100 edges takes 9-14 ms.  Two rows of
+# ~60 expected edges already finish sooner forked (15-17 ms against 17-23 ms
+# in this process), and rows of 36-47 break even.  100 is kept: rows
+# between 60 and 100 edges gain a few ms, within the host's run-to-run
+# noise, and no benchmarked campaign has one.
 POOL_MIN_EDGES = 100
 
 
@@ -203,12 +209,14 @@ def experiment_gnp(
     capped at 1.  An explicit p must lie in [0, 1].
 
     When at least two rows are expected to have ``POOL_MIN_EDGES`` edges or
-    more and this process may use at least two CPUs, every row runs in a
-    pool of forked processes, min(those rows, usable CPUs) of them, largest
-    expected edge count first so that no large row starts last.  ``workers``
-    caps the pool (None: no cap; below 2: no pool).  Otherwise every row
-    runs in this process and none is started.  The hypercube campaign has no pool: it runs
-    no anneal, so a row to d = 6 takes less than a process costs to start.
+    more and this process may use at least two CPUs, the rows run on
+    min(those rows, usable CPUs) processes: this one computes rows too and
+    forks the others (``_pooled_rows``).  Each takes the largest expected
+    edge count left, so that no large row starts last.  ``workers`` caps
+    the process count, this one included (None: no cap; below 2: no fork).
+    Otherwise every row runs in this process and none is forked.  The
+    hypercube campaign forks none: it runs no anneal, so a row to d = 6
+    takes less than a process costs to start.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -231,23 +239,87 @@ def experiment_gnp(
 
 
 def _pooled_rows(params: list[tuple], procs: int) -> list[ExperimentRow]:
-    """``_gnp_row`` over params on ``procs`` forked processes, in params order.
+    """``_gnp_row`` over params on this process and ``procs - 1`` forked
+    ones; the rows come back in params order.
 
-    The first failing row in params order raises, as it would serially; the
-    rows still queued are cancelled and every process is joined.  Workers are
-    forked, not spawned: a spawned one would start an interpreter and import
-    the package, which costs about as much as a campaign row, and the
-    executor forks all of them before it starts its own thread.
+    Each process claims one row at a time, largest expected edge count
+    first, so that no large row starts last, until none is left.  The
+    claims come from one counter that a pipe carries as its only message:
+    a process reads it, which makes the others wait, and writes it back
+    plus one.  A process keeps claiming after a row fails in it, but skips
+    the rows after its first failure in params order.  So every row before
+    the first failing one in params order is computed, and that failure is
+    raised, as it would be serially.  A child pickles its rows and its
+    failure to a pipe of its own and exits.  Every child is reaped, and
+    killed first if this process stops on an interrupt or an error.  A
+    child that exits without reporting raises ChildProcessError.  Children
+    are forked, not spawned: a spawned one would start an interpreter and
+    import the package, which costs about as much as a campaign row.  The
+    package starts no thread, so forking it is safe.
     """
-    # Imported here, so that a campaign without a pool does not load them.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     order = sorted(range(len(params)), key=lambda i: -_expected_edges(*params[i][:2]))
-    with ProcessPoolExecutor(procs, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = {i: pool.submit(_gnp_row, *params[i]) for i in order}
+    counter = os.pipe()
+    os.write(counter[1], (0).to_bytes(8, "little"))
+    children: dict[int, int] = {}  # pid: read end of its result pipe
+    reports = []
+    done = False
+    try:
+        for _ in range(procs - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: report and exit, whatever happens
+                status = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as out:
+                        pickle.dump(_claim_rows(params, order, counter), out)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children[pid] = r
+        rows, failure = _claim_rows(params, order, counter)
+        for r in children.values():
+            with open(r, "rb", closefd=False) as f:
+                reports.append(f.read())
+        done = True
+    finally:
+        for pid, r in children.items():
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.close(r)
+        codes = [(pid, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])) for pid in children]
+        os.close(counter[0])
+        os.close(counter[1])
+    for pid, code in codes:
+        if code != 0:
+            raise ChildProcessError(f"row process {pid} exited with status {code} "
+                                    "before reporting its rows")
+    for more, other in map(pickle.loads, reports):
+        rows.update(more)
+        if other is not None and (failure is None or other[0] < failure[0]):
+            failure = other
+    if failure is not None:
+        raise failure[1]
+    return [rows[i] for i in range(len(params))]
+
+
+def _claim_rows(
+    params: list[tuple], order: list[int], counter: tuple[int, int]
+) -> tuple[dict[int, ExperimentRow], tuple[int, Exception] | None]:
+    """The rows this process claims through the ``counter`` pipe, by params
+    index, and its failing row first in params order, as (index, exception)."""
+    rows = {}
+    failure = None
+    while True:
+        at = int.from_bytes(os.read(counter[0], 8), "little")
+        os.write(counter[1], (at + 1).to_bytes(8, "little"))
+        if at >= len(order):
+            return rows, failure
+        i = order[at]
+        if failure is not None and i > failure[0]:
+            continue
         try:
-            return [futures[i].result() for i in range(len(params))]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+            rows[i] = _gnp_row(*params[i])
+        except Exception as exc:  # reported by _pooled_rows if first in params order
+            failure = (i, exc)

@@ -72,10 +72,12 @@ def verify_witness(g: Graph, ordering: EdgeOrdering, result: PathResult) -> bool
 
 
 def _trail_sweep(
-    g: Graph, edges: Iterable[int], before: list | None = None, best: list[int] | None = None
+    g: Graph, pairs: Iterable[tuple[int, int]], before: list | None = None,
+    best: list[int] | None = None,
 ) -> list[int]:
     """Relax both ends of every edge, in the order given; the one trail kernel.
 
+    ``pairs`` lists the edges as endpoint pairs (u, v), in sweep order.
     best[v] is the longest increasing trail ending (forward sweep) or
     starting (reverse sweep) at v among the edges swept so far.  An edge
     (u, v) extends the trail at the end holding more, or at either on a tie,
@@ -84,22 +86,30 @@ def _trail_sweep(
     resume where a sweep over the preceding edges stopped (the annealer
     keeps such states at block boundaries); otherwise from all zeros.
 
-    If ``before`` is a list, before[e] = (best[u], best[v]) for e = (u, v),
-    u < v, as the sweep found them on reaching e.  The forward sweep's
-    trail witness reads from it which ends e raised: end x, with other end
-    y, rose when before[e][y > x] >= before[e][x > y].  In the reverse
-    sweep before[e] is (S_u(r+1), S_v(r+1)) for e's rank r, where S_x(r) is
-    the longest increasing trail leaving x on ranks >= r: the path search's
-    bound.
+    If ``before`` is a list, the sweep appends (best[u], best[v]) for each
+    pair as it found them on reaching it, so before[i] belongs to the i-th
+    pair swept.  The forward sweep's trail witness reads from it which ends
+    an edge raised: an end rose when the other end held at least as much.
+    In the reverse sweep the entry of e = (u, v) of rank r is (S_u(r+1),
+    S_v(r+1)), where S_x(r) is the longest increasing trail leaving x on
+    ranks >= r: the path search's bound.
     """
-    ends = g.edges
     if best is None:
         best = [0] * g.n
-    for e in edges:
-        u, v = ends[e]
+    if before is None:
+        for u, v in pairs:
+            bu, bv = best[u], best[v]
+            if bu > bv:
+                best[v] = bu + 1
+            elif bv > bu:
+                best[u] = bv + 1
+            else:
+                best[u] = best[v] = bu + 1
+        return best
+    record = before.append
+    for u, v in pairs:
         bu, bv = best[u], best[v]
-        if before is not None:
-            before[e] = (bu, bv)
+        record((bu, bv))
         if bu > bv:
             best[v] = bu + 1
         elif bv > bu:
@@ -118,17 +128,16 @@ def longest_increasing_trail(g: Graph, ordering: EdgeOrdering) -> PathResult:
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
-    before = [(0, 0)] * g.m
-    best = _trail_sweep(g, ordering.inverse, before)
+    ends = g.edges
+    pairs = [ends[e] for e in ordering.inverse]
+    before: list[tuple[int, int]] = []
+    best = _trail_sweep(g, pairs, before)
     end = max(range(g.n), key=lambda v: (best[v], -v))
 
-    ends = g.edges
     verts = [end]
     edges_rev = []
     v = end
-    for e in reversed(ordering.inverse):
-        a, b = ends[e]
-        ba, bb = before[e]
+    for e, (a, b), (ba, bb) in zip(reversed(ordering.inverse), reversed(pairs), reversed(before)):
         if (v == a and bb >= ba) or (v == b and ba >= bb):
             v = a + b - v
             edges_rev.append(e)
@@ -153,11 +162,11 @@ def longest_increasing_path(
     Branches on the starting edge in rank order, then extends by edges of
     higher rank to unvisited vertices.  A branch is cut when its length plus
     the trail bound S_w(r+1) at the vertex w it reaches by an edge e of rank
-    r cannot beat the incumbent; the reverse sweep's before[e] holds that
-    bound for both ends of e.  One pass over the edges in rank order lists
-    each vertex's children in rank order, each as (e, w, S_w(r+1), t), where
-    t indexes w's first child ranked above r; so stepping to w resumes at
-    w's list from t on, with no search for the rank.  The path's vertices
+    r cannot beat the incumbent; the reverse sweep's ``before`` entry for e
+    holds that bound for both ends.  One pass over the edges in rank order
+    lists each vertex's children in rank order, each as (e, w, S_w(r+1), t),
+    where t indexes w's first child ranked above r; so stepping to w resumes
+    at w's list from t on, with no search for the rank.  The path's vertices
     carry a flag, set when the search steps onto them and cleared when it
     steps back.  The search keeps its own stack, so no recursion limit caps
     the path length.  ``explored`` counts the children the search reaches
@@ -176,19 +185,19 @@ def longest_increasing_path(
     if len(set(trail.vertices)) == len(trail.vertices):
         return PathResult("path", trail.length, trail.vertices, trail.edges, True, 0)
 
-    before = [(0, 0)] * g.m
-    _trail_sweep(g, reversed(ordering.inverse), before)
+    ends = g.edges
+    pairs = [ends[e] for e in ordering.inverse]
+    before: list[tuple[int, int]] = []
+    _trail_sweep(g, reversed(pairs), before)
+    before.reverse()  # now in rank order, as pairs
     # kids[v]: v's edges in rank order.  Edge e = (u, v) of rank r lands at
     # the end of both lists, so w's first child ranked above r is the one
     # after e.  starts: the first frame's (a0, child b0) pairs, edges in
     # rank order and each edge from its lower end first.
     kids: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
     starts = []
-    ends = g.edges
-    for e in ordering.inverse:
-        u, v = ends[e]
+    for e, (u, v), (su, sv) in zip(ordering.inverse, pairs, before):
         ku, kv = kids[u], kids[v]
-        su, sv = before[e]
         to_v = (e, v, sv, len(kv) + 1)
         to_u = (e, u, su, len(ku) + 1)
         ku.append(to_v)

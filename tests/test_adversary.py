@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -271,8 +272,8 @@ def test_resweep_below_the_trail_floor_raises_soundness_error(monkeypatch) -> No
         drawn.append(m)
         return sample(randrange, m)
 
-    def undercount(g, edges, before=None, best=None):
-        best = sweep(g, edges, before, best)
+    def undercount(g, pairs, before=None, best=None):
+        best = sweep(g, pairs, before, best)
         return [0] * g.n if drawn else best
 
     monkeypatch.setattr(adversary, "_sample_pair", draw)
@@ -280,6 +281,35 @@ def test_resweep_below_the_trail_floor_raises_soundness_error(monkeypatch) -> No
     g = alt.make_hypercube(4)
     with pytest.raises(alt.SoundnessError):
         alt.local_search_min_psi(g, alt.random_ordering(g, 3), steps=400, seed=5)
+
+
+def test_resweep_scores_every_psi_check_as_a_full_sweep(monkeypatch) -> None:
+    # At each psi check the annealer's surrogate (its local new_obj) must be
+    # the candidate's trail value, also where the move's re-sweep stopped
+    # early at a snapshot equal to the stored one; and every stored snapshot
+    # must be the sweep of the candidate's blocks up to (or from) it.
+    checked, early = [], []
+    score = adversary._psi_or_trail
+    sweep = adversary._trail_sweep
+
+    def check(g, candidate, budget):
+        loc = sys._getframe(1).f_locals
+        if "new_obj" in loc:  # a move's check, not the start's
+            pairs = [g.edges[e] for e in candidate.inverse]
+            i, j, c, size = loc["i"], loc["j"], loc["c"], loc["size"]
+            checked.append(loc["new_obj"] == max(sweep(g, pairs)))
+            fwd, bwd = loc["fwd"], loc["bwd"]
+            checked.extend(fwd[k] == sweep(g, pairs[: k * size]) for k in range(c + 1))
+            checked.extend(bwd[k] == sweep(g, reversed(pairs[k * size :]))
+                           for k in range(c, len(bwd)))
+            early.append(len(loc["new_f"]) < c - i or len(loc["new_b"]) < j - c + 1)
+        return score(g, candidate, budget)
+
+    monkeypatch.setattr(adversary, "_psi_or_trail", check)
+    for g in random_graphs(11, 14, 22, seed=91):
+        alt.local_search_min_psi(g, alt.random_ordering(g, 1), steps=1500, seed=2)
+    assert len(checked) > 200 and all(checked)
+    assert sum(early) >= 3
 
 
 def test_sample_pair_replays_random_sample() -> None:

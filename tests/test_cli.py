@@ -11,7 +11,8 @@ import dataclasses
 import hashlib
 import importlib
 import json
-import multiprocessing
+import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -823,7 +824,8 @@ def _stable(text: str) -> list[str]:
     return [ln.rsplit(",", 1)[0] for ln in text.strip().splitlines()]
 
 
-def test_experiment_gnp_bench_campaigns_do_not_depend_on_workers(capsys, monkeypatch, tmp_path):
+def test_experiment_gnp_bench_campaigns_do_not_depend_on_workers(capsys, monkeypatch, tmp_path,
+                                                                  childless):
     for item in _bench_workloads(monkeypatch).build("campaign-gnp", 0, tmp_path):
         argv = list(item.argv)
         at = argv.index("--workers")
@@ -831,7 +833,7 @@ def test_experiment_gnp_bench_campaigns_do_not_depend_on_workers(capsys, monkeyp
         for flag in (["--workers", "1"], ["--workers", "2"], []):  # [] : one per usable CPU
             rc, out, err = run(capsys, *argv[:at], *flag, *argv[at + 2:])
             got.append((rc, _stable(out), err))
-            assert multiprocessing.active_children() == []
+            assert childless()
         assert got[0] == got[1] == got[2] and got[0][0] == 0
 
 
@@ -848,9 +850,10 @@ def _row_failing_at_50_and_60(n, p, trial, row_seed, *rest):
 
 
 def test_experiment_gnp_failing_row_reports_the_same_at_any_worker_count(
-        capsys, monkeypatch, tmp_path):
-    # The pool takes n = 60 and 50 first; the first failing row in parameter
-    # order (n = 50) must be the one reported, and the queued rows cancelled.
+        capsys, monkeypatch, tmp_path, childless):
+    # The processes claim n = 60 and 50 first; the first failing row in
+    # parameter order (n = 50) must be the one reported, and the rows after
+    # it skipped.
     monkeypatch.setattr(experiments, "_gnp_row", _row_failing_at_50_and_60)
     argv = ["experiment", "gnp", "--n-list", "40,50,60," + ",".join(["40"] * 11),
             "--p", "0.3", "--trials", "1"]
@@ -859,10 +862,32 @@ def test_experiment_gnp_failing_row_reports_the_same_at_any_worker_count(
         monkeypatch.setattr(sys.modules[__name__], "_STARTED", tmp_path / workers)
         (tmp_path / workers).mkdir()
         got.append(run(capsys, *argv, "--workers", workers))
-        assert multiprocessing.active_children() == []
+        assert childless()
     assert got[0] == got[1] == (3, "", "error: planted failure on n=50\n")
     assert len(list((tmp_path / "1").iterdir())) == 1
     assert len(list((tmp_path / "2").iterdir())) < 12
+
+
+def test_experiment_gnp_row_process_that_exits_unreported_is_an_error(
+        capsys, monkeypatch, childless, deadline):
+    # A forked process dies in its first row; this process's rows take 50 ms,
+    # so the child claims one.  The campaign must fail, not hang.
+    here = os.getpid()
+
+    def row(*args):
+        if os.getpid() != here:
+            os._exit(7)
+        time.sleep(0.05)
+        return _REAL_GNP_ROW(*args)
+
+    monkeypatch.setattr(experiments, "_gnp_row", row)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    rc, out, err = run(capsys, "experiment", "gnp", "--n-list", "40,50,60,70", "--p", "0.3",
+                       "--trials", "1", "--workers", "2")
+    assert (rc, out) == (3, "")
+    assert re.fullmatch(r"error: row process \d+ exited with status 7 before reporting its "
+                        r"rows\n", err)
+    assert childless()
 
 
 @pytest.mark.parametrize("campaign", [["gnp", "--n-list", "8", "--p", "0.3"],

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -285,40 +284,42 @@ def test_gnp_campaign_rejects_an_empty_n_list() -> None:
 @pytest.mark.parametrize("n_list,p,trials,golden", [([40, 60], 0.3, 2, GNP_40_60_SEED_0),
                                                     ([100], 0.1, 1, GNP_100_SEED_0)],
                          ids=["40-60", "100"])
-def test_gnp_campaign_rows_do_not_depend_on_workers(n_list, p, trials, golden) -> None:
-    for workers in (1, None):  # in-process, then pooled where two CPUs are usable
+def test_gnp_campaign_rows_do_not_depend_on_workers(childless, n_list, p, trials,
+                                                    golden) -> None:
+    for workers in (1, None):  # in-process, then forked where two CPUs are usable
         csv = experiment_gnp(n_list, p, omega=5.0, eps=0.1, trials=trials, seed=0,
                              workers=workers)
         assert _golden(csv) == golden
-        assert multiprocessing.active_children() == []
+        assert childless()
+
+
+def _placeholder_row(n, p, trial, *rest) -> ExperimentRow:
+    return ExperimentRow(tuple((h, f"{n}.{trial}") for h in GNP_HEADER), 0)
+
+
+def _refuse_fork():
+    raise AssertionError("a process was forked")
 
 
 @pytest.fixture
-def inline_pool(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
-    """An executor that records its size and the rows submitted, in order,
-    and computes a placeholder row in-process instead of starting processes."""
-    seen: dict[str, list] = {"max_workers": [], "submitted": []}
+def inline_scheduler(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
+    """The row scheduler run by this process alone: records the process count
+    each campaign asked for and the rows in the order claimed, and computes a
+    placeholder row for each, starting no process."""
+    seen: dict[str, list] = {"procs": [], "claimed": []}
+    pooled = experiments._pooled_rows
 
-    class Inline:
-        def __init__(self, max_workers, mp_context=None):
-            seen["max_workers"].append(max_workers)
+    def inline(params, procs):
+        seen["procs"].append(procs)
+        return pooled(params, 1)
 
-        def __enter__(self):
-            return self
+    def placeholder(n, p, trial, *rest):
+        seen["claimed"].append((n, trial))
+        return _placeholder_row(n, p, trial)
 
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, n, p, trial, *rest):
-            seen["submitted"].append((n, trial))
-            done = concurrent.futures.Future()
-            done.set_result(ExperimentRow(tuple((h, f"{n}.{trial}") for h in GNP_HEADER), 0))
-            return done
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+    monkeypatch.setattr(experiments, "_pooled_rows", inline)
+    monkeypatch.setattr(experiments, "_gnp_row", placeholder)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     return seen
 
@@ -326,7 +327,8 @@ def inline_pool(monkeypatch: pytest.MonkeyPatch) -> dict[str, list]:
 @pytest.mark.parametrize("workers,affinity,cpus,want", [
     (None, 8, 8, 3), (None, 2, 8, 2), (None, 1, 8, None), (None, None, 2, 2),
     (64, 8, 8, 3), (2, 8, 8, 2), (1, 8, 8, None)])
-def test_gnp_pool_size_is_capped(inline_pool, monkeypatch, workers, affinity, cpus, want) -> None:
+def test_gnp_pool_size_is_capped(inline_scheduler, monkeypatch, workers, affinity, cpus,
+                                 want) -> None:
     # rows of n = 10 expect 45 edges at p = 1: they do not count towards the size.
     # affinity None: an OS without sched_getaffinity, where the CPU count is used
     if affinity is None:
@@ -336,12 +338,12 @@ def test_gnp_pool_size_is_capped(inline_pool, monkeypatch, workers, affinity, cp
                             raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     experiment_gnp([10, 20, 30, 40], 1.0, omega=5.0, eps=0.1, trials=1, workers=workers)
-    assert inline_pool["max_workers"] == ([] if want is None else [want])
+    assert inline_scheduler["procs"] == ([] if want is None else [want])
 
 
-def test_gnp_pool_takes_the_largest_rows_first(inline_pool) -> None:
+def test_gnp_pool_takes_the_largest_rows_first(inline_scheduler) -> None:
     csv = experiment_gnp([20, 40, 30], 0.5, omega=5.0, eps=0.1, trials=2)
-    assert inline_pool["submitted"] == [(40, 0), (40, 1), (30, 0), (30, 1), (20, 0), (20, 1)]
+    assert inline_scheduler["claimed"] == [(40, 0), (40, 1), (30, 0), (30, 1), (20, 0), (20, 1)]
     # but the CSV keeps parameter order
     assert [ln.split(",")[0] for ln in csv.splitlines()[2:]] == [
         "20.0", "20.1", "40.0", "40.1", "30.0", "30.1"]
@@ -349,26 +351,93 @@ def test_gnp_pool_takes_the_largest_rows_first(inline_pool) -> None:
 
 @pytest.mark.parametrize("n_list", [[10, 12, 14], [10, 100]], ids=["all-small", "one-large"])
 def test_gnp_campaign_of_small_rows_starts_no_process(monkeypatch, n_list) -> None:
-    def refuse(*args, **kwargs):
-        raise AssertionError("a pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     csv = experiment_gnp(n_list, 0.1, omega=5.0, eps=0.1, trials=1, seed=0)
     assert len(csv.splitlines()) == 2 + len(n_list)
 
 
+_PARAMS = [(n, 0.5, 0, n, 5.0, 0.1, 1000) for n in (20, 40, 30, 50, 10, 60)]
+
+
+def _counting_forks(monkeypatch: pytest.MonkeyPatch) -> list[int]:
+    forks: list[int] = []
+    fork = os.fork
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def test_scheduler_reaps_every_child_after_a_clean_run(monkeypatch, childless) -> None:
+    forks = _counting_forks(monkeypatch)
+    monkeypatch.setattr(experiments, "_gnp_row", _placeholder_row)
+    rows = experiments._pooled_rows(_PARAMS, 3)
+    assert len(forks) == 2
+    assert rows == [_placeholder_row(*args) for args in _PARAMS]
+    assert childless()
+
+
+def test_scheduler_claims_each_row_once_on_more_processes_than_cores(
+        monkeypatch, tmp_path, childless, deadline) -> None:
+    # A lost update of the claim counter would run some row twice (the
+    # second touch raises) or never (its file is missing).
+    params = [(n, 0.5, 0, n, 5.0, 0.1, 1000) for n in range(10, 70)]
+
+    def row(n, p, trial, *rest):
+        (tmp_path / str(n)).touch(exist_ok=False)
+        return _placeholder_row(n, p, trial)
+
+    monkeypatch.setattr(experiments, "_gnp_row", row)
+    rows = experiments._pooled_rows(params, 4)
+    assert rows == [_placeholder_row(*args) for args in params]
+    assert len(list(tmp_path.iterdir())) == len(params)
+    assert childless()
+
+
+@pytest.mark.parametrize("in_child", [True, False], ids=["in-a-child", "in-this-process"])
+def test_scheduler_reaps_every_child_after_a_failing_row(monkeypatch, childless, deadline,
+                                                         in_child) -> None:
+    # Rows fail only on one side; the other side's rows take 50 ms, so that
+    # the side that fails claims rows too.
+    here = os.getpid()
+
+    def row(n, p, trial, *rest):
+        if (os.getpid() != here) == in_child:
+            raise alt.SoundnessError(f"planted failure on n={n}")
+        time.sleep(0.05)
+        return _placeholder_row(n, p, trial)
+
+    forks = _counting_forks(monkeypatch)
+    monkeypatch.setattr(experiments, "_gnp_row", row)
+    with pytest.raises(alt.SoundnessError, match="planted failure"):
+        experiments._pooled_rows(_PARAMS, 2)
+    assert len(forks) == 1
+    assert childless()
+
+
 def test_campaigns_without_a_pool_do_not_load_its_modules() -> None:
     # loading them adds ~2.5 MB to the resident memory of a process
+    # The last campaign forks a process where two CPUs are usable.
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "from altitude.cli import main\n"
+        "from altitude.experiments import _usable_cpus\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
         "main(['experiment', 'hypercube', '--d-max', '3', '--workers', '2'])\n"
         "main(['experiment', 'gnp', '--n-list', '20', '--p', '0.2', '--trials', '2',"
         " '--workers', '2'])\n"
+        "main(['experiment', 'gnp', '--n-list', '100,150', '--p', '0.1', '--trials', '1',"
+        " '--workers', '2'])\n"
+        "print(len(forks), _usable_cpus() > 1)\n"
         "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
     )
     src = str(Path(experiments.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.splitlines()[-2] in ("1 True", "0 False")
     assert done.stdout.splitlines()[-1] == "[]"

@@ -21,49 +21,53 @@ def test_trail_matches_oracle_on_small_instances() -> None:
         assert alt.verify_witness(g, phi, res)
 
 
+def _pairs(g, edges):
+    return [g.edges[e] for e in edges]
+
+
 def test_value_only_trail_matches_trail_sweep_and_oracle() -> None:
     # The annealer's value-only sweep (no before list) must agree with the
     # witness-recording one.
     for g, phi in random_instances(150, 2, 9, seed=23, m_max=8):
         want = brute_trail(g, phi)
-        assert max(_trail_sweep(g, phi.inverse)) == want
+        assert max(_trail_sweep(g, _pairs(g, phi.inverse))) == want
         assert alt.longest_increasing_trail(g, phi).length == want
 
 
 def test_reverse_sweep_before_matches_oracle() -> None:
     # The path search's bound on crossing e of rank r: S_u(r+1) and S_v(r+1).
     for g, phi in random_instances(60, 2, 8, seed=24, m_max=8):
-        before = [(0, 0)] * g.m
-        _trail_sweep(g, reversed(phi.inverse), before)
+        before = []
+        _trail_sweep(g, reversed(_pairs(g, phi.inverse)), before)
         for e, (u, v) in enumerate(g.edges):
             r = phi.rank[e]
             want = (brute_suffix_trail(g, phi, u, r + 1), brute_suffix_trail(g, phi, v, r + 1))
-            assert before[e] == want, (e, r)
+            assert before[g.m - r] == want, (e, r)  # the sweep reaches rank r at m - r
 
 
 def test_trail_sweep_resumes_from_best_in_place() -> None:
     g = alt.make_hypercube(3)
     phi = alt.random_ordering(g, 2)
-    head, tail = phi.inverse[:5], phi.inverse[5:]
+    head, tail = _pairs(g, phi.inverse[:5]), _pairs(g, phi.inverse[5:])
     start = _trail_sweep(g, head)
     out = _trail_sweep(g, tail, best=start)
     assert out is start
-    assert out == _trail_sweep(g, phi.inverse)
+    assert out == _trail_sweep(g, _pairs(g, phi.inverse))
 
 
 def test_trail_value_splits_at_every_rank_cut() -> None:
     # An increasing trail's part below a cut q ends where its part from q on
     # starts: the value is max over x of F_x(q) + S_x(q), the annealer's score.
     for g, phi in random_instances(60, 2, 12, seed=25):
-        want = max(_trail_sweep(g, phi.inverse))
+        want = max(_trail_sweep(g, _pairs(g, phi.inverse)))
         if g.m <= 6:
             assert want == brute_trail(g, phi)
         fwd = [[0] * g.n]
         for e in phi.inverse:
-            fwd.append(_trail_sweep(g, [e], best=fwd[-1][:]))
+            fwd.append(_trail_sweep(g, [g.edges[e]], best=fwd[-1][:]))
         bwd = [[0] * g.n]
         for e in reversed(phi.inverse):
-            bwd.append(_trail_sweep(g, [e], best=bwd[-1][:]))
+            bwd.append(_trail_sweep(g, [g.edges[e]], best=bwd[-1][:]))
         for q in range(g.m + 1):
             f, s = fwd[q], bwd[g.m - q]
             assert max(a + b for a, b in zip(f, s)) == want, q
