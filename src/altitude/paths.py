@@ -2,8 +2,11 @@
 
 A trail repeats no edge; a path additionally repeats no vertex.  Lengths are
 counted in edges.  The trail length is computed by a single pass over the
-edges in rank order and dominates the path length, so it doubles as the
-pruning bound for the exact path search.
+edges in rank order and dominates the path length, and an optimal trail
+that repeats no vertex is a longest path.  Otherwise the path search bounds
+each directed edge by path values of the edges ranked above it, settled
+from the top rank down, and searches only where neither a witness nor the
+incumbent settles one.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ class PathResult:
     indices joining them (ranks strictly increasing).  ``exact`` is False
     only when a node budget ran out before the search space was exhausted;
     the length is then still a valid lower bound with a valid witness.
-    ``explored`` counts search-tree expansions (edge relaxations for the
-    trail pass).
+    ``explored`` counts the children the path search reaches, and is m
+    (its edge relaxations) for the trail pass.
     """
 
     kind: str  # "path" or "trail"
@@ -90,9 +93,10 @@ def _trail_sweep(
     pair as it found them on reaching it, so before[i] belongs to the i-th
     pair swept.  The forward sweep's trail witness reads from it which ends
     an edge raised: an end rose when the other end held at least as much.
-    In the reverse sweep the entry of e = (u, v) of rank r is (S_u(r+1),
+    In a reverse sweep the entry of e = (u, v) of rank r is (S_u(r+1),
     S_v(r+1)), where S_x(r) is the longest increasing trail leaving x on
-    ranks >= r: the path search's bound.
+    ranks >= r.  The path search does not read it: its per-edge path values
+    are never looser.
     """
     if best is None:
         best = [0] * g.n
@@ -157,21 +161,13 @@ def longest_increasing_trail(g: Graph, ordering: EdgeOrdering) -> PathResult:
 def longest_increasing_path(
     g: Graph, ordering: EdgeOrdering, budget: int | None = None
 ) -> PathResult:
-    """Longest increasing path (psi) by depth-first search with pruning.
+    """Longest increasing path (psi): the optimal trail when it repeats no
+    vertex, else the top-down pass of ``_start_values``.
 
-    Branches on the starting edge in rank order, then extends by edges of
-    higher rank to unvisited vertices.  A branch is cut when its length plus
-    the trail bound S_w(r+1) at the vertex w it reaches by an edge e of rank
-    r cannot beat the incumbent; the reverse sweep's ``before`` entry for e
-    holds that bound for both ends.  One pass over the edges in rank order
-    lists each vertex's children in rank order, each as (e, w, S_w(r+1), t),
-    where t indexes w's first child ranked above r; so stepping to w resumes
-    at w's list from t on, with no search for the rank.  The path's vertices
-    carry a flag, set when the search steps onto them and cleared when it
-    steps back.  The search keeps its own stack, so no recursion limit caps
-    the path length.  ``explored`` counts the children the search reaches
-    (unvisited ends of higher-ranked edges), whether or not the bound then
-    cuts them.  ``budget`` caps it; on exhaustion the incumbent is returned
+    ``explored`` counts the children that the pass's depth-first searches
+    reach (unvisited ends of higher-ranked edges), whether or not the bound
+    then cuts them; an edge that the witness rule or the incumbent settles
+    costs none.  ``budget`` caps it; on exhaustion the incumbent is returned
     with exact=False (a valid lower bound) and explored = budget + 1.
     """
     if g.n == 0:
@@ -184,68 +180,130 @@ def longest_increasing_path(
     trail = longest_increasing_trail(g, ordering)
     if len(set(trail.vertices)) == len(trail.vertices):
         return PathResult("path", trail.length, trail.vertices, trail.edges, True, 0)
+    return _start_values(g, ordering, budget)[0]
 
+
+def _unchain(node) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Vertices and edges of a path kept as nested cells (v, e, rest), where
+    rest is the next cell or, after the last edge, the last vertex."""
+    vs, es = [], []
+    while type(node) is tuple:
+        v, e, node = node
+        vs.append(v)
+        es.append(e)
+    vs.append(node)
+    return tuple(vs), tuple(es)
+
+
+def _start_values(
+    g: Graph, ordering: EdgeOrdering, budget: int | None
+) -> tuple[PathResult, list[int], list]:
+    """The psi search: a bound K[d] on the longest increasing path that
+    starts with each directed edge d, settled from the top rank down.
+
+    Edge e = (u, v), u < v, gives d = 2e leaving u and d = 2e + 1 leaving v.
+    When d = (a, b) of rank r comes up, every edge leaving b above r has its
+    K, so U = 1 + the largest of them bounds K[d].  If the edge attaining U
+    has a witness, a path of its K edges, that misses a, then a followed by
+    that path is a witness of U and K[d] = U exactly (the witness rule of
+    ``exactf._RankedPrefix.longest_ending_at``).  Otherwise K[d] = U if U
+    cannot beat the incumbent B; else a depth-first search runs from b,
+    avoiding a, and K[d] is the incumbent after it: the longest path
+    starting with d if that beat B, else B.  Either way no path starting
+    with d beats the final incumbent, which is therefore psi.
+
+    The search keeps its own stack, so no recursion limit caps the path
+    length.  It walks each vertex's edges in rank order, from the first
+    ranked above the edge it arrived by; each edge is listed once per call
+    with the place in the other end's list where the edges ranked above it
+    begin, so a step needs no search for the rank.  A child x reached by d'
+    at depth t (edges on the stack) is counted, becomes the incumbent if
+    t + 1 beats it, and is entered if t + K[d'] does.  The path's vertices
+    carry flags, set on each step forward and cleared on each step back.
+
+    Returns the result, K, and wit: wit[d] is (vertex mask, path as cells)
+    of a path of K[d] edges starting with d, or None where K[d] is only a
+    bound.  A capped result leaves the edges not yet settled at 0 and None.
+    """
     ends = g.edges
-    pairs = [ends[e] for e in ordering.inverse]
-    before: list[tuple[int, int]] = []
-    _trail_sweep(g, reversed(pairs), before)
-    before.reverse()  # now in rank order, as pairs
-    # kids[v]: v's edges in rank order.  Edge e = (u, v) of rank r lands at
-    # the end of both lists, so w's first child ranked above r is the one
-    # after e.  starts: the first frame's (a0, child b0) pairs, edges in
-    # rank order and each edge from its lower end first.
-    kids: list[list[tuple[int, int, int, int]]] = [[] for _ in range(g.n)]
-    starts = []
-    for e, (u, v), (su, sv) in zip(ordering.inverse, pairs, before):
+    # kids[v]: v's edges in rank order, each as [e, w, K, t]: K is that of e
+    # leaving v, set when e is settled, and t indexes w's first edge ranked
+    # above e (e lands at the end of both lists, so the one after it).
+    kids: list[list[list[int]]] = [[] for _ in range(g.n)]
+    ranked = []  # (e, its two directions as (tail, entry, d)), in rank order
+    for e in ordering.inverse:
+        u, v = ends[e]
         ku, kv = kids[u], kids[v]
-        to_v = (e, v, sv, len(kv) + 1)
-        to_u = (e, u, su, len(ku) + 1)
+        to_v, to_u = [e, v, 0, len(kv) + 1], [e, u, 0, len(ku) + 1]
         ku.append(to_v)
         kv.append(to_u)
-        starts += ((u, to_v), (v, to_u))
-
-    best_len = 0
-    best_vs: tuple[int, ...] = (0,)
-    best_es: tuple[int, ...] = ()
+        ranked.append((e, ((u, to_v, 2 * e), (v, to_u, 2 * e + 1))))
+    bound = [0] * (2 * g.m)
+    wit: list = [None] * (2 * g.m)
+    # The largest K of the edges leaving each vertex settled so far, and the
+    # witness of one edge attaining it if any has one: the empty path at first.
+    top_k = [0] * g.n
+    top_w: list = [(1 << v, v) for v in range(g.n)]
+    best_len, best_path = 0, 0  # the incumbent, as cells: vertex 0 alone
     explored = 0
     limit = inf if budget is None else budget
     seen = [False] * g.n
-    for a0, first in starts:
-        if 1 + first[2] <= best_len:
-            continue
-        # Depth-first with an explicit stack.  A frame holds an open vertex's
-        # untried higher-ranked children; the first frame holds a0 with the
-        # single child b0.  A vertex is counted, scored and bounded when its
-        # parent's frame reaches it, and gets a frame of its own only if the
-        # bound does not cut it.  length is the edge count of a path ending
-        # at a child of the top frame.
-        stack_vs: list[int] = [a0]
-        stack_es: list[int] = []
-        seen[a0] = True
-        frames = [iter((first,))]
-        length = 1
-        while frames:
-            for e, w, s, t in frames[-1]:
-                if seen[w]:
-                    continue
-                explored += 1
-                if explored > limit:
-                    return PathResult("path", best_len, best_vs, best_es, False, explored)
-                if length > best_len:
-                    best_len = length
-                    best_vs = (*stack_vs, w)
-                    best_es = (*stack_es, e)
-                if length + s > best_len:
-                    seen[w] = True
-                    stack_vs.append(w)
-                    stack_es.append(e)
-                    frames.append(iter(kids[w][t:]))
-                    length += 1
-                    break
-            else:  # every child of the frame tried: step back
-                frames.pop()
-                seen[stack_vs.pop()] = False
-                length -= 1
-                if stack_es:
-                    stack_es.pop()
-    return PathResult("path", best_len, best_vs, best_es, True, explored)
+    for e, sides in reversed(ranked):
+        for a, first, d in sides:
+            b = first[1]
+            k, w = top_k[b] + 1, top_w[b]
+            if w is not None and not w[0] >> a & 1:
+                w = (w[0] | 1 << a, (a, e, w[1]))
+                if k > best_len:
+                    best_len, best_path = k, w[1]
+            elif k <= best_len:
+                w = None
+            else:
+                # A frame holds an open vertex's untried children; the first
+                # holds a with the single child b, whose bound is U.
+                first[2] = k
+                stack_vs, stack_es = [a], []
+                seen[a] = True
+                frames = [iter((first,))]
+                gap = best_len  # the incumbent less the stack's edge count
+                found = None
+                while frames:
+                    for e2, x, k2, t in frames[-1]:
+                        if seen[x]:
+                            continue
+                        explored += 1
+                        if explored > limit:
+                            vs, es = found or _unchain(best_path)
+                            return (PathResult("path", best_len, vs, es, False, explored),
+                                    bound, wit)
+                        if k2 > gap:  # always so if the path to x is the longest yet
+                            if gap <= 0:
+                                best_len, gap = len(stack_vs), 1
+                                found = (*stack_vs, x), (*stack_es, e2)
+                            seen[x] = True
+                            stack_vs.append(x)
+                            stack_es.append(e2)
+                            frames.append(iter(kids[x][t:]))
+                            gap -= 1
+                            break
+                    else:  # every child of the frame tried: step back
+                        frames.pop()
+                        seen[stack_vs.pop()] = False
+                        gap += 1
+                        if stack_es:
+                            stack_es.pop()
+                k, w = best_len, None
+                if found:
+                    vs, es = found
+                    best_path = vs[-1]
+                    for x, e2 in zip(vs[-2::-1], es[::-1]):
+                        best_path = (x, e2, best_path)
+                    w = (sum(1 << x for x in vs), best_path)
+            first[2] = bound[d] = k
+            wit[d] = w
+        for a, first, d in sides:
+            k = bound[d]
+            if k > top_k[a] or (k == top_k[a] and top_w[a] is None):
+                top_k[a], top_w[a] = k, wit[d]
+    vs, es = _unchain(best_path)
+    return PathResult("path", best_len, vs, es, True, explored), bound, wit

@@ -65,6 +65,25 @@ def brute_suffix_trail(g: Graph, ordering: EdgeOrdering, v: int, r: int) -> int:
     return best
 
 
+def brute_start_path(g: Graph, ordering: EdgeOrdering, e: int, tail: int) -> int:
+    """Longest increasing path whose first edge is e, leaving its end
+    ``tail``, by enumerating every simple increasing path that starts so."""
+    u, v = g.edges[e]
+    head = v if tail == u else u
+    best = 0
+
+    def dfs(x: int, last: int, visited: frozenset[int], length: int) -> None:
+        nonlocal best
+        best = max(best, length)
+        for w, f in g.adj[x]:
+            r = ordering.rank[f]
+            if r > last and w not in visited:
+                dfs(w, r, visited | {w}, length + 1)
+
+    dfs(head, ordering.rank[e], frozenset((tail, head)), 1)
+    return best
+
+
 def brute_top_value(g: Graph, prefix: list[int], x: int) -> int:
     """Longest increasing path that ends with edge x once x takes the rank
     above the ranked prefix (edges listed in rank order), by enumerating

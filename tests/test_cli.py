@@ -155,8 +155,10 @@ def test_psi_budget_exhaustion_exits_4(capsys, tmp_path):
 
 def test_psi_on_a_path_2000_edges_deep_has_no_recursion_limit(capsys, tmp_path):
     # The path edges of C_2000 ranked 1..1999 along the path and the closing
-    # edge 2000: the best trail returns to vertex 0, so the search must walk
-    # 1999 edges deep.
+    # edge 2000: the best trail returns to vertex 0, so the search runs.  The
+    # witness rule settles every directed edge but 0 -> 1 without a search
+    # node, and that edge's search walks 1999 edges deep, each child reached
+    # once.
     g = make_cycle(2000)
     ranks = [2000 if (a, b) == (0, 1999) else a + 1 for a, b in g.edges]
     graph, order = tmp_path / "c2000.txt", tmp_path / "c2000.ord"
@@ -167,7 +169,8 @@ def test_psi_on_a_path_2000_edges_deep_has_no_recursion_limit(capsys, tmp_path):
     assert (rc, err) == (0, "")
     doc = json.loads(out)
     assert doc["length"] == 1999 and doc["exact"] is True
-    assert doc["vertices"] == list(range(2000))
+    assert doc["vertices"] == [*range(1, 2000), 0]
+    assert doc["explored"] <= g.m
 
 
 # pedestrian
@@ -676,8 +679,8 @@ _ALL_CHECKS_PASS = {
     "pedestrian_floor": True, "pedestrian_le_path": True,
 }
 _GOLDEN_GRAPH_COMMANDS = {
-    ("k3", "psi"): {"length": 2, "exact": True, "explored": 4, "vertices": [0, 1, 2],
-                    "edges": [0, 2]},
+    ("k3", "psi"): {"length": 2, "exact": True, "explored": 2, "vertices": [0, 2, 1],
+                    "edges": [1, 2]},
     ("k3", "trail"): {"length": 3, "vertices": [1, 0, 2, 1], "edges": [0, 1, 2]},
     ("k3", "pedestrian"): {
         "paths": [[0, 1], [1, 0, 2], [2, 0]],
@@ -716,15 +719,16 @@ def test_graph_ordering_commands_golden_outputs(capsys, k3_file, q3_file, graph,
 
 # stdout of `pedestrian --verify` and `verify` on `gen --family gnp --n 40
 # --p 0.5 --seed 3` (m = 394) under `--ordering rand --seed 2`, recorded
-# while the transcript still stored its vertex and induced edge sets:
-# (exit code, sha256 of stdout, fields of the JSON).
+# while the transcript still stored its vertex and induced edge sets; the
+# capped psi of `verify` since the top-down path search: (exit code, sha256
+# of stdout, fields of the JSON).
 _GOLDEN_DENSE = {
     "pedestrian": (0, "cf3bbdf07ed27140c6ed6abafe84ec6ea256bf2512e49f8f43485cac2d382dce", {
         "max_path_edges": 21,
         "verification": {"coverage": True, "counting_lhs": 394, "counting_rhs": "2090",
                          "counting_holds": True, "sqrt_floor": 5, "floor_ok": True}}),
-    "verify": (4, "69aa6d847d3ebaba64c2027648dfa347aca6d71ba5e23958bbaeb6fa0b2b3e1e", {
-        "psi": 28, "psi_exact": False, "trail": 44, "pedestrian_max": 21,
+    "verify": (4, "c4e200fc3cb01b290b99697f1bc019b7afa65330dfdd7fa71525135ad6658d2e", {
+        "psi": 29, "psi_exact": False, "trail": 44, "pedestrian_max": 21,
         "checks": {k: True for k in _ALL_CHECKS_PASS if k != "pedestrian_le_path"},
         "ok": True}),
 }

@@ -45,7 +45,7 @@ BASE = {
     ("zeta", "greedy"): ["zeta", "--graph", "{hub}", "--k", "4", "--greedy"],
     ("zeta", "exact"): ["zeta", "--graph", "{q3_relabelled}", "--k", "3"],
     ("exact-f", None): ["exact-f", "--graph", "{c7}"],
-    ("adversary", "anneal"): ["adversary", "--graph", "{g8b}", "--steps", "200"],
+    ("adversary", "anneal"): ["adversary", "--graph", "{g8c}", "--steps", "200"],
     ("adversary", "portfolio"): ["adversary", "--graph", "{g8b}", "--steps", "200",
                                  "--portfolio"],
     ("bounds", "gk"): ["bounds", "--gk", "--n", "7"],
@@ -102,6 +102,8 @@ def files(tmp_path_factory) -> dict[str, str]:
     graphs = {
         "k3": make_complete(3), "q3": make_hypercube(3), "c7": make_cycle(7),
         "g8": sample_gnp(8, 0.5, seed=1), "g8b": sample_gnp(8, 0.4, seed=3),
+        # psi checks of its anneal need search nodes, so --budget 0 caps them
+        "g8c": sample_gnp(8, 0.4, seed=4),
         # greedy zeta(4) finds the K_4 only from a random start inside it
         "hub": Graph.from_edges(25, hub + k4),
         # labels hypercube_dimension does not recognise, so zeta searches

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import altitude as alt
-from altitude import experiments
+from altitude import cli, experiments
 from altitude.experiments import (
     GNP_HEADER,
     HYPERCUBE_HEADER,
@@ -240,6 +240,19 @@ def test_gnp_campaign_golden_many_blocks() -> None:
 def test_gnp_campaign_golden_dense() -> None:
     csv = experiment_gnp([40, 60], p=0.3, omega=5.0, eps=0.1, trials=2, seed=0)
     assert _golden(csv) == GNP_40_60_SEED_0
+
+
+def test_dense_gnp_campaign_proves_psi_up_to_n_60(capsys) -> None:
+    # The coloring orderings' psi on both n = 60 rows is proved within the
+    # default budget of 200000 nodes (in 26098 and 44754; their trails are
+    # 35 and 37).  Both n = 100 rows stay capped and report the trail.
+    argv = ["experiment", "gnp", "--n-list", "40,60,100", "--p", "0.5", "--trials", "2",
+            "--seed", "0", "--workers", "1"]
+    assert cli.main(argv) == 0
+    _, _, rows = _parse(capsys.readouterr().out)
+    got = [(r["n"], r["coloring_psi"], r["coloring_psi_exact"]) for r in rows]
+    assert got[2:] == [("60", "31", "true"), ("60", "34", "true"),
+                       ("100", "58", "false"), ("100", "55", "false")]
 
 
 def test_gnp_row_builds_one_misra_gries_coloring(monkeypatch: pytest.MonkeyPatch) -> None:

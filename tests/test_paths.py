@@ -8,9 +8,9 @@ import re
 import pytest
 
 import altitude as alt
-from altitude.paths import _trail_sweep
+from altitude.paths import _start_values, _trail_sweep, _unchain
 from corpus import random_instances
-from oracles import brute_psi, brute_suffix_trail, brute_trail
+from oracles import brute_psi, brute_start_path, brute_suffix_trail, brute_trail
 
 
 def test_trail_matches_oracle_on_small_instances() -> None:
@@ -35,7 +35,7 @@ def test_value_only_trail_matches_trail_sweep_and_oracle() -> None:
 
 
 def test_reverse_sweep_before_matches_oracle() -> None:
-    # The path search's bound on crossing e of rank r: S_u(r+1) and S_v(r+1).
+    # A reverse sweep records S_u(r+1) and S_v(r+1) on reaching e of rank r.
     for g, phi in random_instances(60, 2, 8, seed=24, m_max=8):
         before = []
         _trail_sweep(g, reversed(_pairs(g, phi.inverse)), before)
@@ -80,6 +80,37 @@ def test_path_matches_oracle_on_small_instances() -> None:
         assert res.length == brute_psi(g, phi)
         assert res.kind == "path"
         assert alt.verify_witness(g, phi, res)
+
+
+def test_start_values_bound_each_edge_and_equal_it_where_witnessed() -> None:
+    # K[d] bounds the longest increasing path that starts with directed edge
+    # d, and equals it wherever the pass kept a witness: a path of K[d] edges
+    # that starts with d.  The search, alone and behind the trail shortcut,
+    # finds psi whenever it reports an exact result.
+    witnessed = 0
+    for g, phi in random_instances(300, 4, 8, seed=28, m_max=10):
+        psi = brute_psi(g, phi)
+        res, bound, wit = _start_values(g, phi, None)
+        assert res.exact and res.length == psi
+        for e, (u, v) in enumerate(g.edges):
+            for d, tail, head in ((2 * e, u, v), (2 * e + 1, v, u)):
+                want = brute_start_path(g, phi, e, tail)
+                assert bound[d] >= want, (e, tail)
+                if wit[d] is None:
+                    continue
+                witnessed += 1
+                mask, cells = wit[d]
+                vs, es = _unchain(cells)
+                assert bound[d] == want == len(es), (e, tail)
+                assert vs[:2] == (tail, head) and es[0] == e
+                assert mask == sum(1 << x for x in vs)
+                alt.verify_witness(g, phi, alt.PathResult("path", len(es), vs, es, True, 0))
+        for budget in (None, 5, 50):
+            search = _start_values(g, phi, budget)[0]
+            for r in (search, alt.longest_increasing_path(g, phi, budget)):
+                assert alt.verify_witness(g, phi, r)
+                assert r.length == psi if r.exact else r.length <= psi
+    assert witnessed > 1000
 
 
 def test_path_at_most_trail_and_trail_floor() -> None:
@@ -159,30 +190,31 @@ def test_known_path_values() -> None:
     assert alt.verify_witness(empty, alt.identity_ordering(empty), res)
 
 
-# Recorded from the breakpoint-history implementation of the trail sweep.
-# Each case: graph, seed of its random ordering, the trail (length,
-# vertices, edges) and the path (length, vertices, edges, exact, explored)
-# at budgets None, 1, 40 and 2000.  Every optimal trail but C_9's repeats a
-# vertex, so the search runs there.
+# Trails recorded from the breakpoint-history implementation of the trail
+# sweep, paths from the top-down search of per-edge path values.  Each case:
+# graph, seed of its random ordering, the trail (length, vertices, edges)
+# and the path (length, vertices, edges, exact, explored) at budgets None,
+# 1, 40 and 2000.  Every optimal trail but C_9's repeats a vertex, so the
+# search runs there.
 _GOLDEN_SEARCH = {
     "K6": (
         lambda: alt.make_complete(6), 5,
         (8, (5, 1, 0, 2, 5, 4, 3, 0, 5), (8, 0, 1, 11, 14, 12, 2, 4)),
         {
-            None: (5, (1, 5, 3, 2, 4, 0), (8, 13, 9, 10, 3), True, 109),
-            1: (1, (1, 5), (8,), False, 2),
-            40: (5, (1, 5, 3, 2, 4, 0), (8, 13, 9, 10, 3), False, 41),
-            2000: (5, (1, 5, 3, 2, 4, 0), (8, 13, 9, 10, 3), True, 109),
+            None: (5, (1, 3, 2, 4, 0, 5), (6, 9, 10, 3, 4), True, 111),
+            1: (4, (2, 4, 3, 0, 5), (10, 12, 2, 4), False, 2),
+            40: (5, (1, 3, 2, 4, 0, 5), (6, 9, 10, 3, 4), False, 41),
+            2000: (5, (1, 3, 2, 4, 0, 5), (6, 9, 10, 3, 4), True, 111),
         },
     ),
     "Q4": (
         lambda: alt.make_hypercube(4), 3,
         (7, (8, 9, 1, 0, 4, 6, 2, 0), (20, 6, 0, 2, 13, 8, 1)),
         {
-            None: (7, (9, 8, 12, 14, 10, 2, 6, 7), (20, 22, 29, 26, 9, 8, 17), True, 26),
-            1: (1, (8, 9), (20,), False, 2),
-            40: (7, (9, 8, 12, 14, 10, 2, 6, 7), (20, 22, 29, 26, 9, 8, 17), True, 26),
-            2000: (7, (9, 8, 12, 14, 10, 2, 6, 7), (20, 22, 29, 26, 9, 8, 17), True, 26),
+            None: (7, (9, 8, 12, 14, 10, 2, 6, 7), (20, 22, 29, 26, 9, 8, 17), True, 13),
+            1: (6, (11, 15, 14, 10, 2, 6, 7), (27, 31, 26, 9, 8, 17), False, 2),
+            40: (7, (9, 8, 12, 14, 10, 2, 6, 7), (20, 22, 29, 26, 9, 8, 17), True, 13),
+            2000: (7, (9, 8, 12, 14, 10, 2, 6, 7), (20, 22, 29, 26, 9, 8, 17), True, 13),
         },
     ),
     "C9": (
@@ -199,10 +231,10 @@ _GOLDEN_SEARCH = {
         lambda: alt.sample_gnp(14, 0.4, 7), 11,
         (9, (2, 4, 13, 8, 7, 0, 4, 1, 8, 11), (15, 26, 33, 29, 4, 2, 9, 10, 32)),
         {
-            None: (8, (4, 2, 12, 0, 6, 3, 1, 8, 11), (15, 19, 7, 3, 21, 8, 10, 32), True, 134),
-            1: (1, (2, 4), (15,), False, 2),
-            40: (7, (2, 4, 13, 1, 0, 9, 8, 11), (15, 26, 13, 0, 5, 31, 32), False, 41),
-            2000: (8, (4, 2, 12, 0, 6, 3, 1, 8, 11), (15, 19, 7, 3, 21, 8, 10, 32), True, 134),
+            None: (8, (4, 2, 12, 0, 6, 3, 1, 8, 11), (15, 19, 7, 3, 21, 8, 10, 32), True, 128),
+            1: (3, (11, 2, 9, 13), (18, 17, 36), False, 2),
+            40: (6, (13, 7, 0, 4, 1, 8, 11), (30, 4, 2, 9, 10, 32), False, 41),
+            2000: (8, (4, 2, 12, 0, 6, 3, 1, 8, 11), (15, 19, 7, 3, 21, 8, 10, 32), True, 128),
         },
     ),
     "G22": (
@@ -218,22 +250,16 @@ _GOLDEN_SEARCH = {
                 (9, 11, 5, 1, 19, 10, 2, 20, 6, 15, 13, 8, 18),
                 (49, 32, 10, 13, 51, 15, 18, 40, 38, 53, 46, 47),
                 True,
-                98,
+                184,
             ),
-            1: (1, (9, 11), (49,), False, 2),
-            40: (
-                12,
-                (9, 11, 5, 1, 19, 10, 2, 20, 6, 15, 13, 8, 18),
-                (49, 32, 10, 13, 51, 15, 18, 40, 38, 53, 46, 47),
-                False,
-                41,
-            ),
+            1: (6, (3, 7, 6, 15, 13, 8, 18), (20, 36, 38, 53, 46, 47), False, 2),
+            40: (8, (21, 20, 3, 7, 6, 15, 13, 8, 18), (57, 24, 20, 36, 38, 53, 46, 47), False, 41),
             2000: (
                 12,
                 (9, 11, 5, 1, 19, 10, 2, 20, 6, 15, 13, 8, 18),
                 (49, 32, 10, 13, 51, 15, 18, 40, 38, 53, 46, 47),
                 True,
-                98,
+                184,
             ),
         },
     ),
@@ -247,29 +273,33 @@ _GOLDEN_SEARCH = {
         {
             None: (
                 10,
-                (25, 0, 5, 8, 28, 20, 4, 19, 13, 17, 22),
-                (5, 1, 31, 47, 74, 27, 26, 58, 57, 68),
+                (0, 5, 8, 28, 20, 4, 19, 13, 16, 1, 25),
+                (1, 31, 47, 74, 27, 26, 58, 56, 9, 13),
                 True,
-                85,
+                79,
             ),
-            1: (1, (0, 25), (5,), False, 2),
+            1: (4, (26, 4, 29, 13, 1), (28, 30, 61, 8), False, 2),
             40: (
                 9,
-                (25, 0, 5, 8, 27, 26, 4, 29, 13, 1),
-                (5, 1, 31, 46, 78, 28, 30, 61, 8),
+                (27, 8, 28, 20, 4, 19, 13, 16, 1, 25),
+                (46, 47, 74, 27, 26, 58, 56, 9, 13),
                 False,
                 41,
             ),
             2000: (
                 10,
-                (25, 0, 5, 8, 28, 20, 4, 19, 13, 17, 22),
-                (5, 1, 31, 47, 74, 27, 26, 58, 57, 68),
+                (0, 5, 8, 28, 20, 4, 19, 13, 16, 1, 25),
+                (1, 31, 47, 74, 27, 26, 58, 56, 9, 13),
                 True,
-                85,
+                79,
             ),
         },
     ),
 }
+
+
+# psi as every earlier search proved it: a re-recorded golden keeps these.
+_PROVED = {"K6": 5, "Q4": 7, "C9": 4, "G14": 8, "G22": 12, "G30": 10, "G40": 20}
 
 
 @pytest.mark.parametrize("name", list(_GOLDEN_SEARCH))
@@ -282,33 +312,37 @@ def test_path_golden_search(name: str) -> None:
     for budget, want in paths.items():
         r = alt.longest_increasing_path(g, phi, budget=budget)
         assert (r.length, r.vertices, r.edges, r.exact, r.explored) == want, budget
+        assert not r.exact or r.length == _PROVED[name]
 
 
-# The capped regime, recorded from the search that kept an n-bit visited
-# mask per frame and sliced each child list with bisect.  Each case: graph,
+# The capped regime, recorded from the top-down search.  Each case: graph,
 # seed of its random ordering and the path (length, vertices, edges, exact,
-# explored) per budget.  On the two G(50, .45) graphs every budget binds
-# deep in the search, 13 to 23 frames down; G(40, .3) runs to completion.
+# explored) per budget.  On the two G(50, .45) graphs every budget binds;
+# G(40, .3) runs to completion.
 _GOLDEN_CAPPED = {
     "G50a": (
         lambda: alt.sample_gnp(50, 0.45, 1), 0,
         {
-            0: (0, (0,), (), False, 1),
+            0: (
+                8,
+                (13, 35, 22, 15, 28, 6, 14, 33, 31),
+                (258, 378, 283, 285, 138, 133, 271, 460),
+                False,
+                1,
+            ),
             1000: (
-                24,
-                (33, 46, 17, 20, 0, 48, 16, 42, 8, 5, 37, 39, 38, 2, 6, 15, 32, 40, 19, 49,
-                 36, 4, 18, 24, 1),
-                (483, 323, 312, 9, 25, 311, 310, 186, 107, 121, 502, 509, 57, 42, 134, 287,
-                 476, 350, 355, 501, 100, 92, 328, 34),
+                15,
+                (18, 40, 32, 0, 4, 11, 34, 37, 47, 22, 15, 28, 6, 14, 33, 31),
+                (336, 476, 18, 1, 89, 232, 487, 507, 384, 283, 285, 138, 133, 271, 460),
                 False,
                 1001,
             ),
             20000: (
                 27,
-                (33, 46, 17, 20, 0, 48, 16, 42, 8, 5, 37, 25, 41, 45, 31, 18, 7, 3, 26, 44,
-                 49, 47, 28, 24, 39, 14, 6, 38),
-                (483, 323, 312, 9, 25, 311, 310, 186, 107, 121, 406, 408, 523, 469, 331, 156,
-                 66, 74, 418, 530, 535, 438, 391, 397, 273, 133, 144),
+                (43, 8, 25, 49, 13, 5, 31, 10, 42, 30, 44, 1, 22, 18, 40, 32, 0, 4, 11, 34, 36,
+                 24, 3, 41, 39, 14, 6, 38),
+                (187, 178, 410, 263, 109, 117, 215, 221, 456, 457, 40, 33, 326, 336, 476, 18, 1,
+                 89, 232, 486, 394, 73, 82, 514, 273, 133, 144),
                 False,
                 20001,
             ),
@@ -317,22 +351,27 @@ _GOLDEN_CAPPED = {
     "G50b": (
         lambda: alt.sample_gnp(50, 0.45, 2), 1,
         {
-            0: (0, (0,), (), False, 1),
+            0: (
+                8,
+                (34, 5, 45, 30, 33, 15, 38, 44, 17),
+                (119, 125, 459, 451, 287, 288, 511, 323),
+                False,
+                1,
+            ),
             1000: (
-                23,
-                (22, 43, 28, 38, 32, 37, 40, 47, 8, 30, 34, 14, 10, 15, 11, 42, 33, 6, 24, 0,
-                 21, 5, 25, 35),
-                (380, 441, 439, 473, 472, 508, 524, 172, 165, 452, 272, 193, 194, 219, 228,
-                 485, 135, 133, 10, 8, 112, 115, 407),
+                18,
+                (47, 10, 4, 25, 30, 37, 33, 6, 21, 15, 19, 24, 5, 34, 39, 11, 27, 17, 44),
+                (215, 89, 96, 405, 455, 482, 135, 132, 281, 280, 339, 114, 119, 494, 226, 224,
+                 317, 323),
                 False,
                 1001,
             ),
             20000: (
-                27,
-                (22, 43, 28, 38, 1, 7, 25, 18, 46, 48, 3, 10, 14, 11, 42, 33, 6, 21, 15, 19,
-                 24, 5, 34, 8, 2, 17, 27, 37),
-                (380, 441, 439, 28, 19, 145, 329, 337, 539, 85, 64, 193, 218, 228, 485, 135,
-                 132, 281, 280, 339, 114, 119, 166, 38, 43, 317, 430),
+                31,
+                (1, 48, 23, 15, 2, 4, 27, 22, 13, 9, 11, 5, 40, 47, 8, 30, 7, 28, 3, 10, 37, 33,
+                 42, 49, 19, 44, 32, 34, 39, 35, 25, 12),
+                (33, 394, 282, 42, 35, 97, 375, 255, 176, 174, 110, 122, 524, 172, 165, 147, 146,
+                 73, 64, 206, 482, 485, 534, 353, 349, 476, 469, 494, 500, 407, 239),
                 False,
                 20001,
             ),
@@ -343,12 +382,11 @@ _GOLDEN_CAPPED = {
         {
             None: (
                 20,
-                (39, 9, 14, 17, 11, 36, 30, 32, 4, 34, 21, 5, 16, 25, 20, 33, 24, 7, 1, 37,
-                 35),
-                (105, 95, 135, 117, 123, 228, 226, 63, 64, 191, 69, 68, 155, 183, 185, 207,
-                 85, 13, 25, 237),
+                (21, 22, 14, 17, 11, 36, 30, 32, 4, 34, 39, 25, 5, 16, 20, 33, 24, 7, 1, 37, 35),
+                (189, 136, 135, 117, 123, 228, 226, 63, 64, 236, 214, 70, 68, 152, 185, 207, 85,
+                 13, 25, 237),
                 True,
-                9623,
+                2349,
             ),
         },
     ),
@@ -363,6 +401,7 @@ def test_path_golden_capped(name: str) -> None:
     for budget, want in paths.items():
         r = alt.longest_increasing_path(g, phi, budget=budget)
         assert (r.length, r.vertices, r.edges, r.exact, r.explored) == want, budget
+        assert not r.exact or r.length == _PROVED[name]
 
 
 @pytest.mark.parametrize("budget", [None, 1, 7, 40])
