@@ -2,12 +2,14 @@
 
 Any explicit ordering certifies f(G) <= psi(G, phi), and even its increasing
 trail length is a certificate since paths are trails.  The annealer walks
-over rank swaps scoring moves by the trail value, re-sweeping only the rank
-blocks between the swapped ranks and a middle cut, and confirms
-improvements with the exact path search so no surrogate value is ever
-reported as psi.  A re-sweep stops early once it has passed the swapped
-blocks on its side of the cut and its state equals the stored snapshot
-there: every later snapshot, and so the value, is then as stored.
+over rank swaps scoring moves by the trail value, and confirms improvements
+with the exact path search so no surrogate value is ever reported as psi.
+One function sweeps rank blocks into the trail sweep's snapshots, forward
+up to a middle cut and in reverse down to it: every block at the start, and
+for a move only the blocks between the swapped ranks and the cut.  A
+re-sweep stops early once it has passed the swapped blocks on its side of
+the cut and its state equals the stored snapshot there: every later
+snapshot, and so the value, is then as stored.
 
 No ordering's trail value lies below ceil(2m/n) (Graham and Kleitman,
 1973): relaxing an edge (u, v) raises best[u] + best[v] by at least 2, so
@@ -190,13 +192,13 @@ def _anneal(
             new_b.append(s)
         return max(map(add, f, s)), new_f, new_b
 
-    fwd = [[0] * g.n]
-    for k in range(c):
-        fwd.append(_trail_sweep(g, blocks[k], best=fwd[k][:]))
-    bwd = [[0] * g.n] * (nblocks + 1)  # entries below c stay unused
-    for k in range(nblocks - 1, c - 1, -1):
-        bwd[k] = _trail_sweep(g, reversed(blocks[k]), best=bwd[k + 1][:])
-    cur_obj = max(map(add, fwd[c], bwd[c]))
+    # The start snapshots are one re-sweep of every block: no swept state
+    # equals None, so neither side stops early.  bwd[:c] stays unused.
+    fwd = [[0] * g.n] + [None] * c
+    bwd = [None] * nblocks + [[0] * g.n]
+    cur_obj, new_f, new_b = resweep(0, nblocks - 1)
+    fwd[1:] = new_f
+    bwd[c:nblocks] = new_b[::-1]
     best_surrogate = cur_obj
     floor = -(-2 * m // g.n)
     if best_surrogate == floor:

@@ -89,31 +89,20 @@ def _trail_sweep(
     resume where a sweep over the preceding edges stopped (the annealer
     keeps such states at block boundaries); otherwise from all zeros.
 
-    If ``before`` is a list, the sweep appends (best[u], best[v]) for each
-    pair as it found them on reaching it, so before[i] belongs to the i-th
-    pair swept.  The forward sweep's trail witness reads from it which ends
-    an edge raised: an end rose when the other end held at least as much.
-    In a reverse sweep the entry of e = (u, v) of rank r is (S_u(r+1),
+    If ``before`` is a list, the sweep appends to it (best[u], best[v]) as
+    they were on reaching each pair, so before[i] belongs to the i-th pair
+    swept.  The forward sweep's trail witness reads from it which ends an
+    edge raised: an end rose when the other end held at least as much.  In
+    a reverse sweep the entry of e = (u, v) of rank r is (S_u(r+1),
     S_v(r+1)), where S_x(r) is the longest increasing trail leaving x on
-    ranks >= r.  The path search does not read it: its per-edge path values
-    are never looser.
+    ranks >= r.
     """
     if best is None:
         best = [0] * g.n
-    if before is None:
-        for u, v in pairs:
-            bu, bv = best[u], best[v]
-            if bu > bv:
-                best[v] = bu + 1
-            elif bv > bu:
-                best[u] = bv + 1
-            else:
-                best[u] = best[v] = bu + 1
-        return best
-    record = before.append
     for u, v in pairs:
         bu, bv = best[u], best[v]
-        record((bu, bv))
+        if before is not None:
+            before.append((bu, bv))
         if bu > bv:
             best[v] = bu + 1
         elif bv > bu:

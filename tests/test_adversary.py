@@ -286,29 +286,44 @@ def test_resweep_scores_every_psi_check_as_a_full_sweep(monkeypatch) -> None:
     # At each psi check the annealer's surrogate (its local new_obj) must be
     # the candidate's trail value, also where the move's re-sweep stopped
     # early at a snapshot equal to the stored one; and every stored snapshot
-    # must be the sweep of the candidate's blocks up to (or from) it.
-    checked, early = [], []
-    score = adversary._psi_or_trail
+    # must be the sweep of the candidate's blocks up to (or from) it.  At
+    # each anneal's first draw the snapshots must be those of the start
+    # ordering.
+    checked, early, starts, fresh = [], [], [], []
+    score, draw = adversary._psi_or_trail, adversary._sample_pair
     sweep = adversary._trail_sweep
+
+    def snapshots_match(g, loc, ordering):
+        pairs = [g.edges[e] for e in ordering.inverse]
+        c, size, fwd, bwd = loc["c"], loc["size"], loc["fwd"], loc["bwd"]
+        return ([fwd[k] == sweep(g, pairs[: k * size]) for k in range(c + 1)]
+                + [bwd[k] == sweep(g, reversed(pairs[k * size :])) for k in range(c, len(bwd))])
 
     def check(g, candidate, budget):
         loc = sys._getframe(1).f_locals
         if "new_obj" in loc:  # a move's check, not the start's
-            pairs = [g.edges[e] for e in candidate.inverse]
-            i, j, c, size = loc["i"], loc["j"], loc["c"], loc["size"]
-            checked.append(loc["new_obj"] == max(sweep(g, pairs)))
-            fwd, bwd = loc["fwd"], loc["bwd"]
-            checked.extend(fwd[k] == sweep(g, pairs[: k * size]) for k in range(c + 1))
-            checked.extend(bwd[k] == sweep(g, reversed(pairs[k * size :]))
-                           for k in range(c, len(bwd)))
+            i, j, c = loc["i"], loc["j"], loc["c"]
+            checked.append(loc["new_obj"] == max(sweep(g, [g.edges[e] for e in candidate.inverse])))
+            checked.extend(snapshots_match(g, loc, candidate))
             early.append(len(loc["new_f"]) < c - i or len(loc["new_b"]) < j - c + 1)
         return score(g, candidate, budget)
 
+    def first_draw(randrange, m):
+        if fresh:
+            fresh.clear()
+            loc = sys._getframe(1).f_locals
+            starts.append(all(snapshots_match(loc["g"], loc, loc["init"])))
+        return draw(randrange, m)
+
     monkeypatch.setattr(adversary, "_psi_or_trail", check)
-    for g in random_graphs(11, 14, 22, seed=91):
+    monkeypatch.setattr(adversary, "_sample_pair", first_draw)
+    graphs = random_graphs(11, 14, 22, seed=91)
+    for g in graphs:
+        fresh.append(True)
         alt.local_search_min_psi(g, alt.random_ordering(g, 1), steps=1500, seed=2)
     assert len(checked) > 200 and all(checked)
     assert sum(early) >= 3
+    assert len(starts) == len(graphs) and all(starts)
 
 
 def test_sample_pair_replays_random_sample() -> None:

@@ -27,11 +27,20 @@ def _pairs(g, edges):
 
 def test_value_only_trail_matches_trail_sweep_and_oracle() -> None:
     # The annealer's value-only sweep (no before list) must agree with the
-    # witness-recording one.
+    # witness-recording one: the same best[] forward, in reverse and resumed
+    # from a given best[], and a before list that grows by one per pair.
     for g, phi in random_instances(150, 2, 9, seed=23, m_max=8):
         want = brute_trail(g, phi)
-        assert max(_trail_sweep(g, _pairs(g, phi.inverse))) == want
+        pairs = _pairs(g, phi.inverse)
+        assert max(_trail_sweep(g, pairs)) == want
         assert alt.longest_increasing_trail(g, phi).length == want
+        half = len(pairs) // 2
+        for sweep in (pairs, pairs[::-1]):
+            before = []
+            assert _trail_sweep(g, sweep, before) == _trail_sweep(g, sweep)
+            assert len(before) == len(sweep)
+            head, rest = _trail_sweep(g, sweep[:half]), sweep[half:]
+            assert _trail_sweep(g, rest, [], head[:]) == _trail_sweep(g, rest, None, head[:])
 
 
 def test_reverse_sweep_before_matches_oracle() -> None:

@@ -1,5 +1,6 @@
-"""The README's "Command line" examples run as written, and its output
-conventions name every schema the package writes."""
+"""The README's "Command line" examples run as written, its output
+conventions name every schema the package writes, and its mode table lists
+the flags that ``cli._MODES`` says each mode reads."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from altitude.cli import main
+from altitude.cli import _MODES, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SRC = README.parent / "src" / "altitude"
@@ -39,3 +40,19 @@ def test_output_conventions_name_every_schema() -> None:
     schemas = {s for p in SRC.glob("*.py") for s in pattern.findall(p.read_text())}
     assert len(schemas) >= 10
     assert sorted(s for s in schemas if f"`{s}`" not in section) == []
+
+
+def test_mode_table_lists_the_flags_of_cli_modes() -> None:
+    # the table under "Determinism and configuration" is kept by hand
+    section = README.read_text().split("\n### Determinism and configuration\n", 1)[1]
+    rows = [ln.split("|")[1:-1] for ln in section.split("\n#", 1)[0].splitlines()
+            if ln.startswith("| ")][2:]  # after the header and its rule
+    table: dict[str, set[str]] = {}
+    for commands, _, reads in rows:
+        if commands.strip():
+            names = re.findall(r"`([a-z-]+)`", commands)
+        for name in names:
+            table.setdefault(name, set()).update(re.findall(r"`(--[a-z-]+)`", reads))
+    want = {command: {"--" + flag.replace("_", "-") for flags in modes.values() for flag in flags}
+            for command, (_, modes) in _MODES.items()}
+    assert table == want
