@@ -176,7 +176,7 @@ def _anneal(
         last = j if j < c else i
         f = fwd[i if i < c else c]
         for k in range(i, c):
-            f = _trail_sweep(g, blocks[k], best=f[:])
+            f = _trail_sweep(g, blocks[k], None, f[:])
             if k >= last and f == fwd[k + 1]:
                 f = fwd[c]
                 break
@@ -185,7 +185,7 @@ def _anneal(
         first = i if i >= c else j
         s = bwd[j + 1 if j >= c else c]
         for k in range(j, c - 1, -1):
-            s = _trail_sweep(g, reversed(blocks[k]), best=s[:])
+            s = _trail_sweep(g, reversed(blocks[k]), None, s[:])
             if k <= first and s == bwd[k]:
                 s = bwd[c]
                 break

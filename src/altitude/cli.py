@@ -554,7 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--verify", action="store_true",
                         help="re-validate the result independently")
         if extra:
-            sp.add_argument("--budget", type=int, default=200000, help="search node budget")
+            sp.add_argument("--budget", type=int, default=200000,
+                            help="psi search budget, in edges scanned")
         sp.set_defaults(func=func)
 
     sp = sub.add_parser("zeta", help="densest k-subset edge counts")

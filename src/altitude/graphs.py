@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 
 class GraphFormatError(ValueError):
@@ -45,20 +46,18 @@ class Graph:
     ``edges`` is canonical: pairs (u, v) with u < v, strictly increasing
     lexicographically.  ``adj[v]`` lists (neighbor, edge_index) pairs and is
     exactly the inverse of the edge list.  ``adj_mask[v]`` is the neighbor
-    set of v as a bitmask, for bitset-based searches.
+    set of v as a bitmask, for bitset-based searches, built on first use.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     adj: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
-    adj_mask: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
         prev = None
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        mask = [0] * self.n
         for i, (u, v) in enumerate(self.edges):
             if u == v:
                 raise LoopError(f"loop at vertex {u}")
@@ -69,10 +68,11 @@ class Graph:
             prev = (u, v)
             adj[u].append((v, i))
             adj[v].append((u, i))
-            mask[u] |= 1 << v
-            mask[v] |= 1 << u
         object.__setattr__(self, "adj", tuple(tuple(a) for a in adj))
-        object.__setattr__(self, "adj_mask", tuple(mask))
+
+    @cached_property
+    def adj_mask(self) -> tuple[int, ...]:
+        return tuple(sum(1 << w for w, _ in a) for a in self.adj)
 
     @property
     def m(self) -> int:

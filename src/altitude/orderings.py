@@ -60,16 +60,24 @@ class EdgeColoring:
 
 
 def proper_violation(g: Graph, coloring: EdgeColoring) -> tuple[int, int] | None:
-    """First pair of same-colored edges sharing a vertex, or None if proper."""
-    if len(coloring.color) != g.m:
+    """First pair of same-colored edges sharing a vertex, or None if proper.
+
+    The pair is (f, e): e is the first edge, in index order, that meets an
+    earlier edge of its color, and f is that earlier edge, the one at e's
+    smaller end when both ends clash.  Colors must be nonnegative.
+    """
+    color = coloring.color
+    if len(color) != g.m:
         raise ValueError("coloring length does not match edge count")
-    seen: dict[tuple[int, int], int] = {}
+    used = [0] * g.n  # the colors at each vertex so far, as a bitmask
     for e, (u, v) in enumerate(g.edges):
-        c = coloring.color[e]
-        for x in (u, v):
-            if (x, c) in seen:
-                return (seen[(x, c)], e)
-            seen[(x, c)] = e
+        bit = 1 << color[e]
+        if (used[u] | used[v]) & bit:
+            x = u if used[u] & bit else v
+            f = next(f for f in range(e) if color[f] == color[e] and x in g.edges[f])
+            return (f, e)
+        used[u] |= bit
+        used[v] |= bit
     return None
 
 

@@ -6,11 +6,13 @@ edges in rank order and dominates the path length, and an optimal trail
 that repeats no vertex is a longest path.  Otherwise the path search bounds
 each directed edge by path values of the edges ranked above it, settled
 from the top rank down, and searches only where neither a witness nor the
-incumbent settles one.
+incumbent settles one; a search skips what a failure record, kept per
+directed edge from the searches before it, rules out.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import inf
 from typing import Iterable
@@ -27,8 +29,9 @@ class PathResult:
     indices joining them (ranks strictly increasing).  ``exact`` is False
     only when a node budget ran out before the search space was exhausted;
     the length is then still a valid lower bound with a valid witness.
-    ``explored`` counts the children the path search reaches, and is m
-    (its edge relaxations) for the trail pass.
+    ``explored`` counts the edges the path search scans (1 per search, plus
+    at each vertex it enters every edge ranked above the one it arrived
+    by), and is m (its edge relaxations) for the trail pass.
     """
 
     kind: str  # "path" or "trail"
@@ -153,11 +156,12 @@ def longest_increasing_path(
     """Longest increasing path (psi): the optimal trail when it repeats no
     vertex, else the top-down pass of ``_start_values``.
 
-    ``explored`` counts the children that the pass's depth-first searches
-    reach (unvisited ends of higher-ranked edges), whether or not the bound
-    then cuts them; an edge that the witness rule or the incumbent settles
-    costs none.  ``budget`` caps it; on exhaustion the incumbent is returned
-    with exact=False (a valid lower bound) and explored = budget + 1.
+    ``explored`` counts the edges that the pass's depth-first searches scan:
+    1 for each search, and at each vertex a search enters, every edge ranked
+    above the one it arrived by, whether or not a cut then skips it; an edge
+    that the witness rule or the incumbent settles costs none.  ``budget``
+    caps it; on exhaustion the incumbent is returned with exact=False (a
+    valid lower bound) and explored = budget + 1.
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
@@ -186,7 +190,7 @@ def _unchain(node) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _start_values(
     g: Graph, ordering: EdgeOrdering, budget: int | None
-) -> tuple[PathResult, list[int], list]:
+) -> tuple[PathResult, list[int], list, list]:
     """The psi search: a bound K[d] on the longest increasing path that
     starts with each directed edge d, settled from the top rank down.
 
@@ -205,28 +209,58 @@ def _start_values(
     length.  It walks each vertex's edges in rank order, from the first
     ranked above the edge it arrived by; each edge is listed once per call
     with the place in the other end's list where the edges ranked above it
-    begin, so a step needs no search for the rank.  A child x reached by d'
-    at depth t (edges on the stack) is counted, becomes the incumbent if
-    t + 1 beats it, and is entered if t + K[d'] does.  The path's vertices
-    carry flags, set on each step forward and cleared on each step back.
+    begin, so a step needs no search for the rank.  With t edges on the
+    stack the gap is the incumbent less t.  A child x reached by d' is
+    tried only if K[d'] beats the gap, and becomes the incumbent if t + 1
+    beats it.  Each vertex keeps the suffix maxima of K over its edges,
+    filled in as edges settle, so a frame stops (one bisection) at the
+    first edge past which no K beats its gap; gaps only grow, so no
+    promising child lies beyond.
 
-    Returns the result, K, and wit: wit[d] is (vertex mask, path as cells)
-    of a path of K[d] edges starting with d, or None where K[d] is only a
-    bound.  A capped result leaves the edges not yet settled at 0 and None.
+    Failure records.  Directed edge d = (p, x) may carry a record (L, M):
+    no increasing path that starts with d and visits no vertex of M after
+    x is longer than L.  While the current search has not beaten B, the
+    gap at depth t is B - t; when x's frame at depth t closes, every child
+    d' of x was either cut by K[d'] <= B - t, or led to a vertex on the
+    path (which joins M, if K[d'] beat the gap), or was skipped by a
+    record (L', M') with L' <= B - t whose M' joins M, or was entered and
+    its own frame closed with the record (B - t, M'') whose M'' joins M.
+    So the record (B - t + 1, M) holds, with x dropped from M (no path
+    through d revisits x), by induction over the order in which frames
+    close; once the search beats B no more records are written.  A child
+    whose record has L' <= gap and M' inside the current path is skipped:
+    a path extending the stack visits no stack vertex, so the record
+    bounds it.  Each search keeps the blocked mask of every open frame and
+    passes it to the parent as the frame closes.
+
+    ``explored`` counts edges scanned: 1 for the root edge d, and at each
+    vertex the search enters, every edge ranked above the one it arrived
+    by, whether or not the cuts then skip it (one addition per vertex).
+
+    Returns the result, K, wit and the records: wit[d] is (vertex mask,
+    path as cells) of a path of K[d] edges starting with d, or None where
+    K[d] is only a bound; records[d] is (L, M) or None.  A capped result
+    leaves the edges not yet settled at 0 and None.
     """
     ends = g.edges
-    # kids[v]: v's edges in rank order, each as [e, w, K, t]: K is that of e
-    # leaving v, set when e is settled, and t indexes w's first edge ranked
-    # above e (e lands at the end of both lists, so the one after it).
+    none = g.m + 1  # the length of an absent record: no gap reaches it
+    # kids[v]: v's edges in rank order, each as [e, w, K, t, L, M]: K is that
+    # of e leaving v, set when e is settled, t indexes w's first edge ranked
+    # above e (e lands at the end of both lists, so the one after it), and
+    # (L, M) is the failure record of e leaving v.
     kids: list[list[list[int]]] = [[] for _ in range(g.n)]
-    ranked = []  # (e, its two directions as (tail, entry, d)), in rank order
+    ranked = []  # (e, its two directions as (tail, entry, d, index)), in rank order
     for e in ordering.inverse:
         u, v = ends[e]
         ku, kv = kids[u], kids[v]
-        to_v, to_u = [e, v, 0, len(kv) + 1], [e, u, 0, len(ku) + 1]
+        to_v, to_u = [e, v, 0, len(kv) + 1, none, 0], [e, u, 0, len(ku) + 1, none, 0]
+        ranked.append((e, ((u, to_v, 2 * e, len(ku)), (v, to_u, 2 * e + 1, len(kv)))))
         ku.append(to_v)
         kv.append(to_u)
-        ranked.append((e, ((u, to_v, 2 * e), (v, to_u, 2 * e + 1))))
+    deg = [len(k) for k in kids]
+    # tops[v][i]: minus the largest K among kids[v][i:] (0 past the end),
+    # ascending as bisect wants it; set from the top rank down.
+    tops = [[0] * (d + 1) for d in deg]
     bound = [0] * (2 * g.m)
     wit: list = [None] * (2 * g.m)
     # The largest K of the edges leaving each vertex settled so far, and the
@@ -238,7 +272,7 @@ def _start_values(
     limit = inf if budget is None else budget
     seen = [False] * g.n
     for e, sides in reversed(ranked):
-        for a, first, d in sides:
+        for a, first, d, _ in sides:
             b = first[1]
             k, w = top_k[b] + 1, top_w[b]
             if w is not None and not w[0] >> a & 1:
@@ -248,39 +282,63 @@ def _start_values(
             elif k <= best_len:
                 w = None
             else:
+                explored += 1  # the root's one edge
+                if explored > limit:
+                    return _capped(best_len, _unchain(best_path), budget, bound, wit, ranked)
                 # A frame holds an open vertex's untried children; the first
-                # holds a with the single child b, whose bound is U.
+                # holds a with the single child b, whose bound is U.  stack
+                # holds the entries of the path's edges, path its vertices
+                # as a mask, held the top frame's mask M and masks those of
+                # the frames below it.
                 first[2] = k
-                stack_vs, stack_es = [a], []
+                stack, masks = [], []
                 seen[a] = True
+                path, held = 1 << a, 0
                 frames = [iter((first,))]
                 gap = best_len  # the incumbent less the stack's edge count
                 found = None
-                while frames:
-                    for e2, x, k2, t in frames[-1]:
-                        if seen[x]:
+                while True:
+                    for kid in frames[-1]:
+                        if kid[2] <= gap:
                             continue
-                        explored += 1
+                        x = kid[1]
+                        if seen[x]:
+                            held |= 1 << x
+                            continue
+                        if kid[4] <= gap and not kid[5] & ~path:
+                            held |= kid[5]
+                            continue
+                        if gap <= 0:  # the path to x is the longest yet
+                            best_len, gap = len(stack) + 1, 1
+                            found = ((a, *(s[1] for s in stack), x),
+                                     (*(s[0] for s in stack), kid[0]))
+                        t = kid[3]
+                        explored += deg[x] - t
                         if explored > limit:
-                            vs, es = found or _unchain(best_path)
-                            return (PathResult("path", best_len, vs, es, False, explored),
-                                    bound, wit)
-                        if k2 > gap:  # always so if the path to x is the longest yet
-                            if gap <= 0:
-                                best_len, gap = len(stack_vs), 1
-                                found = (*stack_vs, x), (*stack_es, e2)
-                            seen[x] = True
-                            stack_vs.append(x)
-                            stack_es.append(e2)
-                            frames.append(iter(kids[x][t:]))
-                            gap -= 1
-                            break
+                            return _capped(best_len, found or _unchain(best_path), budget,
+                                           bound, wit, ranked)
+                        seen[x] = True
+                        path |= 1 << x
+                        stack.append(kid)
+                        masks.append(held)
+                        held = 0
+                        gap -= 1
+                        frames.append(iter(kids[x][t:bisect_left(tops[x], -gap, t)]))
+                        break
                     else:  # every child of the frame tried: step back
                         frames.pop()
-                        seen[stack_vs.pop()] = False
+                        if not stack:
+                            break
+                        kid = stack.pop()
+                        x = kid[1]
+                        seen[x] = False
+                        path ^= 1 << x
+                        held &= path  # drops x
                         gap += 1
-                        if stack_es:
-                            stack_es.pop()
+                        if found is None:
+                            kid[4], kid[5] = gap, held
+                        held |= masks.pop()
+                seen[a] = False
                 k, w = best_len, None
                 if found:
                     vs, es = found
@@ -290,9 +348,29 @@ def _start_values(
                     w = (sum(1 << x for x in vs), best_path)
             first[2] = bound[d] = k
             wit[d] = w
-        for a, first, d in sides:
+        for a, first, d, i in sides:
             k = bound[d]
             if k > top_k[a] or (k == top_k[a] and top_w[a] is None):
                 top_k[a], top_w[a] = k, wit[d]
+            tops[a][i] = -top_k[a]
     vs, es = _unchain(best_path)
-    return PathResult("path", best_len, vs, es, True, explored), bound, wit
+    return PathResult("path", best_len, vs, es, True, explored), bound, wit, _records(ranked)
+
+
+def _records(ranked: list) -> list:
+    """records[d]: the failure record (L, M) of directed edge d, or None
+    where its entry still holds L = m + 1."""
+    records: list = [None] * (2 * len(ranked))
+    for _, sides in ranked:
+        for _, kid, d, _ in sides:
+            if kid[4] <= len(ranked):
+                records[d] = kid[4], kid[5]
+    return records
+
+
+def _capped(best_len: int, found, budget: int, bound, wit, ranked) -> tuple:
+    """What ``_start_values`` returns when the budget runs out: the incumbent
+    (vertices, edges) ``found``, inexact, with explored = budget + 1."""
+    vs, es = found
+    return (PathResult("path", best_len, vs, es, False, budget + 1), bound, wit,
+            _records(ranked))

@@ -65,9 +65,12 @@ def brute_suffix_trail(g: Graph, ordering: EdgeOrdering, v: int, r: int) -> int:
     return best
 
 
-def brute_start_path(g: Graph, ordering: EdgeOrdering, e: int, tail: int) -> int:
+def brute_start_path(
+    g: Graph, ordering: EdgeOrdering, e: int, tail: int, avoid: frozenset[int] = frozenset()
+) -> int:
     """Longest increasing path whose first edge is e, leaving its end
-    ``tail``, by enumerating every simple increasing path that starts so."""
+    ``tail``, and that visits no vertex of ``avoid`` after e, by enumerating
+    every simple increasing path that starts so."""
     u, v = g.edges[e]
     head = v if tail == u else u
     best = 0
@@ -80,7 +83,7 @@ def brute_start_path(g: Graph, ordering: EdgeOrdering, e: int, tail: int) -> int
             if r > last and w not in visited:
                 dfs(w, r, visited | {w}, length + 1)
 
-    dfs(head, ordering.rank[e], frozenset((tail, head)), 1)
+    dfs(head, ordering.rank[e], frozenset((tail, head)) | avoid, 1)
     return best
 
 

@@ -157,7 +157,7 @@ def test_psi_on_a_path_2000_edges_deep_has_no_recursion_limit(capsys, tmp_path):
     # The path edges of C_2000 ranked 1..1999 along the path and the closing
     # edge 2000: the best trail returns to vertex 0, so the search runs.  The
     # witness rule settles every directed edge but 0 -> 1 without a search
-    # node, and that edge's search walks 1999 edges deep, each child reached
+    # node, and that edge's search walks 1999 edges deep, each edge scanned
     # once.
     g = make_cycle(2000)
     ranks = [2000 if (a, b) == (0, 1999) else a + 1 for a, b in g.edges]
@@ -679,7 +679,7 @@ _ALL_CHECKS_PASS = {
     "pedestrian_floor": True, "pedestrian_le_path": True,
 }
 _GOLDEN_GRAPH_COMMANDS = {
-    ("k3", "psi"): {"length": 2, "exact": True, "explored": 2, "vertices": [0, 2, 1],
+    ("k3", "psi"): {"length": 2, "exact": True, "explored": 3, "vertices": [0, 2, 1],
                     "edges": [1, 2]},
     ("k3", "trail"): {"length": 3, "vertices": [1, 0, 2, 1], "edges": [0, 1, 2]},
     ("k3", "pedestrian"): {
@@ -720,17 +720,17 @@ def test_graph_ordering_commands_golden_outputs(capsys, k3_file, q3_file, graph,
 # stdout of `pedestrian --verify` and `verify` on `gen --family gnp --n 40
 # --p 0.5 --seed 3` (m = 394) under `--ordering rand --seed 2`, recorded
 # while the transcript still stored its vertex and induced edge sets; the
-# capped psi of `verify` since the top-down path search: (exit code, sha256
-# of stdout, fields of the JSON).
+# psi of `verify` since the path search counts edges scanned and skips what
+# its failure records rule out (proved within the default budget, capped at
+# 29 before): (exit code, sha256 of stdout, fields of the JSON).
 _GOLDEN_DENSE = {
     "pedestrian": (0, "cf3bbdf07ed27140c6ed6abafe84ec6ea256bf2512e49f8f43485cac2d382dce", {
         "max_path_edges": 21,
         "verification": {"coverage": True, "counting_lhs": 394, "counting_rhs": "2090",
                          "counting_holds": True, "sqrt_floor": 5, "floor_ok": True}}),
-    "verify": (4, "c4e200fc3cb01b290b99697f1bc019b7afa65330dfdd7fa71525135ad6658d2e", {
-        "psi": 29, "psi_exact": False, "trail": 44, "pedestrian_max": 21,
-        "checks": {k: True for k in _ALL_CHECKS_PASS if k != "pedestrian_le_path"},
-        "ok": True}),
+    "verify": (0, "db4c2a18f8351eac40e82f2010f6003d395349b9d147b223db5e9742c941218f", {
+        "psi": 31, "psi_exact": True, "trail": 44, "pedestrian_max": 21,
+        "checks": _ALL_CHECKS_PASS, "ok": True}),
 }
 
 

@@ -154,6 +154,46 @@ def test_proper_violation_reports_clashing_pair() -> None:
         alt.proper_violation(g, alt.EdgeColoring((0, 1), (1, 1)))
 
 
+@pytest.mark.parametrize(
+    "edges, colors, want",
+    [
+        ([(0, 1), (0, 2), (1, 2)], (0, 0, 1), (0, 1)),  # e = (0, 2) clashes at u = 0
+        ([(0, 2), (1, 2), (0, 1)], (0, 0, 1), (1, 2)),  # e = (1, 2) clashes at v = 2
+        # e = (2, 3) clashes at both ends: (0, 2) at u wins over (1, 3) at v
+        ([(0, 1), (0, 2), (1, 3), (2, 3)], (1, 0, 0, 0), (1, 3)),
+        ([(0, 1), (1, 2), (2, 3)], (0, 1, 0), None),
+    ],
+)
+def test_proper_violation_names_the_first_clash(edges, colors, want) -> None:
+    g = alt.Graph.from_edges(4, edges)
+    color = [0] * g.m
+    for (u, v), c in zip(edges, colors):
+        color[g.edges.index((min(u, v), max(u, v)))] = c
+    assert alt.proper_violation(g, alt.EdgeColoring(tuple(color), ())) == want
+
+
+def _first_clash(g: alt.Graph, color: tuple[int, ...]) -> tuple[int, int] | None:
+    """The first (earlier edge, edge) clash, scanning ends u then v of each edge."""
+    seen: dict[tuple[int, int], int] = {}
+    for e, (u, v) in enumerate(g.edges):
+        for x in (u, v):
+            if (x, color[e]) in seen:
+                return seen[(x, color[e])], e
+            seen[(x, color[e])] = e
+    return None
+
+
+def test_proper_violation_matches_a_dict_scan_on_random_colorings() -> None:
+    rng = random.Random(9)
+    clashes = 0
+    for g in random_graphs(200, 2, 10, seed=9):
+        color = tuple(rng.randrange(g.m + 1) for _ in range(g.m))
+        want = _first_clash(g, color)
+        clashes += want is not None
+        assert alt.proper_violation(g, alt.EdgeColoring(color, ())) == want
+    assert 50 < clashes < 200
+
+
 def test_coloring_ordering_ranks_classes_in_blocks() -> None:
     rng = random.Random(5)
     for g in random_graphs(40, 2, 12, seed=5):

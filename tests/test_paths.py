@@ -99,7 +99,7 @@ def test_start_values_bound_each_edge_and_equal_it_where_witnessed() -> None:
     witnessed = 0
     for g, phi in random_instances(300, 4, 8, seed=28, m_max=10):
         psi = brute_psi(g, phi)
-        res, bound, wit = _start_values(g, phi, None)
+        res, bound, wit, _ = _start_values(g, phi, None)
         assert res.exact and res.length == psi
         for e, (u, v) in enumerate(g.edges):
             for d, tail, head in ((2 * e, u, v), (2 * e + 1, v, u)):
@@ -120,6 +120,34 @@ def test_start_values_bound_each_edge_and_equal_it_where_witnessed() -> None:
                 assert alt.verify_witness(g, phi, r)
                 assert r.length == psi if r.exact else r.length <= psi
     assert witnessed > 1000
+
+
+def _vertex_set(mask: int) -> frozenset[int]:
+    return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def test_failure_records_bound_each_edge_on_paths_avoiding_their_mask() -> None:
+    # records[d] = (L, M): no increasing path that starts with directed edge
+    # d and visits no vertex of M after d is longer than L, and M never holds
+    # d's head.  A capped search keeps the records written before the cap,
+    # so every budget is checked; so is psi wherever the result is exact.
+    written = tight = 0
+    for g, phi in random_instances(300, 5, 10, seed=29, m_max=16):
+        psi = brute_psi(g, phi)
+        for budget in (None, 3, 20, 100):
+            res, _, _, records = _start_values(g, phi, budget)
+            assert res.length == psi if res.exact else res.length <= psi
+            for e, (u, v) in enumerate(g.edges):
+                for d, tail, head in ((2 * e, u, v), (2 * e + 1, v, u)):
+                    if records[d] is None:
+                        continue
+                    length, mask = records[d]
+                    assert not mask >> head & 1, (e, tail)
+                    want = brute_start_path(g, phi, e, tail, _vertex_set(mask))
+                    assert want <= length, (e, tail, budget)
+                    written += 1
+                    tight += want == length and mask != 0
+    assert written > 2000 and tight > 1000
 
 
 def test_path_at_most_trail_and_trail_floor() -> None:
@@ -200,30 +228,31 @@ def test_known_path_values() -> None:
 
 
 # Trails recorded from the breakpoint-history implementation of the trail
-# sweep, paths from the top-down search of per-edge path values.  Each case:
-# graph, seed of its random ordering, the trail (length, vertices, edges)
-# and the path (length, vertices, edges, exact, explored) at budgets None,
-# 1, 40 and 2000.  Every optimal trail but C_9's repeats a vertex, so the
-# search runs there.
+# sweep, paths from the top-down search of per-edge path values, explored
+# in edges scanned since the suffix cut and failure records (exact
+# witnesses unchanged by them).  Each case: graph, seed of its random
+# ordering, the trail (length, vertices, edges) and the path (length,
+# vertices, edges, exact, explored) at budgets None, 1, 40 and 2000.  Every
+# optimal trail but C_9's repeats a vertex, so the search runs there.
 _GOLDEN_SEARCH = {
     "K6": (
         lambda: alt.make_complete(6), 5,
         (8, (5, 1, 0, 2, 5, 4, 3, 0, 5), (8, 0, 1, 11, 14, 12, 2, 4)),
         {
-            None: (5, (1, 3, 2, 4, 0, 5), (6, 9, 10, 3, 4), True, 111),
+            None: (5, (1, 3, 2, 4, 0, 5), (6, 9, 10, 3, 4), True, 136),
             1: (4, (2, 4, 3, 0, 5), (10, 12, 2, 4), False, 2),
             40: (5, (1, 3, 2, 4, 0, 5), (6, 9, 10, 3, 4), False, 41),
-            2000: (5, (1, 3, 2, 4, 0, 5), (6, 9, 10, 3, 4), True, 111),
+            2000: (5, (1, 3, 2, 4, 0, 5), (6, 9, 10, 3, 4), True, 136),
         },
     ),
     "Q4": (
         lambda: alt.make_hypercube(4), 3,
         (7, (8, 9, 1, 0, 4, 6, 2, 0), (20, 6, 0, 2, 13, 8, 1)),
         {
-            None: (7, (9, 8, 12, 14, 10, 2, 6, 7), (20, 22, 29, 26, 9, 8, 17), True, 13),
+            None: (7, (9, 8, 12, 14, 10, 2, 6, 7), (20, 22, 29, 26, 9, 8, 17), True, 15),
             1: (6, (11, 15, 14, 10, 2, 6, 7), (27, 31, 26, 9, 8, 17), False, 2),
-            40: (7, (9, 8, 12, 14, 10, 2, 6, 7), (20, 22, 29, 26, 9, 8, 17), True, 13),
-            2000: (7, (9, 8, 12, 14, 10, 2, 6, 7), (20, 22, 29, 26, 9, 8, 17), True, 13),
+            40: (7, (9, 8, 12, 14, 10, 2, 6, 7), (20, 22, 29, 26, 9, 8, 17), True, 15),
+            2000: (7, (9, 8, 12, 14, 10, 2, 6, 7), (20, 22, 29, 26, 9, 8, 17), True, 15),
         },
     ),
     "C9": (
@@ -240,10 +269,10 @@ _GOLDEN_SEARCH = {
         lambda: alt.sample_gnp(14, 0.4, 7), 11,
         (9, (2, 4, 13, 8, 7, 0, 4, 1, 8, 11), (15, 26, 33, 29, 4, 2, 9, 10, 32)),
         {
-            None: (8, (4, 2, 12, 0, 6, 3, 1, 8, 11), (15, 19, 7, 3, 21, 8, 10, 32), True, 128),
+            None: (8, (4, 2, 12, 0, 6, 3, 1, 8, 11), (15, 19, 7, 3, 21, 8, 10, 32), True, 140),
             1: (3, (11, 2, 9, 13), (18, 17, 36), False, 2),
             40: (6, (13, 7, 0, 4, 1, 8, 11), (30, 4, 2, 9, 10, 32), False, 41),
-            2000: (8, (4, 2, 12, 0, 6, 3, 1, 8, 11), (15, 19, 7, 3, 21, 8, 10, 32), True, 128),
+            2000: (8, (4, 2, 12, 0, 6, 3, 1, 8, 11), (15, 19, 7, 3, 21, 8, 10, 32), True, 140),
         },
     ),
     "G22": (
@@ -259,7 +288,7 @@ _GOLDEN_SEARCH = {
                 (9, 11, 5, 1, 19, 10, 2, 20, 6, 15, 13, 8, 18),
                 (49, 32, 10, 13, 51, 15, 18, 40, 38, 53, 46, 47),
                 True,
-                184,
+                164,
             ),
             1: (6, (3, 7, 6, 15, 13, 8, 18), (20, 36, 38, 53, 46, 47), False, 2),
             40: (8, (21, 20, 3, 7, 6, 15, 13, 8, 18), (57, 24, 20, 36, 38, 53, 46, 47), False, 41),
@@ -268,7 +297,7 @@ _GOLDEN_SEARCH = {
                 (9, 11, 5, 1, 19, 10, 2, 20, 6, 15, 13, 8, 18),
                 (49, 32, 10, 13, 51, 15, 18, 40, 38, 53, 46, 47),
                 True,
-                184,
+                164,
             ),
         },
     ),
@@ -285,7 +314,7 @@ _GOLDEN_SEARCH = {
                 (0, 5, 8, 28, 20, 4, 19, 13, 16, 1, 25),
                 (1, 31, 47, 74, 27, 26, 58, 56, 9, 13),
                 True,
-                79,
+                91,
             ),
             1: (4, (26, 4, 29, 13, 1), (28, 30, 61, 8), False, 2),
             40: (
@@ -300,7 +329,7 @@ _GOLDEN_SEARCH = {
                 (0, 5, 8, 28, 20, 4, 19, 13, 16, 1, 25),
                 (1, 31, 47, 74, 27, 26, 58, 56, 9, 13),
                 True,
-                79,
+                91,
             ),
         },
     ),
@@ -324,8 +353,9 @@ def test_path_golden_search(name: str) -> None:
         assert not r.exact or r.length == _PROVED[name]
 
 
-# The capped regime, recorded from the top-down search.  Each case: graph,
-# seed of its random ordering and the path (length, vertices, edges, exact,
+# The capped regime, recorded from the top-down search with the suffix cut
+# and failure records, its budget in edges scanned.  Each case: graph, seed
+# of its random ordering and the path (length, vertices, edges, exact,
 # explored) per budget.  On the two G(50, .45) graphs every budget binds;
 # G(40, .3) runs to completion.
 _GOLDEN_CAPPED = {
@@ -340,9 +370,10 @@ _GOLDEN_CAPPED = {
                 1,
             ),
             1000: (
-                15,
-                (18, 40, 32, 0, 4, 11, 34, 37, 47, 22, 15, 28, 6, 14, 33, 31),
-                (336, 476, 18, 1, 89, 232, 487, 507, 384, 283, 285, 138, 133, 271, 460),
+                18,
+                (38, 39, 44, 6, 19, 36, 32, 15, 0, 4, 11, 34, 37, 47, 22, 46, 12, 3, 18),
+                (509, 515, 148, 135, 348, 474, 287, 7, 1, 89, 232, 487, 507, 384, 383, 248, 69,
+                 71),
                 False,
                 1001,
             ),
@@ -376,11 +407,11 @@ _GOLDEN_CAPPED = {
                 1001,
             ),
             20000: (
-                31,
-                (1, 48, 23, 15, 2, 4, 27, 22, 13, 9, 11, 5, 40, 47, 8, 30, 7, 28, 3, 10, 37, 33,
-                 42, 49, 19, 44, 32, 34, 39, 35, 25, 12),
-                (33, 394, 282, 42, 35, 97, 375, 255, 176, 174, 110, 122, 524, 172, 165, 147, 146,
-                 73, 64, 206, 482, 485, 534, 353, 349, 476, 469, 494, 500, 407, 239),
+                32,
+                (36, 19, 39, 26, 44, 42, 37, 4, 2, 12, 16, 25, 46, 48, 40, 22, 1, 34, 14, 10, 41,
+                 27, 6, 24, 0, 21, 5, 45, 30, 33, 15, 38, 47),
+                (345, 346, 421, 422, 532, 509, 103, 35, 40, 234, 302, 412, 539, 525, 379, 24, 27,
+                 272, 193, 209, 433, 134, 133, 10, 8, 112, 125, 459, 451, 287, 288, 514),
                 False,
                 20001,
             ),
@@ -395,7 +426,7 @@ _GOLDEN_CAPPED = {
                 (189, 136, 135, 117, 123, 228, 226, 63, 64, 236, 214, 70, 68, 152, 185, 207, 85,
                  13, 25, 237),
                 True,
-                2349,
+                1687,
             ),
         },
     ),
