@@ -231,30 +231,36 @@ def _start_values(
     whose record has L' <= gap and M' inside the current path is skipped:
     a path extending the stack visits no stack vertex, so the record
     bounds it.  Each search keeps the blocked mask of every open frame and
-    passes it to the parent as the frame closes.
+    passes it to the parent as the frame closes.  A record whose M is
+    empty bounds every path starting with d, whatever the path before it,
+    so it is kept as K[d] instead (always lower, since d was entered with
+    K[d] beating the gap), and the masked record in d's slot stays; the
+    suffix maxima then overstate K, which only delays a frame's stop.
 
     ``explored`` counts edges scanned: 1 for the root edge d, and at each
     vertex the search enters, every edge ranked above the one it arrived
     by, whether or not the cuts then skip it (one addition per vertex).
 
-    Returns the result, K, wit and the records: wit[d] is (vertex mask,
-    path as cells) of a path of K[d] edges starting with d, or None where
-    K[d] is only a bound; records[d] is (L, M) or None.  A capped result
-    leaves the edges not yet settled at 0 and None.
+    Returns the result, K, wit and kids: wit[d] is (vertex mask, path as
+    cells) of a path of K[d] edges starting with d, or None where K[d] is
+    only a bound; kids[v] lists v's edges in rank order as entries
+    [d, w, K, t, L, M] (below), whose (L, M) is d's failure record, with
+    L = m + 1 where none was written.  A capped result leaves the edges
+    not yet settled at 0 and None.
     """
     ends = g.edges
     none = g.m + 1  # the length of an absent record: no gap reaches it
-    # kids[v]: v's edges in rank order, each as [e, w, K, t, L, M]: K is that
-    # of e leaving v, set when e is settled, t indexes w's first edge ranked
-    # above e (e lands at the end of both lists, so the one after it), and
-    # (L, M) is the failure record of e leaving v.
+    # kids[v]: v's edges in rank order, each as [d, w, K, t, L, M] for the
+    # edge e = d // 2 leaving v for w: K is that of d, set when e is settled,
+    # t indexes w's first edge ranked above e (e lands at the end of both
+    # lists, so the one after it), and (L, M) is the failure record of d.
     kids: list[list[list[int]]] = [[] for _ in range(g.n)]
-    ranked = []  # (e, its two directions as (tail, entry, d, index)), in rank order
+    ranked = []  # (e, its two directions as (tail, entry, index)), in rank order
     for e in ordering.inverse:
         u, v = ends[e]
         ku, kv = kids[u], kids[v]
-        to_v, to_u = [e, v, 0, len(kv) + 1, none, 0], [e, u, 0, len(ku) + 1, none, 0]
-        ranked.append((e, ((u, to_v, 2 * e, len(ku)), (v, to_u, 2 * e + 1, len(kv)))))
+        to_v, to_u = [2 * e, v, 0, len(kv) + 1, none, 0], [2 * e + 1, u, 0, len(ku) + 1, none, 0]
+        ranked.append((e, ((u, to_v, len(ku)), (v, to_u, len(kv)))))
         ku.append(to_v)
         kv.append(to_u)
     deg = [len(k) for k in kids]
@@ -272,8 +278,8 @@ def _start_values(
     limit = inf if budget is None else budget
     seen = [False] * g.n
     for e, sides in reversed(ranked):
-        for a, first, d, _ in sides:
-            b = first[1]
+        for a, first, _ in sides:
+            d, b = first[0], first[1]
             k, w = top_k[b] + 1, top_w[b]
             if w is not None and not w[0] >> a & 1:
                 w = (w[0] | 1 << a, (a, e, w[1]))
@@ -284,7 +290,7 @@ def _start_values(
             else:
                 explored += 1  # the root's one edge
                 if explored > limit:
-                    return _capped(best_len, _unchain(best_path), budget, bound, wit, ranked)
+                    return _capped(best_len, _unchain(best_path), budget, bound, wit, kids)
                 # A frame holds an open vertex's untried children; the first
                 # holds a with the single child b, whose bound is U.  stack
                 # holds the entries of the path's edges, path its vertices
@@ -311,12 +317,12 @@ def _start_values(
                         if gap <= 0:  # the path to x is the longest yet
                             best_len, gap = len(stack) + 1, 1
                             found = ((a, *(s[1] for s in stack), x),
-                                     (*(s[0] for s in stack), kid[0]))
+                                     (*(s[0] >> 1 for s in stack), kid[0] >> 1))
                         t = kid[3]
                         explored += deg[x] - t
                         if explored > limit:
                             return _capped(best_len, found or _unchain(best_path), budget,
-                                           bound, wit, ranked)
+                                           bound, wit, kids)
                         seen[x] = True
                         path |= 1 << x
                         stack.append(kid)
@@ -336,7 +342,10 @@ def _start_values(
                         held &= path  # drops x
                         gap += 1
                         if found is None:
-                            kid[4], kid[5] = gap, held
+                            if held:
+                                kid[4], kid[5] = gap, held
+                            else:  # bounds d in any context: keep it as K
+                                kid[2] = bound[kid[0]] = gap
                         held |= masks.pop()
                 seen[a] = False
                 k, w = best_len, None
@@ -348,29 +357,18 @@ def _start_values(
                     w = (sum(1 << x for x in vs), best_path)
             first[2] = bound[d] = k
             wit[d] = w
-        for a, first, d, i in sides:
+        for a, first, i in sides:
+            d = first[0]
             k = bound[d]
             if k > top_k[a] or (k == top_k[a] and top_w[a] is None):
                 top_k[a], top_w[a] = k, wit[d]
             tops[a][i] = -top_k[a]
     vs, es = _unchain(best_path)
-    return PathResult("path", best_len, vs, es, True, explored), bound, wit, _records(ranked)
+    return PathResult("path", best_len, vs, es, True, explored), bound, wit, kids
 
 
-def _records(ranked: list) -> list:
-    """records[d]: the failure record (L, M) of directed edge d, or None
-    where its entry still holds L = m + 1."""
-    records: list = [None] * (2 * len(ranked))
-    for _, sides in ranked:
-        for _, kid, d, _ in sides:
-            if kid[4] <= len(ranked):
-                records[d] = kid[4], kid[5]
-    return records
-
-
-def _capped(best_len: int, found, budget: int, bound, wit, ranked) -> tuple:
+def _capped(best_len: int, found, budget: int, bound, wit, kids) -> tuple:
     """What ``_start_values`` returns when the budget runs out: the incumbent
     (vertices, edges) ``found``, inexact, with explored = budget + 1."""
     vs, es = found
-    return (PathResult("path", best_len, vs, es, False, budget + 1), bound, wit,
-            _records(ranked))
+    return PathResult("path", best_len, vs, es, False, budget + 1), bound, wit, kids

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -129,6 +130,25 @@ def test_greedy_coloring_large_star() -> None:
     col = alt.greedy_edge_coloring(g)
     assert alt.proper_violation(g, col) is None
     assert col.num_colors == 1000
+
+
+def test_greedy_coloring_memory_stays_linear() -> None:
+    # A table of max_degree + 1 color slots per vertex would take
+    # n * (delta + 1) * 8 bytes, 32 MB on a 2000-leaf star; the per-vertex
+    # dicts hold only the colored edges.  The center carries the highest
+    # label, so each edge's fan (grown at its lower end, a leaf) stops at
+    # once: make_star(2000) grows a fan over all the center's edges at every
+    # edge, which takes about 20 s under tracemalloc.
+    k = 2000
+    g = alt.Graph.from_edges(k + 1, [(v, k) for v in range(k)])
+    tracemalloc.start()
+    try:
+        col = alt.greedy_edge_coloring(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert col.num_colors == k
+    assert peak < 4 << 20, peak  # an eighth of the table
 
 
 def test_dimension_coloring_classes_are_direction_matchings() -> None:

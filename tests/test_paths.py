@@ -91,13 +91,28 @@ def test_path_matches_oracle_on_small_instances() -> None:
         assert alt.verify_witness(g, phi, res)
 
 
+def _head_bound(g, phi, bound, e: int, head: int) -> int:
+    """U of edge e entering ``head``: 1 + the largest K of head's edges
+    ranked above e, read from the final K (the pass's U, less any K lowered
+    since)."""
+    r = phi.rank[e]
+    return 1 + max((bound[2 * f + (head > w)] for w, f in g.adj[head] if phi.rank[f] > r),
+                   default=0)
+
+
 def test_start_values_bound_each_edge_and_equal_it_where_witnessed() -> None:
     # K[d] bounds the longest increasing path that starts with directed edge
     # d, and equals it wherever the pass kept a witness: a path of K[d] edges
     # that starts with d.  The search, alone and behind the trail shortcut,
-    # finds psi whenever it reports an exact result.
-    witnessed = 0
-    for g, phi in random_instances(300, 4, 8, seed=28, m_max=10):
+    # finds psi whenever it reports an exact result.  K falls below its U
+    # where a search ran: its root search failed at the incumbent, or a frame
+    # it entered closed with no blocking vertex, which lowers K to the gap.
+    # The second family holds 13 K lowered so, 9 of them tight, so a K set
+    # one too low fails there.
+    witnessed = tight_below = 0
+    corpus = random_instances(300, 4, 8, seed=28, m_max=10)
+    corpus += random_instances(60, 8, 12, seed=36, m_max=24)
+    for g, phi in corpus:
         psi = brute_psi(g, phi)
         res, bound, wit, _ = _start_values(g, phi, None)
         assert res.exact and res.length == psi
@@ -105,6 +120,7 @@ def test_start_values_bound_each_edge_and_equal_it_where_witnessed() -> None:
             for d, tail, head in ((2 * e, u, v), (2 * e + 1, v, u)):
                 want = brute_start_path(g, phi, e, tail)
                 assert bound[d] >= want, (e, tail)
+                tight_below += want == bound[d] < _head_bound(g, phi, bound, e, head)
                 if wit[d] is None:
                     continue
                 witnessed += 1
@@ -119,11 +135,18 @@ def test_start_values_bound_each_edge_and_equal_it_where_witnessed() -> None:
             for r in (search, alt.longest_increasing_path(g, phi, budget)):
                 assert alt.verify_witness(g, phi, r)
                 assert r.length == psi if r.exact else r.length <= psi
-    assert witnessed > 1000
+    assert witnessed > 1000 and tight_below > 200
 
 
 def _vertex_set(mask: int) -> frozenset[int]:
     return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
+
+
+def _records(g, kids) -> dict[int, tuple[int, int]]:
+    """The failure records (L, M) that ``_start_values`` left in its entries,
+    by directed edge; an entry holds L = m + 1 where none was written."""
+    return {d: (length, mask) for entries in kids for d, _, _, _, length, mask in entries
+            if length <= g.m}
 
 
 def test_failure_records_bound_each_edge_on_paths_avoiding_their_mask() -> None:
@@ -135,11 +158,12 @@ def test_failure_records_bound_each_edge_on_paths_avoiding_their_mask() -> None:
     for g, phi in random_instances(300, 5, 10, seed=29, m_max=16):
         psi = brute_psi(g, phi)
         for budget in (None, 3, 20, 100):
-            res, _, _, records = _start_values(g, phi, budget)
+            res, _, _, kids = _start_values(g, phi, budget)
             assert res.length == psi if res.exact else res.length <= psi
+            records = _records(g, kids)
             for e, (u, v) in enumerate(g.edges):
                 for d, tail, head in ((2 * e, u, v), (2 * e + 1, v, u)):
-                    if records[d] is None:
+                    if d not in records:
                         continue
                     length, mask = records[d]
                     assert not mask >> head & 1, (e, tail)
@@ -148,6 +172,28 @@ def test_failure_records_bound_each_edge_on_paths_avoiding_their_mask() -> None:
                     written += 1
                     tight += want == length and mask != 0
     assert written > 2000 and tight > 1000
+
+
+# Edges scanned by the unbudgeted psi searches of the corpus below, summed,
+# as recorded when maskless failure records became K.  A change that loses
+# a cut shows here as a count rather than a clock; one that saves work
+# should lower the value.
+PSI_WORK_CEILING = 10401670
+
+
+def test_psi_work_stays_under_its_recorded_ceiling() -> None:
+    total = 0
+    for s in range(8):
+        for n, p in ((30, 0.5), (40, 0.4), (50, 0.35), (60, 0.3), (100, 0.5)):
+            g = alt.sample_gnp(n, p, 100 * s + n)
+            phis = [alt.coloring_ordering(g, alt.greedy_edge_coloring(g), s)]
+            if n < 100:  # a random one of G(100, .5) is open at 200M edges
+                phis.append(alt.random_ordering(g, s))
+            for phi in phis:
+                res = alt.longest_increasing_path(g, phi)
+                assert res.exact
+                total += res.explored
+    assert total <= PSI_WORK_CEILING, total
 
 
 def test_path_at_most_trail_and_trail_floor() -> None:
