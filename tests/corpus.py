@@ -59,3 +59,24 @@ def random_instances(
         (g, alt.random_ordering(g, rng.randrange(1 << 30)))
         for g in random_graphs(count, n_lo, n_hi, seed, m_max=m_max)
     ]
+
+
+def psi_check_instances() -> list[tuple[alt.Graph, alt.EdgeOrdering]]:
+    """The 500 (graph, ordering) pairs of the seeded psi check: G(n, p) with
+    n in 10..60 and p in .1..0.6, under a random ordering (even positions)
+    or a Misra-Gries coloring ordering (odd positions); empty graphs are
+    skipped."""
+    rng = random.Random(2026)
+    out: list[tuple[alt.Graph, alt.EdgeOrdering]] = []
+    while len(out) < 500:
+        n = rng.randint(10, 60)
+        p = rng.choice((0.1, 0.2, 0.3, 0.4, 0.5, 0.6))
+        g = alt.sample_gnp(n, p, rng.randrange(2**30))
+        seed = rng.randrange(2**30)
+        if g.m == 0:
+            continue
+        if len(out) % 2 == 0:
+            out.append((g, alt.random_ordering(g, seed)))
+        else:
+            out.append((g, alt.coloring_ordering(g, alt.greedy_edge_coloring(g), seed)))
+    return out

@@ -365,14 +365,26 @@ def _petersen() -> alt.Graph:
 
 def test_exact_f_proves_k6_and_petersen() -> None:
     # Before sleep sets, K_6 took 174011 nodes and Petersen stayed at the
-    # bracket [3, 4] after 200000.
+    # bracket [3, 4] after 200000.  The node counts and witnesses pin the
+    # search's work and order.
     k6 = alt.exact_f(alt.make_complete(6), budget=20000)
-    assert (k6.value, k6.lower, k6.exact) == (4, 4, True)
+    assert (k6.value, k6.lower, k6.exact, k6.explored) == (4, 4, True, 17783)
+    assert k6.witness.rank == (9, 1, 14, 12, 6, 15, 5, 7, 3, 11, 4, 13, 2, 8, 10)
     g = _petersen()
     assert g.m == 15 and all(len(a) == 3 for a in g.adj)
     pet = alt.exact_f(g, budget=200000)
-    assert (pet.value, pet.lower, pet.exact) == (4, 4, True)
+    assert (pet.value, pet.lower, pet.exact, pet.explored) == (4, 4, True, 27768)
+    assert pet.witness.rank == (9, 5, 2, 13, 6, 8, 3, 11, 1, 14, 12, 10, 15, 4, 7)
     assert pet.bounds.lower == 3  # the search, not the sandwich, closed it
+
+
+def test_exact_f_caps_k7_at_its_budget() -> None:
+    # K_7 stays at the bracket [3, 5]; the witness is the sandwich's
+    # coloring ordering, which the capped search did not beat.
+    k7 = alt.exact_f(alt.make_complete(7), budget=5000)
+    assert (k7.value, k7.lower, k7.exact, k7.explored) == (5, 3, False, 5001)
+    assert k7.witness.rank == (
+        17, 7, 10, 13, 1, 6, 20, 5, 12, 15, 8, 14, 4, 16, 3, 2, 9, 19, 21, 18, 11)
 
 
 def test_exact_f_under_relabelling_and_edge_deletion() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -9,7 +10,7 @@ import pytest
 
 import altitude as alt
 from altitude.paths import _start_values, _trail_sweep, _unchain
-from corpus import random_instances
+from corpus import psi_check_instances, random_instances
 from oracles import brute_psi, brute_start_path, brute_suffix_trail, brute_trail
 
 
@@ -194,6 +195,26 @@ def test_psi_work_stays_under_its_recorded_ceiling() -> None:
                 assert res.exact
                 total += res.explored
     assert total <= PSI_WORK_CEILING, total
+
+
+# (exact count, sum of explored, SHA-256 of every (length, exact, vertices,
+# edges)) of the 500-instance psi check, per budget.  Instances 245 and 401
+# are proved at 20000 but capped at 2000, with the right length.
+PSI_CHECK = {
+    2000: (325, 456760, "9fe9ab337d6efe3a8dae8179dd4b9cfe293592a1c51ca01a4d777ce2bfa4d113"),
+    20000: (426, 2379143, "39e17df2619a99ff1ba2f76bcd3389d5e9947eff858972e01ea7f1879c790fe5"),
+}
+
+
+def test_psi_check_repeats_its_recorded_results() -> None:
+    instances = psi_check_instances()
+    for budget, want in PSI_CHECK.items():
+        results = [alt.longest_increasing_path(g, phi, budget) for g, phi in instances]
+        digest = hashlib.sha256(
+            repr([(r.length, r.exact, r.vertices, r.edges) for r in results]).encode()
+        ).hexdigest()
+        got = (sum(r.exact for r in results), sum(r.explored for r in results), digest)
+        assert got == want, budget
 
 
 def test_path_at_most_trail_and_trail_floor() -> None:
