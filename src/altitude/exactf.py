@@ -12,14 +12,13 @@ which settles many small graphs at once.
 A child appends edge (u, v) with the top rank, so every increasing path
 through it ends with it: the child's value is 1 + the longer of the longest
 path ending at u that avoids v and the one ending at v that avoids u.  The
-branch keeps, per vertex w, ``din[w]``, the longest increasing path among
-the ranked edges that ends at w, and ``wit[w]``, the vertex mask of one such
-path.  One method, ``longest_ending_at``, answers every path end that must
-avoid a vertex mask: it is exactly din[u] where wit[u] misses the mask, as
-no path ending at u is longer and this one avoids it.  Only a witness
-through the mask runs the backward search ``longest_ending_at.back``, whose
-depth is at most din[u].  Ranking an edge changes din and wit only at its
-two ends, and backtracking restores them from an undo record.
+branch's ranks are placed from rank 1 up on the psi search's state,
+``paths.PathValues``, whose monotone paths, read from their end, are then
+the increasing ones.  Its incumbent is the node's value, a child's value is
+the incumbent once the child is placed, and a path end that avoids a vertex
+mask is its masked query.  Its K values and failure records persist across
+nodes while their edge stays ranked: they read only the edges ranked below
+it, which stay fixed in that subtree.
 
 Two cuts bound the whole subtree of a node, not one child:
 
@@ -68,7 +67,7 @@ from .adversary import upper_bound_report
 from .density import density_floor
 from .graphs import Graph, SoundnessError
 from .orderings import EdgeOrdering, identity_ordering
-from .paths import longest_increasing_path
+from .paths import PathValues, longest_increasing_path
 from .pedestrian import sqrt_degree_floor
 
 _ORBIT_NODE_CAP = 20000
@@ -194,136 +193,25 @@ def edge_orbits(g: Graph) -> tuple[tuple[int, ...], ...]:
 # Minimax search for f
 # ----------------------------------------------------------------------
 
-class _RankedPrefix:
-    """The ranked edges of one search branch, with path-end values per vertex.
-
-    ``din[w]`` is the length of the longest increasing path among the ranked
-    edges that ends at vertex w, and ``wit[w]`` the vertex bitmask of one
-    such path (w alone while din[w] is 0).  Ranks are appended on top, so a
-    path that uses the newest edge ends with it: ranking (a, b) can only
-    raise din at a and b, and ``rank`` keeps the old pairs there as an undo
-    record that ``unrank`` pops.
-    """
-
-    def __init__(self, g: Graph) -> None:
-        self.edges, self.adj = g.edges, g.adj
-        self.rank_of = [0] * g.m  # 0 = unranked; otherwise the assigned rank
-        self.ranked: list[int] = []  # ranked[i] holds rank i + 1
-        self.din = [0] * g.n
-        self.wit = [1 << w for w in range(g.n)]
-        self.undo: list[tuple[int, int, int, int]] = []  # beside ranked
-
-    def longest_ending_at(self, x: int, avoid: int, need: int) -> tuple[int, int]:
-        """Longest increasing path among ranked edges that ends at vertex x
-        and visits no vertex of the mask ``avoid``, with its vertex mask; or
-        the first such path found of at least ``need`` edges.  With need >=
-        din[x] the answer is always the longest.
-
-        When wit[x] misses the mask, din[x] and wit[x] are the answer: no
-        path ending at x is longer, and this one avoids the mask.  Only a
-        witness through the mask runs ``back``, which searches backwards
-        from x along falling ranks.  Its depth is at most din[x].  No path
-        back from a vertex y is longer than din[y], so it skips a neighbour
-        whose din cannot beat the best path so far, and leaves y once that
-        path reaches din[y] or what y still needs.
-        """
-        wit = self.wit[x]
-        if not wit & avoid:
-            return self.din[x], wit
-        adj, rank_of, din = self.adj, self.rank_of, self.din
-
-        def back(y: int, below: int, mask: int, need: int) -> tuple[int, int]:
-            out, out_mask = 0, mask
-            for w, e2 in adj[y]:
-                r2 = rank_of[e2]
-                if 0 < r2 < below and din[w] >= out and not mask >> w & 1:
-                    got, got_mask = back(w, r2, mask | (1 << w), need - 1)
-                    if got >= out:
-                        out, out_mask = got + 1, got_mask
-                        if out >= need or out == din[y]:
-                            break
-            return out, out_mask
-
-        length, mask = back(x, len(self.ranked) + 1, (1 << x) | avoid, need)
-        return length, mask & ~avoid
-
-    def top_values(self, candidates: list[int], floor: int) -> list[int]:
-        """For each unranked candidate edge, the longest increasing path that
-        ends with it once it takes the next rank above the prefix, raised to
-        ``floor``.
-
-        Each side is a ``longest_ending_at`` query that avoids the other
-        end.  The larger din goes first, and a side whose din cannot lift
-        the value is not evaluated at all.
-        """
-        din, edges, end = self.din, self.edges, self.longest_ending_at
-        out = []
-        for x in candidates:
-            u, v = edges[x]
-            if din[u] < din[v]:
-                u, v = v, u
-            side = floor - 1
-            if din[u] > side:
-                side = max(side, end(u, 1 << v, din[u])[0])
-            if din[v] > side:
-                side = max(side, end(v, 1 << u, din[v])[0])
-            out.append(side + 1)
-        return out
-
-    def pair_forces(self, unranked: list[int], t: int) -> bool:
-        """Whether two unranked edges (a, b) and (b, c) force a path of t + 2
-        edges in every completion of the prefix.
-
-        Whichever of the two is ranked first, the other extends it, so the
-        longest prefix path ending at its far end that avoids b and c (or a
-        and b), followed by both edges, is increasing.  That needs paths of
-        t edges at both a and c, so only ends with din >= t are paired.
-        """
-        din, edges, end = self.din, self.edges, self.longest_ending_at
-        far: dict[int, list[int]] = {}  # shared vertex b -> far ends with din >= t
-        for x in unranked:
-            u, v = edges[x]
-            if din[u] >= t:
-                far.setdefault(v, []).append(u)
-            if din[v] >= t:
-                far.setdefault(u, []).append(v)
-        for b, ends in far.items():
-            for i, a in enumerate(ends):
-                for c in ends[i + 1:]:
-                    if (end(a, (1 << b) | (1 << c), t)[0] >= t
-                            and end(c, (1 << b) | (1 << a), t)[0] >= t):
-                        return True
-        return False
-
-    def rank(self, e: int) -> None:
-        """Give edge e the next rank and raise din/wit at its two ends.
-
-        A path ending at one end, extended by e, lifts the other end only if
-        it outgrows that end's din, so an end with the smaller din is not
-        evaluated.
-        """
-        a, b = self.edges[e]
-        din, wit, end = self.din, self.wit, self.longest_ending_at
-        da, db = din[a], din[b]
-        self.undo.append((da, wit[a], db, wit[b]))
-        sa = sb = -1  # -1: that end cannot lift the other
-        if db >= da:
-            sb, mb = end(b, 1 << a, db)
-        if da >= db:
-            sa, ma = end(a, 1 << b, da)
-        if sb >= da:
-            din[a], wit[a] = sb + 1, mb | (1 << a)
-        if sa >= db:
-            din[b], wit[b] = sa + 1, ma | (1 << b)
-        self.ranked.append(e)
-        self.rank_of[e] = len(self.ranked)
-
-    def unrank(self) -> None:
-        """Remove the top-ranked edge and restore din/wit at its ends."""
-        e = self.ranked.pop()
-        self.rank_of[e] = 0
-        a, b = self.edges[e]
-        self.din[a], self.wit[a], self.din[b], self.wit[b] = self.undo.pop()
+def _pair_forces(state: PathValues, unranked: list[int], t: int) -> bool:
+    """Whether two unranked edges (a, b) and (b, c) force a path of t + 2
+    edges in every completion of the prefix placed in ``state`` (the pair
+    cut).  That needs prefix paths of t edges ending at a and at c, so only
+    ends whose largest K reaches t are paired."""
+    edges, pre, reaches = state.ends, state.pre, state.reaches
+    far: dict[int, list[int]] = {}  # shared vertex b -> far ends that may reach t
+    for x in unranked:
+        u, v = edges[x]
+        if pre[u][-1] >= t:
+            far.setdefault(v, []).append(u)
+        if pre[v][-1] >= t:
+            far.setdefault(u, []).append(v)
+    for b, ends in far.items():
+        for i, a in enumerate(ends):
+            for c in ends[i + 1:]:
+                if reaches(a, (b, c), t) and reaches(c, (a, b), t):
+                    return True
+    return False
 
 
 def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
@@ -341,11 +229,10 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
 
     A child (u, v) takes the top rank, so its value is the larger of the
     prefix value and 1 + the longest paths ending at u avoiding v and at v
-    avoiding u.  ``_RankedPrefix`` keeps din/wit along the branch, and its
-    ``longest_ending_at`` gives the u side as din[u] when wit[u] avoids v;
-    only a witness through v runs the backward search ``back``.  The values
-    equal those of a backward search for every child, so the nodes and the
-    witness do not depend on how often that happens.
+    avoiding u: the incumbent of the branch's ``PathValues`` once the child
+    is placed (``values``, which stops at the first value that kills the
+    node).  The values are exact, so the nodes and the witness do not
+    depend on which of them a witness settles and which a search.
 
     A node computes this value for every unranked edge and dies, with its
     whole subtree, when one of two bounds reaches the incumbent:
@@ -354,8 +241,8 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
       ranks above the prefix in any completion;
     - pair: unranked edges (a, b) and (b, c) with paths of incumbent - 2
       edges ending at a and at c that avoid the other two vertices, since
-      whichever edge ranks first, the other extends it.  Only ends whose din
-      reaches incumbent - 2 are paired.
+      whichever edge ranks first, the other extends it.  Only ends whose
+      largest K reaches incumbent - 2 are paired.
 
     Both bounds read every unranked edge, but a node makes children only
     for the edges outside its sleep set, an int with one bit per edge.  In
@@ -379,8 +266,8 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
     if best_val <= floor:
         return AltitudeResult(best_val, best_val, best_ord, 0, True, bounds)
 
-    prefix = _RankedPrefix(g)
-    rank_of, ranked = prefix.rank_of, prefix.ranked
+    state = PathValues(g)
+    placed, rank_of = state.placed, [0] * m  # rank_of[x]: 0 while x is unranked
     explored = 0
 
     inc = [sum(1 << x for _, x in at) for at in g.adj]  # the edges at each vertex
@@ -391,10 +278,12 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
         val, r, e, sleep = stack.pop()
         if val >= best_val:  # the incumbent improved since this child was pushed
             continue
-        while len(ranked) >= r > 0:
-            prefix.unrank()
+        while len(placed) >= r > 0:
+            rank_of[placed[-1]] = 0
+            state.unplace()
         if r:
-            prefix.rank(e)
+            state.place(e)
+            rank_of[e] = r
         explored += 1
         if budget is not None and explored > budget:
             break
@@ -402,8 +291,8 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
             best_val, best_ord = val, EdgeOrdering(tuple(rank_of))
             continue
         unranked = [x for x in range(m) if not rank_of[x]]
-        values = prefix.top_values(unranked, val)
-        if max(values) >= best_val or prefix.pair_forces(unranked, best_val - 2):
+        values = state.values(unranked, best_val)
+        if values[-1] >= best_val or _pair_forces(state, unranked, best_val - 2):
             continue  # every completion reaches the incumbent
         awake = [(child, x) for child, x in zip(values, unranked) if not sleep >> x & 1]
         if not r:  # the root ranks one representative per edge orbit

@@ -3,16 +3,18 @@
 A trail repeats no edge; a path additionally repeats no vertex.  Lengths are
 counted in edges.  The trail length is computed by a single pass over the
 edges in rank order and dominates the path length, and an optimal trail
-that repeats no vertex is a longest path.  Otherwise the path search bounds
-each directed edge by path values of the edges ranked above it, settled
-from the top rank down, and searches only where neither a witness nor the
-incumbent settles one; a search skips what a failure record, kept per
-directed edge from the searches before it, rules out.
+that repeats no vertex is a longest path.  Otherwise the path search places
+the edges from the top rank down on a ``PathValues`` state, which bounds
+each directed edge by the path values of the edges placed before it and
+searches only where neither a witness nor the incumbent settles one; a
+search skips what a failure record, kept per directed edge from the
+searches before it, rules out.  ``exactf.exact_f`` places its ranks from
+rank 1 up on the same state.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import inf
 from typing import Iterable
@@ -156,12 +158,10 @@ def longest_increasing_path(
     """Longest increasing path (psi): the optimal trail when it repeats no
     vertex, else the top-down pass of ``_start_values``.
 
-    ``explored`` counts the edges that the pass's depth-first searches scan:
-    1 for each search, and at each vertex a search enters, every edge ranked
-    above the one it arrived by, whether or not a cut then skips it; an edge
-    that the witness rule or the incumbent settles costs none.  ``budget``
-    caps it; on exhaustion the incumbent is returned with exact=False (a
-    valid lower bound) and explored = budget + 1.
+    ``explored`` counts the edges that the pass's searches scan (see
+    ``PathValues``); an edge that the witness rule or the incumbent settles
+    costs none.  ``budget`` caps it; on exhaustion the incumbent is returned
+    with exact=False (a valid lower bound) and explored = budget + 1.
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
@@ -188,187 +188,295 @@ def _unchain(node) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(vs), tuple(es)
 
 
-def _start_values(
-    g: Graph, ordering: EdgeOrdering, budget: int | None
-) -> tuple[PathResult, list[int], list, list]:
-    """The psi search: a bound K[d] on the longest increasing path that
-    starts with each directed edge d, settled from the top rank down.
+class _Capped(Exception):
+    """A search ran past the budget; B is the longest path found."""
 
-    Edge e = (u, v), u < v, gives d = 2e leaving u and d = 2e + 1 leaving v.
-    When d = (a, b) of rank r comes up, every edge leaving b above r has its
-    K, so U = 1 + the largest of them bounds K[d].  If the edge attaining U
-    has a witness, a path of its K edges, that misses a, then a followed by
-    that path is a witness of U and K[d] = U exactly (the witness rule of
-    ``exactf._RankedPrefix.longest_ending_at``).  Otherwise K[d] = U if U
-    cannot beat the incumbent B; else a depth-first search runs from b,
-    avoiding a, and K[d] is the incumbent after it: the longest path
-    starting with d if that beat B, else B.  Either way no path starting
-    with d beats the final incumbent, which is therefore psi.
+
+class PathValues:
+    """Path values over placement order: the state of the psi search, which
+    ``exactf.exact_f`` shares.
+
+    Edges are placed one at a time and unplaced last first.  A path is
+    monotone when each of its edges was placed before the one preceding it.
+    Read from its start, it is increasing if the edges are placed from the
+    top rank down (psi); read from its end, if they are placed from rank 1
+    up (``exact_f``).  Edge e = (u, v), u < v, has the directions d = 2e
+    leaving u and d = 2e + 1 leaving v.  B is the incumbent, the longest
+    monotone path among the placed edges, and ``best_path`` a witness of it
+    as cells (``_unchain``).
+
+    Placing e settles a bound K[d] on the longest monotone path that starts
+    with each direction d = (a, b) in turn.  Every placed edge leaving b has
+    its K, so U = 1 + the largest of them bounds K[d].  If the edge attaining
+    U has a witness, a path of its K edges, that misses a, then a followed
+    by that path is a witness of U and K[d] = U exactly (the witness rule).
+    Otherwise K[d] = U if U cannot beat B; else a depth-first search runs
+    from b, avoiding a, and K[d] is B after it: the longest path starting
+    with d if that beat B, else B.  Either way no monotone path starting
+    with d beats the new B.  ``unplace`` pops e's entries and prefix maxima
+    and restores B.
 
     The search keeps its own stack, so no recursion limit caps the path
-    length.  It walks each vertex's edges in rank order, from the first
-    ranked above the edge it arrived by; each edge is listed once per call
-    with the place in the other end's list where the edges ranked above it
-    begin, so a step needs no search for the rank.  With t edges on the
-    stack the gap is the incumbent less t.  A child x reached by d' is
-    tried only if K[d'] beats the gap, and becomes the incumbent if t + 1
-    beats it.  Each vertex keeps the suffix maxima of K over its edges,
-    filled in as edges settle, so a frame stops (one bisection) at the
-    first edge past which no K beats its gap; gaps only grow, so no
-    promising child lies beyond.
+    length.  It walks each vertex's edges from the last one placed before
+    the edge it arrived by back to the first.  With t edges on the stack the
+    gap is B less t.  A child x reached by d' is tried only if K[d'] beats
+    the gap, and becomes the incumbent if t + 1 beats it.  Each vertex keeps
+    the prefix maxima of K over its edges, appended as they are placed, so
+    a frame stops (one bisection) at the edge before which no K beats its
+    gap; gaps only grow, so no promising child lies beyond.
 
     Failure records.  Directed edge d = (p, x) may carry a record (L, M):
-    no increasing path that starts with d and visits no vertex of M after
-    x is longer than L.  While the current search has not beaten B, the
-    gap at depth t is B - t; when x's frame at depth t closes, every child
-    d' of x was either cut by K[d'] <= B - t, or led to a vertex on the
-    path (which joins M, if K[d'] beat the gap), or was skipped by a
-    record (L', M') with L' <= B - t whose M' joins M, or was entered and
-    its own frame closed with the record (B - t, M'') whose M'' joins M.
-    So the record (B - t + 1, M) holds, with x dropped from M (no path
-    through d revisits x), by induction over the order in which frames
-    close; once the search beats B no more records are written.  A child
-    whose record has L' <= gap and M' inside the current path is skipped:
-    a path extending the stack visits no stack vertex, so the record
-    bounds it.  Each search keeps the blocked mask of every open frame and
-    passes it to the parent as the frame closes.  A record whose M is
-    empty bounds every path starting with d, whatever the path before it,
-    so it is kept as K[d] instead (always lower, since d was entered with
-    K[d] beating the gap), and the masked record in d's slot stays; the
-    suffix maxima then overstate K, which only delays a frame's stop.
+    no monotone path that starts with d and visits no vertex of M after x
+    is longer than L.  While the current search has not beaten B, the gap
+    at depth t is B - t; when x's frame at depth t closes, every child d'
+    of x was either cut by K[d'] <= B - t, or led to a vertex on the path
+    (which joins M, if K[d'] beat the gap), or was skipped by a record (L',
+    M') with L' <= B - t whose M' joins M, or was entered and its own frame
+    closed with the record (B - t, M'') whose M'' joins M.  So the record (B
+    - t + 1, M) holds, with x dropped from M (no path through d revisits
+    x), by induction over the order in which frames close; once the search
+    beats B no more records are written.  A child whose record has L' <=
+    gap and M' inside the current path is skipped: a path extending the
+    stack visits no stack vertex, so the record bounds it.  Each search
+    keeps the blocked mask of every open frame and passes it to the parent
+    as the frame closes.  A record whose M is empty bounds every path
+    starting with d, whatever the path before it, so it is kept as K[d]
+    instead (always lower, since d was entered with K[d] beating the gap),
+    and the masked record in d's slot stays; the prefix maxima then
+    overstate K, which only delays a frame's stop.  A K or record of d reads
+    only the edges placed before d, which stay as they are while d is
+    placed, so it stays true through every placement and unplacement above
+    d, and goes only with d's entry.
 
-    ``explored`` counts edges scanned: 1 for the root edge d, and at each
-    vertex the search enters, every edge ranked above the one it arrived
-    by, whether or not the cuts then skip it (one addition per vertex).
+    ``explored`` counts edges scanned: 1 for each search's root edge, and
+    at each vertex a search enters, every edge placed before the one it
+    arrived by, whether or not the cuts then skip it (one addition per
+    vertex).  Past ``budget`` a search raises ``_Capped``.
 
-    Returns the result, K, wit and kids: wit[d] is (vertex mask, path as
-    cells) of a path of K[d] edges starting with d, or None where K[d] is
-    only a bound; kids[v] lists v's edges in rank order as entries
-    [d, w, K, t, L, M] (below), whose (L, M) is d's failure record, with
-    L = m + 1 where none was written.  A capped result leaves the edges
-    not yet settled at 0 and None.
+    ``kids[v]`` lists the edges leaving v in placement order as entries [d,
+    w, K, t, L, M, wit, top] for the edge e = d // 2 from v to w, after a
+    first entry that stands for the empty path at v.  t is the number of
+    w's edges placed before e, (L, M) the failure record of d (L = m + 1
+    where none was written), wit (vertex mask, path as cells) a path of K
+    edges starting with d or None where K is only a bound, and top the
+    wit of the first witnessed entry up to this one whose K is ``pre``'s
+    there, if any.  ``pre[v][j]`` is the largest K in kids[v][:j + 1] as
+    they were placed.
     """
-    ends = g.edges
-    none = g.m + 1  # the length of an absent record: no gap reaches it
-    # kids[v]: v's edges in rank order, each as [d, w, K, t, L, M] for the
-    # edge e = d // 2 leaving v for w: K is that of d, set when e is settled,
-    # t indexes w's first edge ranked above e (e lands at the end of both
-    # lists, so the one after it), and (L, M) is the failure record of d.
-    kids: list[list[list[int]]] = [[] for _ in range(g.n)]
-    ranked = []  # (e, its two directions as (tail, entry, index)), in rank order
-    for e in ordering.inverse:
-        u, v = ends[e]
-        ku, kv = kids[u], kids[v]
-        to_v, to_u = [2 * e, v, 0, len(kv) + 1, none, 0], [2 * e + 1, u, 0, len(ku) + 1, none, 0]
-        ranked.append((e, ((u, to_v, len(ku)), (v, to_u, len(kv)))))
-        ku.append(to_v)
-        kv.append(to_u)
-    deg = [len(k) for k in kids]
-    # tops[v][i]: minus the largest K among kids[v][i:] (0 past the end),
-    # ascending as bisect wants it; set from the top rank down.
-    tops = [[0] * (d + 1) for d in deg]
-    bound = [0] * (2 * g.m)
-    wit: list = [None] * (2 * g.m)
-    # The largest K of the edges leaving each vertex settled so far, and the
-    # witness of one edge attaining it if any has one: the empty path at first.
-    top_k = [0] * g.n
-    top_w: list = [(1 << v, v) for v in range(g.n)]
-    best_len, best_path = 0, 0  # the incumbent, as cells: vertex 0 alone
-    explored = 0
-    limit = inf if budget is None else budget
-    seen = [False] * g.n
-    for e, sides in reversed(ranked):
-        for a, first, _ in sides:
-            d, b = first[0], first[1]
-            k, w = top_k[b] + 1, top_w[b]
+
+    def __init__(self, g: Graph, budget: int | None = None) -> None:
+        self.ends = g.edges
+        self.none = g.m + 1  # the length of an absent record: no gap reaches it
+        self.kids = [[[-1, v, 0, 0, self.none, 0, None, (1 << v, v)]] for v in range(g.n)]
+        self.pre = [[0] for _ in range(g.n)]
+        self.placed: list[int] = []
+        self.undo: list[tuple] = []  # B and its path before each placement
+        self.best, self.best_path = 0, 0  # the incumbent: vertex 0 alone
+        self.explored = 0
+        self.limit = inf if budget is None else budget
+        self.seen = [False] * g.n
+
+    def place(self, e: int) -> None:
+        """Place edge e: settle K and wit of its two directions against the
+        placed edges, raising B, then add them to the lists of their tails."""
+        self.undo.append((self.best, self.best_path))
+        u, v = self.ends[e]
+        kids, pre, none = self.kids, self.pre, self.none
+        du = [2 * e, v, 0, len(kids[v]) - 1, none, 0, None, None]
+        dv = [2 * e + 1, u, 0, len(kids[u]) - 1, none, 0, None, None]
+        tops = []  # each tail's largest K once its entry joins its list
+        for a, b, entry in (u, v, du), (v, u, dv):
+            k, w = pre[b][-1] + 1, kids[b][-1][7]
             if w is not None and not w[0] >> a & 1:
                 w = (w[0] | 1 << a, (a, e, w[1]))
-                if k > best_len:
-                    best_len, best_path = k, w[1]
-            elif k <= best_len:
+                if k > self.best:
+                    self.best, self.best_path = k, w[1]
+            elif k <= self.best:
                 w = None
-            else:
-                explored += 1  # the root's one edge
-                if explored > limit:
-                    return _capped(best_len, _unchain(best_path), budget, bound, wit, kids)
-                # A frame holds an open vertex's untried children; the first
-                # holds a with the single child b, whose bound is U.  stack
-                # holds the entries of the path's edges, path its vertices
-                # as a mask, held the top frame's mask M and masks those of
-                # the frames below it.
-                first[2] = k
-                stack, masks = [], []
-                seen[a] = True
-                path, held = 1 << a, 0
-                frames = [iter((first,))]
-                gap = best_len  # the incumbent less the stack's edge count
-                found = None
-                while True:
-                    for kid in frames[-1]:
-                        if kid[2] <= gap:
-                            continue
-                        x = kid[1]
-                        if seen[x]:
-                            held |= 1 << x
-                            continue
-                        if kid[4] <= gap and not kid[5] & ~path:
-                            held |= kid[5]
-                            continue
-                        if gap <= 0:  # the path to x is the longest yet
-                            best_len, gap = len(stack) + 1, 1
-                            found = ((a, *(s[1] for s in stack), x),
-                                     (*(s[0] >> 1 for s in stack), kid[0] >> 1))
-                        t = kid[3]
-                        explored += deg[x] - t
-                        if explored > limit:
-                            return _capped(best_len, found or _unchain(best_path), budget,
-                                           bound, wit, kids)
-                        seen[x] = True
-                        path |= 1 << x
-                        stack.append(kid)
-                        masks.append(held)
-                        held = 0
-                        gap -= 1
-                        frames.append(iter(kids[x][t:bisect_left(tops[x], -gap, t)]))
-                        break
-                    else:  # every child of the frame tried: step back
-                        frames.pop()
-                        if not stack:
-                            break
-                        kid = stack.pop()
-                        x = kid[1]
-                        seen[x] = False
-                        path ^= 1 << x
-                        held &= path  # drops x
-                        gap += 1
-                        if found is None:
-                            if held:
-                                kid[4], kid[5] = gap, held
-                            else:  # bounds d in any context: keep it as K
-                                kid[2] = bound[kid[0]] = gap
-                        held |= masks.pop()
-                seen[a] = False
-                k, w = best_len, None
+            else:  # B >= 1: the root edge alone never beats B here
+                k, found = self._search((a,), [entry], self.best - 1, none)
+                w = found and _witness(a, found)
                 if found:
-                    vs, es = found
-                    best_path = vs[-1]
-                    for x, e2 in zip(vs[-2::-1], es[::-1]):
-                        best_path = (x, e2, best_path)
-                    w = (sum(1 << x for x in vs), best_path)
-            first[2] = bound[d] = k
-            wit[d] = w
-        for a, first, i in sides:
-            d = first[0]
-            k = bound[d]
-            if k > top_k[a] or (k == top_k[a] and top_w[a] is None):
-                top_k[a], top_w[a] = k, wit[d]
-            tops[a][i] = -top_k[a]
-    vs, es = _unchain(best_path)
-    return PathResult("path", best_len, vs, es, True, explored), bound, wit, kids
+                    self.best, self.best_path = k, w[1]
+            top, top_w = pre[a][-1], kids[a][-1][7]
+            if k > top or (k == top and top_w is None):
+                top, top_w = k, w
+            entry[2], entry[6], entry[7] = k, w, top_w
+            tops.append(top)
+        # Both directions settle against the edges placed before e, so the
+        # entries join their lists only now.
+        kids[u].append(du)
+        kids[v].append(dv)
+        pre[u].append(tops[0])
+        pre[v].append(tops[1])
+        self.placed.append(e)
+
+    def unplace(self) -> None:
+        """Remove the edge placed last, and restore B."""
+        u, v = self.ends[self.placed.pop()]
+        kids, pre = self.kids, self.pre
+        kids[u].pop()
+        kids[v].pop()
+        pre[u].pop()
+        pre[v].pop()
+        self.best, self.best_path = self.undo.pop()
+
+    def values(self, xs: list[int], stop: int) -> list[int]:
+        """For each unplaced edge x in turn, up to the first value that
+        reaches ``stop``, B once x is placed: each direction is settled as
+        ``place`` would, but only where its U beats the value so far, and a
+        search stops once it reaches U.  The state stays as it was, apart
+        from the records and lowered K that the searches write."""
+        ends, kids, pre, none = self.ends, self.kids, self.pre, self.none
+        best, out = self.best, []
+        for x in xs:
+            u, v = ends[x]
+            val = best
+            k = pre[v][-1] + 1
+            if k > val:
+                w = kids[v][-1][7]
+                if w is None or w[0] >> u & 1:  # no witness rule: search
+                    entry = [2 * x, v, 0, len(kids[v]) - 1, none, 0, None, None]
+                    k = self._search((u,), [entry], val - 1, k)[0]
+                val = k
+            k = pre[u][-1] + 1
+            if k > val:
+                w = kids[u][-1][7]
+                if w is None or w[0] >> v & 1:
+                    entry = [2 * x + 1, u, 0, len(kids[u]) - 1, none, 0, None, None]
+                    k = self._search((v,), [entry], val - 1, k)[0]
+                val = k
+            out.append(val)
+            if val >= stop:
+                break
+        return out
+
+    def reaches(self, a: int, avoid: tuple[int, ...], t: int) -> bool:
+        """Whether a monotone path of t edges starts at vertex a and visits no
+        vertex of ``avoid``.
+
+        The witness top of a answers yes when it misses ``avoid``, and the
+        prefix maximum of a no when it is below t; otherwise a search from a
+        stops at the first such path.
+        """
+        if t <= 0:
+            return True
+        if self.pre[a][-1] < t:
+            return False
+        w = self.kids[a][-1][7]
+        if w is not None:
+            for x in avoid:
+                if w[0] >> x & 1:
+                    break
+            else:
+                return True
+        return self._search((a, *avoid), [], t - 1, t)[1] is not None
+
+    def _search(self, blocked: tuple, stack: list, gap: int, need: int) -> tuple:
+        """The depth-first search from blocked[0], along the entries on
+        ``stack`` first, that visits no vertex of ``blocked``: the longest
+        path it finds as (length, the entries of its edges) if one is longer
+        than ``gap`` plus the stack's edges, else (that sum, None).  It stops
+        at the first path of ``need`` edges."""
+        kids, pre, seen = self.kids, self.pre, self.seen
+        explored, limit = self.explored, self.limit
+        path = 0
+        for x in blocked:
+            seen[x] = True
+            path |= 1 << x
+        for s in stack:  # the root edge, and every edge placed at its head
+            explored += 1 + s[3]
+            seen[s[1]] = True
+            path |= 1 << s[1]
+        # gap: the incumbent less the stack's edge count
+        length, found = gap + len(stack), None
+        if explored > limit:
+            raise _Capped
+        # A frame holds an open vertex's untried children.  stack holds the
+        # entries of the path's edges, held the top frame's blocked mask and
+        # masks those of the frames below it.
+        a = blocked[0]
+        x, t = (stack[-1][1], stack[-1][3]) if stack else (a, len(kids[a]) - 1)
+        frames = [reversed(kids[x][bisect_right(pre[x], gap, 0, t + 1):t + 1])]
+        masks = [0] * len(stack)
+        held = 0
+        while frames:
+            for kid in frames[-1]:
+                if kid[2] <= gap:
+                    continue
+                x = kid[1]
+                if seen[x]:
+                    held |= 1 << x
+                    continue
+                if kid[4] <= gap and not kid[5] & ~path:
+                    held |= kid[5]
+                    continue
+                if gap <= 0:  # the path to x is the longest yet
+                    length, gap = len(stack) + 1, 1
+                    found = [*stack, kid]
+                    if length >= need:  # stop: close every frame
+                        for s in stack:
+                            seen[s[1]] = False
+                        frames.clear()
+                        break
+                t = kid[3]
+                explored += t
+                if explored > limit:  # the path found so far is the incumbent
+                    if found:
+                        self.best, self.best_path = length, _witness(a, found)[1]
+                    raise _Capped
+                seen[x] = True
+                path |= 1 << x
+                stack.append(kid)
+                masks.append(held)
+                held = 0
+                gap -= 1
+                frames.append(reversed(kids[x][bisect_right(pre[x], gap, 0, t + 1):t + 1]))
+                break
+            else:  # every child of the frame tried: step back
+                frames.pop()
+                if not stack:
+                    break
+                kid = stack.pop()
+                x = kid[1]
+                seen[x] = False
+                path ^= 1 << x
+                held &= path  # drops x
+                gap += 1
+                if found is None:
+                    if held:
+                        kid[4], kid[5] = gap, held
+                    else:  # bounds d in any context: keep it as K
+                        kid[2] = gap
+                held |= masks.pop()
+        for x in blocked:
+            seen[x] = False
+        self.explored = explored
+        return length, found
 
 
-def _capped(best_len: int, found, budget: int, bound, wit, kids) -> tuple:
-    """What ``_start_values`` returns when the budget runs out: the incumbent
-    (vertices, edges) ``found``, inexact, with explored = budget + 1."""
-    vs, es = found
-    return PathResult("path", best_len, vs, es, False, budget + 1), bound, wit, kids
+def _witness(a: int, entries: list) -> tuple[int, tuple]:
+    """(vertex mask, cells) of the path from a along the given entries."""
+    vs = [a, *(s[1] for s in entries)]
+    cells = vs[-1]
+    for x, s in zip(vs[-2::-1], reversed(entries)):
+        cells = (x, s[0] >> 1, cells)
+    return sum(1 << x for x in vs), cells
+
+
+def _start_values(
+    g: Graph, ordering: EdgeOrdering, budget: int | None
+) -> tuple[PathResult, PathValues]:
+    """The psi search: place every edge from the top rank down, so that the
+    monotone paths are the increasing ones and B ends as psi.  Returns the
+    result and the state; a capped result reports the longest path found,
+    and its state lacks the edges not yet placed."""
+    state = PathValues(g, budget)
+    try:
+        for e in reversed(ordering.inverse):
+            state.place(e)
+        exact, explored = True, state.explored
+    except _Capped:
+        exact, explored = False, budget + 1
+    vs, es = _unchain(state.best_path)
+    return PathResult("path", state.best, vs, es, exact, explored), state

@@ -9,7 +9,7 @@ import random
 import pytest
 
 import altitude as alt
-from altitude import adversary, exactf
+from altitude import adversary, exactf, paths
 from corpus import named_small_graphs, random_graphs
 from oracles import brute_completion_min, brute_f, brute_path_end, brute_psi, brute_top_value
 
@@ -206,118 +206,162 @@ def test_inexact_start_value_raises_soundness_error(monkeypatch: pytest.MonkeyPa
         alt.exact_f(alt.make_cycle(5))
 
 
-class _CountingPrefix(exactf._RankedPrefix):
-    """Counts the path-end queries whose witness meets the mask, the ones
-    that run the backward search."""
+class _CountingValues(paths.PathValues):
+    """Counts the searches: the path values that neither the witness rule
+    nor a prefix maximum settles."""
 
-    fallbacks = 0
+    searches = 0
 
-    def longest_ending_at(self, x: int, avoid: int, need: int) -> tuple[int, int]:
-        if self.wit[x] & avoid:
-            self.fallbacks += 1
-        return super().longest_ending_at(x, avoid, need)
+    def _search(self, *args):
+        self.searches += 1
+        return super()._search(*args)
+
+
+def _unplaced(g: alt.Graph, state: paths.PathValues) -> list[int]:
+    return [x for x in range(g.m) if x not in state.placed]
+
+
+def _random_walk(g: alt.Graph, state: paths.PathValues, rng: random.Random, steps: int):
+    """Place (rank) and unplace random edges, yielding after each step that
+    places one."""
+    for _ in range(steps):
+        unplaced = _unplaced(g, state)
+        if state.placed and (not unplaced or rng.random() < 0.3):
+            state.unplace()
+            continue
+        state.place(rng.choice(unplaced))
+        yield
+
+
+def _snapshot(state: paths.PathValues) -> tuple:
+    """What ``unplace`` restores: the incumbent, the placed edges, the prefix
+    maxima and every entry but its K and failure record, which the searches
+    above it may only tighten."""
+    return (state.best, state.best_path, list(state.placed), [list(p) for p in state.pre],
+            [[(s[0], s[1], s[3], s[6], s[7]) for s in entries] for entries in state.kids])
+
+
+def _vertex_set(mask: int) -> set[int]:
+    return {x for x in range(mask.bit_length()) if mask >> x & 1}
+
+
+def _check_placed_values(g: alt.Graph, state: paths.PathValues) -> None:
+    """K of each placed direction (a, b) of an edge e bounds the longest
+    path that takes e from a and then falls in rank from b, among the edges
+    placed before e, and equals it where witnessed; a failure record (L, M)
+    bounds it on the paths that also avoid M."""
+    at = {e: i for i, e in enumerate(state.placed)}
+    for entries in state.kids:
+        for d, b, k, _, length, mask, wit, _ in entries[1:]:
+            e = d >> 1
+            a = sum(g.edges[e]) - b
+            before = state.placed[:at[e]]
+            want = 1 + brute_path_end(g, before, b, {a})
+            assert k >= want and (wit is None or k == want), (g.edges, state.placed, d)
+            if length <= g.m:
+                assert 1 + brute_path_end(g, before, b, {a} | _vertex_set(mask)) <= length
 
 
 def test_top_values_match_brute_force_on_random_prefixes() -> None:
-    # Random walks rank and unrank edges; at every prefix the incremental
-    # value of each unranked edge must equal the brute-force one, with and
-    # without a floor, and unranking must restore din/wit exactly.
+    # Random walks place (rank) and unplace edges; at every prefix B is the
+    # longest path among the placed edges, and the value of each unplaced
+    # edge is the larger of B and the brute-force longest path that ends with
+    # it once it takes the next rank.  ``values`` stops after the first value
+    # that reaches its stop.  Unplacing restores the state, and every K and
+    # record that the searches wrote stays sound.
     rng = random.Random(97)
     graphs = [g for _, g in named_small_graphs()]
     graphs += random_graphs(20, 4, 8, seed=89, m_max=10)
     graphs += [alt.make_complete(5), alt.make_hypercube(3)]
-    fallbacks = checked = 0
+    searches = checked = 0
     for g in graphs:
-        prefix = _CountingPrefix(g)
+        state = _CountingValues(g)
         saved = []
         for _ in range(6 * g.m):
-            unranked = [x for x in range(g.m) if not prefix.rank_of[x]]
-            if prefix.ranked and (not unranked or rng.random() < 0.3):
-                prefix.unrank()
-                assert (prefix.din, prefix.wit) == saved.pop()
+            unplaced = _unplaced(g, state)
+            if state.placed and (not unplaced or rng.random() < 0.3):
+                state.unplace()
+                assert _snapshot(state) == saved.pop()
                 continue
-            saved.append((list(prefix.din), list(prefix.wit)))
-            prefix.rank(rng.choice(unranked))
-            unranked = [x for x in range(g.m) if not prefix.rank_of[x]]
-            if not unranked:
+            saved.append(_snapshot(state))
+            state.place(rng.choice(unplaced))
+            prefix = state.placed
+            assert state.best == max(brute_path_end(g, prefix, x, set()) for x in range(g.n))
+            unplaced = _unplaced(g, state)
+            if not unplaced:
                 continue
-            want = [brute_top_value(g, prefix.ranked, x) for x in unranked]
-            assert prefix.top_values(unranked, 0) == want, (g.edges, prefix.ranked)
-            floor = rng.randrange(max(want) + 2)
-            assert prefix.top_values(unranked, floor) == [max(floor, w) for w in want]
-            checked += len(unranked)
-        fallbacks += prefix.fallbacks
-    # the witness-avoids-the-far-end rule failed often enough to test back
-    assert checked > 500 and fallbacks > 100
-
-
-def _random_walk_prefixes(g: alt.Graph, prefix: exactf._RankedPrefix, rng: random.Random,
-                          steps: int):
-    """Rank and unrank random edges, yielding after each step that ranks."""
-    for _ in range(steps):
-        unranked = [x for x in range(g.m) if not prefix.rank_of[x]]
-        if prefix.ranked and (not unranked or rng.random() < 0.3):
-            prefix.unrank()
-            continue
-        prefix.rank(rng.choice(unranked))
-        yield
+            want = [max(state.best, brute_top_value(g, prefix, x)) for x in unplaced]
+            assert state.values(unplaced, g.m + 1) == want, (g.edges, prefix)
+            stop = rng.randrange(state.best, max(want) + 2)
+            cut = next((i + 1 for i, w in enumerate(want) if w >= stop), len(want))
+            assert state.values(unplaced, stop) == want[:cut]
+            _check_placed_values(g, state)
+            checked += len(unplaced)
+        searches += state.searches
+    # the witness rule and the prefix maxima left enough to the search
+    assert checked > 500 and searches > 100
 
 
 def test_path_ends_avoiding_two_vertices_match_brute_force() -> None:
     # The pair cut needs a prefix path of t edges ending at a that avoids
-    # both b and c; din/wit answer it when the witness misses them, back
-    # otherwise.  Asked for more edges than any path has, longest_ending_at
-    # gives the longest; asked for t, it is exact below t and at least t above.
+    # both b and c: a monotone path of t edges from a among the placed edges.
+    # ``reaches`` answers from a's witness top or prefix maximum where it can
+    # and searches otherwise.  The largest t it reaches is the longest such
+    # path, and at every t its answer is the brute-force one.
     rng = random.Random(101)
     graphs = [g for _, g in named_small_graphs()]
     graphs += random_graphs(20, 4, 8, seed=103, m_max=10)
     graphs += [alt.make_complete(5), alt.make_hypercube(3)]
-    fallbacks = checked = 0
+    searches = checked = 0
     for g in graphs:
         if g.n < 3:
             continue
-        prefix = _CountingPrefix(g)
-        for _ in _random_walk_prefixes(g, prefix, rng, 4 * g.m):
+        state = _CountingValues(g)
+        for _ in _random_walk(g, state, rng, 4 * g.m):
             x = rng.randrange(g.n)
             for b in range(g.n):
                 for c in range(b + 1, g.n):
                     if x in (b, c):
                         continue
-                    want = brute_path_end(g, prefix.ranked, x, {b, c})
-                    avoid = (1 << b) | (1 << c)
-                    got = prefix.longest_ending_at(x, avoid, g.m + 1)[0]
-                    assert got == want, (g.edges, prefix.ranked, x, b, c)
+                    want = brute_path_end(g, state.placed, x, {b, c})
+                    longest = 0
+                    while state.reaches(x, (b, c), longest + 1):
+                        longest += 1
+                    assert longest == want, (g.edges, state.placed, x, b, c)
                     t = rng.randrange(1, want + 2)
-                    got = prefix.longest_ending_at(x, avoid, t)[0]
-                    assert min(got, t) == min(want, t) and got <= want, (g.edges, x, b, c, t)
+                    assert state.reaches(x, (b, c), t) == (want >= t), (g.edges, x, b, c, t)
                     checked += 1
-        fallbacks += prefix.fallbacks
-    assert checked > 2000 and fallbacks > 100
+            _check_placed_values(g, state)
+        searches += state.searches
+    assert checked > 2000 and searches > 100
 
 
 def test_node_cuts_are_sound_on_random_prefixes() -> None:
-    # Cut (a) claims that every completion of a prefix reaches the largest
-    # top value of an unranked edge; cut (c), firing at t, that every one
-    # reaches t + 2.  The minimum over all completions must meet both.
+    # The top-value cut claims that every completion of a prefix reaches the
+    # largest value of an unranked edge; the pair cut, firing at t, that
+    # every one reaches t + 2.  The minimum over all completions must meet
+    # both.
     rng = random.Random(107)
     graphs = [g for _, g in named_small_graphs() if 2 <= g.m <= 7]
     graphs += random_graphs(60, 4, 7, seed=109, m_max=7)
     graphs += [alt.make_complete(4), alt.make_cycle(7)]
     fired = pair_beyond_top = 0
     for g in graphs:
-        prefix = exactf._RankedPrefix(g)
-        for _ in _random_walk_prefixes(g, prefix, rng, 3 * g.m):
-            unranked = [x for x in range(g.m) if not prefix.rank_of[x]]
-            if not unranked:
+        state = paths.PathValues(g)
+        for _ in _random_walk(g, state, rng, 3 * g.m):
+            unplaced = _unplaced(g, state)
+            if not unplaced:
                 continue
-            best = brute_completion_min(g, prefix.ranked)
-            top = max(prefix.top_values(unranked, 0))
-            assert best >= top, (g.edges, prefix.ranked)
-            forced = [t + 2 for t in range(g.m) if prefix.pair_forces(unranked, t)]
+            best = brute_completion_min(g, state.placed)
+            top = max(state.values(unplaced, g.m + 1))
+            assert best >= top, (g.edges, state.placed)
+            forced = [t + 2 for t in range(g.m)
+                      if exactf._pair_forces(state, unplaced, t)]
             if forced:
-                assert best >= max(forced), (g.edges, prefix.ranked)
+                assert best >= max(forced), (g.edges, state.placed)
                 fired += 1
                 pair_beyond_top += max(forced) > top
+            _check_placed_values(g, state)
     # the pair cut fires, and often proves more than the top-value cut
     assert fired > 100 and pair_beyond_top > 10
 
@@ -454,8 +498,8 @@ def test_exact_f_search_golden(name: str) -> None:
 
 
 def test_wrong_search_value_raises_soundness_error(monkeypatch: pytest.MonkeyPatch) -> None:
-    # path-end values stuck at the floor let a leaf claim a value its
-    # witness does not have; the recheck of that witness must catch it
-    monkeypatch.setattr(exactf._RankedPrefix, "top_values", lambda self, cands, floor: [floor] * len(cands))
+    # child values stuck at 0 let a leaf claim a value its witness does not
+    # have; the recheck of that witness must catch it
+    monkeypatch.setattr(paths.PathValues, "values", lambda self, xs, stop: [0] * len(xs))
     with pytest.raises(alt.SoundnessError):
         alt.exact_f(alt.make_complete(5))

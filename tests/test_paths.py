@@ -92,6 +92,12 @@ def test_path_matches_oracle_on_small_instances() -> None:
         assert alt.verify_witness(g, phi, res)
 
 
+def _entries(state) -> dict[int, list]:
+    """The entry of every placed directed edge d, by d (each list's first
+    entry stands for its vertex's empty path)."""
+    return {s[0]: s for entries in state.kids for s in entries[1:]}
+
+
 def _head_bound(g, phi, bound, e: int, head: int) -> int:
     """U of edge e entering ``head``: 1 + the largest K of head's edges
     ranked above e, read from the final K (the pass's U, less any K lowered
@@ -115,8 +121,11 @@ def test_start_values_bound_each_edge_and_equal_it_where_witnessed() -> None:
     corpus += random_instances(60, 8, 12, seed=36, m_max=24)
     for g, phi in corpus:
         psi = brute_psi(g, phi)
-        res, bound, wit, _ = _start_values(g, phi, None)
+        res, state = _start_values(g, phi, None)
         assert res.exact and res.length == psi
+        entries = _entries(state)
+        bound = {d: s[2] for d, s in entries.items()}
+        wit = {d: s[6] for d, s in entries.items()}
         for e, (u, v) in enumerate(g.edges):
             for d, tail, head in ((2 * e, u, v), (2 * e + 1, v, u)):
                 want = brute_start_path(g, phi, e, tail)
@@ -143,11 +152,11 @@ def _vertex_set(mask: int) -> frozenset[int]:
     return frozenset(x for x in range(mask.bit_length()) if mask >> x & 1)
 
 
-def _records(g, kids) -> dict[int, tuple[int, int]]:
-    """The failure records (L, M) that ``_start_values`` left in its entries,
-    by directed edge; an entry holds L = m + 1 where none was written."""
-    return {d: (length, mask) for entries in kids for d, _, _, _, length, mask in entries
-            if length <= g.m}
+def _records(g, state) -> dict[int, tuple[int, int]]:
+    """The failure records (L, M) that ``_start_values`` left in the entries
+    of its state, by directed edge; an entry holds L = m + 1 where none was
+    written."""
+    return {d: (s[4], s[5]) for d, s in _entries(state).items() if s[4] <= g.m}
 
 
 def test_failure_records_bound_each_edge_on_paths_avoiding_their_mask() -> None:
@@ -159,9 +168,9 @@ def test_failure_records_bound_each_edge_on_paths_avoiding_their_mask() -> None:
     for g, phi in random_instances(300, 5, 10, seed=29, m_max=16):
         psi = brute_psi(g, phi)
         for budget in (None, 3, 20, 100):
-            res, _, _, kids = _start_values(g, phi, budget)
+            res, state = _start_values(g, phi, budget)
             assert res.length == psi if res.exact else res.length <= psi
-            records = _records(g, kids)
+            records = _records(g, state)
             for e, (u, v) in enumerate(g.edges):
                 for d, tail, head in ((2 * e, u, v), (2 * e + 1, v, u)):
                     if d not in records:

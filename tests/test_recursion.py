@@ -1,8 +1,8 @@
-"""No new recursion in ``src/altitude``: a search that calls itself by name hits
-Python's recursion limit on deep inputs, so searches use explicit stacks.  The
-one function that still recurses is listed below with its depth bound (stdlib
-``ast``; no linter is required).  The searches that were converted run here
-under a recursion limit only 60 frames above the caller."""
+"""No recursion in ``src/altitude``: a search that calls itself by name hits
+Python's recursion limit on deep inputs, so every search keeps an explicit
+stack, and no function in the package calls itself (stdlib ``ast``; no linter
+is required).  The searches run here under a recursion limit only 60 frames
+above the caller."""
 
 from __future__ import annotations
 
@@ -16,15 +16,6 @@ import altitude as alt
 from altitude.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "altitude"
-
-# "enclosing.function" for nested functions, "function" at module level.
-STILL_RECURSIVE = {
-    # One frame per edge of an increasing path among already ranked edges,
-    # so its depth is at most the prefix value, which is below the incumbent
-    # (at most max degree + 1) at every live search node.
-    "exactf.py": ["longest_ending_at.back"],
-}
-
 
 def self_calling_functions(source: str) -> list[str]:
     """Names of the functions in a module's source that call themselves by name."""
@@ -63,7 +54,8 @@ def test_checker_finds_self_calls() -> None:
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_listed_functions_recurse(path: Path) -> None:
-    assert self_calling_functions(path.read_text()) == STILL_RECURSIVE.get(path.name, [])
+    # No function is listed: none may call itself.
+    assert self_calling_functions(path.read_text()) == []
 
 
 def _frames_above(extra: int) -> int:
