@@ -207,67 +207,73 @@ class PathValues:
 
     Placing e settles a bound K[d] on the longest monotone path that starts
     with each direction d = (a, b) in turn.  Every placed edge leaving b has
-    its K, so U = 1 + the largest of them bounds K[d].  If the edge attaining
-    U has a witness, a path of its K edges, that misses a, then a followed
-    by that path is a witness of U and K[d] = U exactly (the witness rule).
-    Otherwise K[d] = U if U cannot beat B; else a depth-first search runs
-    from b, avoiding a, and K[d] is B after it: the longest path starting
-    with d if that beat B, else B.  Either way no monotone path starting
-    with d beats the new B.  ``unplace`` pops e's entries and prefix maxima
-    and restores B.
+    its K, so U = 1 + the largest of them bounds K[d].  If b's witness top
+    (below) is a path of U - 1 edges from b that misses a, then a followed
+    by it is a witness of U and K[d] = U exactly (the witness rule).  Otherwise K[d]
+    = U if U cannot beat B; else a search runs from b, blocking a, and K[d]
+    is B after it: the longest path starting with d if that beat B, else B.
+    Either way no monotone path starting with d beats the new B.
+    ``unplace`` pops e's entries and prefix maxima and restores B.
 
-    The search keeps its own stack, so no recursion limit caps the path
-    length.  It walks each vertex's edges from the last one placed before
-    the edge it arrived by back to the first.  With t edges on the stack the
-    gap is B less t.  A child x reached by d' is tried only if K[d'] beats
-    the gap, and becomes the incumbent if t + 1 beats it.  Each vertex keeps
-    the prefix maxima of K over its edges, appended as they are placed, so
-    a frame stops (one bisection) at the edge before which no K beats its
-    gap; gaps only grow, so no promising child lies beyond.
+    Every search starts at a vertex, blocked[0], and visits no vertex of
+    ``blocked``: one that settles (a, b), in ``place`` or ``values``, starts
+    at b with b and a blocked, and a ``reaches`` query at its vertex with
+    the vertices to avoid.  It keeps its own stack, so no recursion limit
+    caps the path length, and walks each vertex's edges from the last one
+    placed (before the edge it arrived by) back to the first.  Its gap is
+    the length to beat less the edges on the stack.  A child x reached by d'
+    is tried only if K[d'] beats the gap, and the path to x is the longest
+    yet if the gap is 0.  Each vertex keeps the prefix maxima of K over its
+    edges, appended as they are placed, so a frame stops (one bisection) at
+    the edge before which no K beats its gap; gaps only grow, so no
+    promising child lies beyond.
 
     Failure records.  Directed edge d = (p, x) may carry a record (L, M):
     no monotone path that starts with d and visits no vertex of M after x
-    is longer than L.  While the current search has not beaten B, the gap
-    at depth t is B - t; when x's frame at depth t closes, every child d'
-    of x was either cut by K[d'] <= B - t, or led to a vertex on the path
-    (which joins M, if K[d'] beat the gap), or was skipped by a record (L',
-    M') with L' <= B - t whose M' joins M, or was entered and its own frame
-    closed with the record (B - t, M'') whose M'' joins M.  So the record (B
-    - t + 1, M) holds, with x dropped from M (no path through d revisits
-    x), by induction over the order in which frames close; once the search
-    beats B no more records are written.  A child whose record has L' <=
-    gap and M' inside the current path is skipped: a path extending the
-    stack visits no stack vertex, so the record bounds it.  Each search
-    keeps the blocked mask of every open frame and passes it to the parent
-    as the frame closes.  A record whose M is empty bounds every path
-    starting with d, whatever the path before it, so it is kept as K[d]
-    instead (always lower, since d was entered with K[d] beating the gap),
-    and the masked record in d's slot stays; the prefix maxima then
-    overstate K, which only delays a frame's stop.  A K or record of d reads
-    only the edges placed before d, which stay as they are while d is
-    placed, so it stays true through every placement and unplacement above
-    d, and goes only with d's entry.
+    is longer than L.  While the current search has found no path, when x's
+    frame closes with gap g, every child d' of x was either cut by K[d'] <=
+    g, or led to a blocked vertex or one on the path (which joins M, if
+    K[d'] beat the gap), or was skipped by a record (L', M') with L' <= g
+    whose M' joins M, or was entered and its own frame closed with the
+    record (g, M'') whose M'' joins M.  So the record (g + 1, M) holds for
+    the edge d that entered x, with x dropped from M (no path through d
+    revisits x), by induction over the order in which frames close; once
+    the search finds a path no more records are written.  The start vertex
+    is entered by no edge, so its frame writes none: the edge a settling
+    search runs for gets K = B, which is the L of the record it would get.
+    A child whose record has L' <= gap and M' inside the blocked and path
+    vertices is skipped: a path extending the stack visits none of them, so
+    the record bounds it.  Each search keeps the blocked mask of every open
+    frame and passes it to the parent as the frame closes.  A record whose
+    M is empty bounds every path starting with d, whatever the path before
+    it, so it is kept as K[d] instead (always lower, since d was entered
+    with K[d] beating the gap), and the masked record in d's slot stays;
+    the prefix maxima then overstate K, which only delays a frame's stop.
+    A K or record of d reads only the edges placed before d, which stay as
+    they are while d is placed, so it stays true through every placement
+    and unplacement above d, and goes only with d's entry.
 
-    ``explored`` counts edges scanned: 1 for each search's root edge, and
-    at each vertex a search enters, every edge placed before the one it
-    arrived by, whether or not the cuts then skip it (one addition per
-    vertex).  Past ``budget`` a search raises ``_Capped``.
+    ``explored`` counts edges scanned: 1 for each search, and at each
+    vertex it enters, every edge placed there (at the start vertex) or
+    placed before the edge it arrived by (elsewhere), whether or not the
+    cuts then skip it (one addition per vertex).  Past ``budget`` a search
+    raises ``_Capped``.
 
     ``kids[v]`` lists the edges leaving v in placement order as entries [d,
-    w, K, t, L, M, wit, top] for the edge e = d // 2 from v to w, after a
-    first entry that stands for the empty path at v.  t is the number of
-    w's edges placed before e, (L, M) the failure record of d (L = m + 1
-    where none was written), wit (vertex mask, path as cells) a path of K
-    edges starting with d or None where K is only a bound, and top the
-    wit of the first witnessed entry up to this one whose K is ``pre``'s
-    there, if any.  ``pre[v][j]`` is the largest K in kids[v][:j + 1] as
-    they were placed.
+    w, K, t, L, M, top] for the edge e = d // 2 from v to w, after a first
+    entry that stands for the empty path at v (d = -1, K = 0).  t is the
+    number of w's edges placed before e, (L, M) the failure record of d (L
+    = m + 1 where none was written), and top the witness top of v there: a
+    path of ``pre``'s value there from v, as (vertex mask, cells), found
+    when an entry up to this one with that K was placed, or None where no
+    such placement found one.  ``pre[v][j]`` is the largest K in
+    kids[v][:j + 1] as they were placed.
     """
 
     def __init__(self, g: Graph, budget: int | None = None) -> None:
         self.ends = g.edges
         self.none = g.m + 1  # the length of an absent record: no gap reaches it
-        self.kids = [[[-1, v, 0, 0, self.none, 0, None, (1 << v, v)]] for v in range(g.n)]
+        self.kids = [[[-1, v, 0, 0, self.none, 0, (1 << v, v)]] for v in range(g.n)]
         self.pre = [[0] for _ in range(g.n)]
         self.placed: list[int] = []
         self.undo: list[tuple] = []  # B and its path before each placement
@@ -277,31 +283,30 @@ class PathValues:
         self.seen = [False] * g.n
 
     def place(self, e: int) -> None:
-        """Place edge e: settle K and wit of its two directions against the
-        placed edges, raising B, then add them to the lists of their tails."""
+        """Place edge e: settle K of its two directions against the placed
+        edges, raising B, then add them to the lists of their tails."""
         self.undo.append((self.best, self.best_path))
         u, v = self.ends[e]
         kids, pre, none = self.kids, self.pre, self.none
-        du = [2 * e, v, 0, len(kids[v]) - 1, none, 0, None, None]
-        dv = [2 * e + 1, u, 0, len(kids[u]) - 1, none, 0, None, None]
+        du = [2 * e, v, 0, len(kids[v]) - 1, none, 0, None]
+        dv = [2 * e + 1, u, 0, len(kids[u]) - 1, none, 0, None]
         tops = []  # each tail's largest K once its entry joins its list
         for a, b, entry in (u, v, du), (v, u, dv):
-            k, w = pre[b][-1] + 1, kids[b][-1][7]
-            if w is not None and not w[0] >> a & 1:
+            k, w = pre[b][-1] + 1, kids[b][-1][6]
+            if w is None or w[0] >> a & 1:
+                if k <= self.best:
+                    w = None
+                else:  # B >= 1: the edge alone never beats B here
+                    length, found = self._search((b, a), self.best - 1, none, (a, e))
+                    k, w = 1 + length, found and _witness(b, found)
+            if w:  # a path of k - 1 edges from b that misses a
                 w = (w[0] | 1 << a, (a, e, w[1]))
                 if k > self.best:
                     self.best, self.best_path = k, w[1]
-            elif k <= self.best:
-                w = None
-            else:  # B >= 1: the root edge alone never beats B here
-                k, found = self._search((a,), [entry], self.best - 1, none)
-                w = found and _witness(a, found)
-                if found:
-                    self.best, self.best_path = k, w[1]
-            top, top_w = pre[a][-1], kids[a][-1][7]
+            top, top_w = pre[a][-1], kids[a][-1][6]
             if k > top or (k == top and top_w is None):
                 top, top_w = k, w
-            entry[2], entry[6], entry[7] = k, w, top_w
+            entry[2], entry[6] = k, top_w
             tops.append(top)
         # Both directions settle against the edges placed before e, so the
         # entries join their lists only now.
@@ -323,29 +328,23 @@ class PathValues:
 
     def values(self, xs: list[int], stop: int) -> list[int]:
         """For each unplaced edge x in turn, up to the first value that
-        reaches ``stop``, B once x is placed: each direction is settled as
-        ``place`` would, but only where its U beats the value so far, and a
-        search stops once it reaches U.  The state stays as it was, apart
-        from the records and lowered K that the searches write."""
-        ends, kids, pre, none = self.ends, self.kids, self.pre, self.none
+        reaches ``stop``, B once x is placed: each direction (a, b) is
+        settled as ``place`` would, but only where its U beats the value so
+        far, and a search from b stops once it finds a path of U - 1 edges.
+        The state stays as it was, apart from the records and lowered K that
+        the searches write."""
+        ends, kids, pre = self.ends, self.kids, self.pre
         best, out = self.best, []
         for x in xs:
             u, v = ends[x]
             val = best
-            k = pre[v][-1] + 1
-            if k > val:
-                w = kids[v][-1][7]
-                if w is None or w[0] >> u & 1:  # no witness rule: search
-                    entry = [2 * x, v, 0, len(kids[v]) - 1, none, 0, None, None]
-                    k = self._search((u,), [entry], val - 1, k)[0]
-                val = k
-            k = pre[u][-1] + 1
-            if k > val:
-                w = kids[u][-1][7]
-                if w is None or w[0] >> v & 1:
-                    entry = [2 * x + 1, u, 0, len(kids[u]) - 1, none, 0, None, None]
-                    k = self._search((v,), [entry], val - 1, k)[0]
-                val = k
+            for a, b in (u, v), (v, u):
+                k = pre[b][-1] + 1
+                if k > val:
+                    w = kids[b][-1][6]
+                    if w is None or w[0] >> a & 1:  # no witness rule: search
+                        k = 1 + self._search((b, a), val - 1, k - 1)[0]
+                    val = k
             out.append(val)
             if val >= stop:
                 break
@@ -353,53 +352,44 @@ class PathValues:
 
     def reaches(self, a: int, avoid: tuple[int, ...], t: int) -> bool:
         """Whether a monotone path of t edges starts at vertex a and visits no
-        vertex of ``avoid``.
+        vertex of ``avoid``, where t is at most a's largest K.
 
-        The witness top of a answers yes when it misses ``avoid``, and the
-        prefix maximum of a no when it is below t; otherwise a search from a
-        stops at the first such path.
+        The witness top of a answers yes when it misses ``avoid``; otherwise
+        a search from a stops at the first such path.
         """
         if t <= 0:
             return True
-        if self.pre[a][-1] < t:
-            return False
-        w = self.kids[a][-1][7]
+        w = self.kids[a][-1][6]
         if w is not None:
             for x in avoid:
                 if w[0] >> x & 1:
                     break
             else:
                 return True
-        return self._search((a, *avoid), [], t - 1, t)[1] is not None
+        return self._search((a, *avoid), t - 1, t)[1] is not None
 
-    def _search(self, blocked: tuple, stack: list, gap: int, need: int) -> tuple:
-        """The depth-first search from blocked[0], along the entries on
-        ``stack`` first, that visits no vertex of ``blocked``: the longest
-        path it finds as (length, the entries of its edges) if one is longer
-        than ``gap`` plus the stack's edges, else (that sum, None).  It stops
-        at the first path of ``need`` edges."""
+    def _search(self, blocked: tuple, gap: int, need: int, root: tuple = ()) -> tuple:
+        """The depth-first search from vertex blocked[0] that visits no vertex
+        of ``blocked``: the longest path it finds as (length, the entries of
+        its edges) if one is longer than ``gap``, else (gap, None).  It stops
+        at the first path of ``need`` edges.  ``root``, the (vertex, edge)
+        before blocked[0] on a path that ``place`` settles, goes in front of
+        the incumbent that a capped search reports."""
         kids, pre, seen = self.kids, self.pre, self.seen
-        explored, limit = self.explored, self.limit
+        a = blocked[0]
+        explored, limit = self.explored + len(kids[a]), self.limit
+        if explored > limit:
+            raise _Capped
         path = 0
         for x in blocked:
             seen[x] = True
             path |= 1 << x
-        for s in stack:  # the root edge, and every edge placed at its head
-            explored += 1 + s[3]
-            seen[s[1]] = True
-            path |= 1 << s[1]
-        # gap: the incumbent less the stack's edge count
-        length, found = gap + len(stack), None
-        if explored > limit:
-            raise _Capped
+        length, found = gap, None
         # A frame holds an open vertex's untried children.  stack holds the
         # entries of the path's edges, held the top frame's blocked mask and
         # masks those of the frames below it.
-        a = blocked[0]
-        x, t = (stack[-1][1], stack[-1][3]) if stack else (a, len(kids[a]) - 1)
-        frames = [reversed(kids[x][bisect_right(pre[x], gap, 0, t + 1):t + 1])]
-        masks = [0] * len(stack)
-        held = 0
+        frames = [reversed(kids[a][bisect_right(pre[a], gap):])]
+        stack, masks, held = [], [], 0
         while frames:
             for kid in frames[-1]:
                 if kid[2] <= gap:
@@ -422,8 +412,8 @@ class PathValues:
                 t = kid[3]
                 explored += t
                 if explored > limit:  # the path found so far is the incumbent
-                    if found:
-                        self.best, self.best_path = length, _witness(a, found)[1]
+                    if found and root:
+                        self.best, self.best_path = length + 1, (*root, _witness(a, found)[1])
                     raise _Capped
                 seen[x] = True
                 path |= 1 << x

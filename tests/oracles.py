@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from altitude import EdgeOrdering, Graph
+from altitude import EdgeOrdering, Graph, PathResult, verify_witness
+from altitude.paths import _unchain
 
 
 def brute_psi(g: Graph, ordering: EdgeOrdering) -> int:
@@ -171,3 +172,41 @@ def brute_induced(g: Graph, vertices) -> set[int]:
     """Indices of the edges with both endpoints in ``vertices``."""
     inside = set(vertices)
     return {e for e, (a, b) in enumerate(g.edges) if a in inside and b in inside}
+
+
+def check_witness_tops(g: Graph, state, start: dict[int, int]) -> int:
+    """Check every witness top of a ``paths.PathValues`` state against
+    ``start``, the brute-force longest monotone path that starts with each
+    placed directed edge, by direction.  At each prefix j of a vertex v's
+    list, pre[v][j] must bound the largest start over v's first j
+    directions, and equal it where the top is not None; that top must then
+    be a monotone path of pre[v][j] edges from v, with its vertex mask,
+    whose first edge is one of those j.  Returns how many tops past the
+    empty path held a witness."""
+    m, placed = g.m, state.placed
+    # The first edge placed ranks highest, so a monotone path read from its
+    # start is increasing; the unplaced edges rank below every placed one.
+    rank = [0] * m
+    for i, e in enumerate(placed):
+        rank[e] = m - i
+    low = iter(range(1, m - len(placed) + 1))
+    ordering = EdgeOrdering(tuple(r or next(low) for r in rank))
+    witnessed = 0
+    for v, entries in enumerate(state.kids):
+        want, firsts = 0, set()
+        for j, entry in enumerate(entries):
+            if j:
+                want = max(want, start[entry[0]])
+                firsts.add(entry[0] >> 1)
+            value, top = state.pre[v][j], entry[6]
+            assert value >= want, (g.edges, placed, v, j)
+            if top is None:
+                continue
+            mask, cells = top
+            vs, es = _unchain(cells)
+            assert value == want == len(es), (g.edges, placed, v, j)
+            assert vs[0] == v and mask == sum(1 << x for x in vs)
+            assert not es or es[0] in firsts
+            verify_witness(g, ordering, PathResult("path", len(es), vs, es, True, 0))
+            witnessed += j > 0
+    return witnessed

@@ -11,7 +11,9 @@ import pytest
 import altitude as alt
 from altitude import adversary, exactf, paths
 from corpus import named_small_graphs, random_graphs
-from oracles import brute_completion_min, brute_f, brute_path_end, brute_psi, brute_top_value
+from oracles import (
+    brute_completion_min, brute_f, brute_path_end, brute_psi, brute_top_value, check_witness_tops,
+)
 
 # Ranks of an ordering of make_hypercube(4), in its canonical edge order,
 # with psi = 3: one below the dimension bound, and equal to the density
@@ -238,7 +240,7 @@ def _snapshot(state: paths.PathValues) -> tuple:
     maxima and every entry but its K and failure record, which the searches
     above it may only tighten."""
     return (state.best, state.best_path, list(state.placed), [list(p) for p in state.pre],
-            [[(s[0], s[1], s[3], s[6], s[7]) for s in entries] for entries in state.kids])
+            [[(s[0], s[1], s[3], s[6]) for s in entries] for entries in state.kids])
 
 
 def _vertex_set(mask: int) -> set[int]:
@@ -248,18 +250,20 @@ def _vertex_set(mask: int) -> set[int]:
 def _check_placed_values(g: alt.Graph, state: paths.PathValues) -> None:
     """K of each placed direction (a, b) of an edge e bounds the longest
     path that takes e from a and then falls in rank from b, among the edges
-    placed before e, and equals it where witnessed; a failure record (L, M)
-    bounds it on the paths that also avoid M."""
+    placed before e, and a failure record (L, M) bounds it on the paths that
+    also avoid M; every witness top is checked against these longest paths."""
     at = {e: i for i, e in enumerate(state.placed)}
+    start = {}
     for entries in state.kids:
-        for d, b, k, _, length, mask, wit, _ in entries[1:]:
+        for d, b, k, _, length, mask, _ in entries[1:]:
             e = d >> 1
             a = sum(g.edges[e]) - b
             before = state.placed[:at[e]]
-            want = 1 + brute_path_end(g, before, b, {a})
-            assert k >= want and (wit is None or k == want), (g.edges, state.placed, d)
+            start[d] = want = 1 + brute_path_end(g, before, b, {a})
+            assert k >= want, (g.edges, state.placed, d)
             if length <= g.m:
                 assert 1 + brute_path_end(g, before, b, {a} | _vertex_set(mask)) <= length
+    check_witness_tops(g, state, start)
 
 
 def test_top_values_match_brute_force_on_random_prefixes() -> None:
@@ -305,9 +309,10 @@ def test_top_values_match_brute_force_on_random_prefixes() -> None:
 def test_path_ends_avoiding_two_vertices_match_brute_force() -> None:
     # The pair cut needs a prefix path of t edges ending at a that avoids
     # both b and c: a monotone path of t edges from a among the placed edges.
-    # ``reaches`` answers from a's witness top or prefix maximum where it can
-    # and searches otherwise.  The largest t it reaches is the longest such
-    # path, and at every t its answer is the brute-force one.
+    # ``reaches`` answers from a's witness top where it can and searches
+    # otherwise; like the pair cut, the test asks only for t up to a's
+    # prefix maximum.  The largest t it reaches is the longest such path,
+    # and at every t its answer is the brute-force one.
     rng = random.Random(101)
     graphs = [g for _, g in named_small_graphs()]
     graphs += random_graphs(20, 4, 8, seed=103, m_max=10)
@@ -324,12 +329,15 @@ def test_path_ends_avoiding_two_vertices_match_brute_force() -> None:
                     if x in (b, c):
                         continue
                     want = brute_path_end(g, state.placed, x, {b, c})
+                    top = state.pre[x][-1]  # reaches asks for no t above it
+                    assert want <= top
                     longest = 0
-                    while state.reaches(x, (b, c), longest + 1):
+                    while longest < top and state.reaches(x, (b, c), longest + 1):
                         longest += 1
                     assert longest == want, (g.edges, state.placed, x, b, c)
                     t = rng.randrange(1, want + 2)
-                    assert state.reaches(x, (b, c), t) == (want >= t), (g.edges, x, b, c, t)
+                    if t <= top:
+                        assert state.reaches(x, (b, c), t) == (want >= t), (g.edges, x, b, c, t)
                     checked += 1
             _check_placed_values(g, state)
         searches += state.searches
@@ -398,6 +406,29 @@ def test_exact_f_values_and_work_on_the_corpus() -> None:
         explored += res.explored
     # a deterministic work gate: losing a search reduction fails here
     assert explored <= 24452
+
+
+# The searches of exact_f's path values (the directions that neither the
+# witness rule nor a prefix maximum settles, and the pair cut's path ends)
+# summed over the corpus above, as recorded when every search came to start
+# at a vertex.  A lost witness-rule settle shows here as a count rather than
+# a clock.
+CORPUS_F_SEARCHES = 36823
+
+
+def test_exact_f_searches_stay_under_their_recorded_ceiling(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    states = []
+
+    def counting(g: alt.Graph) -> _CountingValues:
+        states.append(_CountingValues(g))
+        return states[-1]
+
+    monkeypatch.setattr(exactf, "PathValues", counting)
+    for g in random_graphs(300, 5, 9, 5, m_max=13):
+        alt.exact_f(g, budget=200000)
+    assert sum(state.searches for state in states) <= CORPUS_F_SEARCHES
 
 
 def _petersen() -> alt.Graph:

@@ -9,9 +9,11 @@ import re
 import pytest
 
 import altitude as alt
-from altitude.paths import _start_values, _trail_sweep, _unchain
+from altitude.paths import _start_values, _trail_sweep
 from corpus import psi_check_instances, random_instances
-from oracles import brute_psi, brute_start_path, brute_suffix_trail, brute_trail
+from oracles import (
+    brute_psi, brute_start_path, brute_suffix_trail, brute_trail, check_witness_tops,
+)
 
 
 def test_trail_matches_oracle_on_small_instances() -> None:
@@ -109,13 +111,14 @@ def _head_bound(g, phi, bound, e: int, head: int) -> int:
 
 def test_start_values_bound_each_edge_and_equal_it_where_witnessed() -> None:
     # K[d] bounds the longest increasing path that starts with directed edge
-    # d, and equals it wherever the pass kept a witness: a path of K[d] edges
-    # that starts with d.  The search, alone and behind the trail shortcut,
-    # finds psi whenever it reports an exact result.  K falls below its U
-    # where a search ran: its root search failed at the incumbent, or a frame
-    # it entered closed with no blocking vertex, which lowers K to the gap.
-    # The second family holds 13 K lowered so, 9 of them tight, so a K set
-    # one too low fails there.
+    # d.  Each vertex list's witness top, at every prefix, is a path of its
+    # prefix maximum of K edges, and that maximum is then the brute-force
+    # longest path from the vertex through those first edges.  The search,
+    # alone and behind the trail shortcut, finds psi whenever it reports an
+    # exact result.  K falls below its U where a search ran: its search
+    # failed at the incumbent, or a frame it entered closed with no blocking
+    # vertex, which lowers K to the gap.  The second family holds 13 K
+    # lowered so, 9 of them tight, so a K set one too low fails there.
     witnessed = tight_below = 0
     corpus = random_instances(300, 4, 8, seed=28, m_max=10)
     corpus += random_instances(60, 8, 12, seed=36, m_max=24)
@@ -123,23 +126,14 @@ def test_start_values_bound_each_edge_and_equal_it_where_witnessed() -> None:
         psi = brute_psi(g, phi)
         res, state = _start_values(g, phi, None)
         assert res.exact and res.length == psi
-        entries = _entries(state)
-        bound = {d: s[2] for d, s in entries.items()}
-        wit = {d: s[6] for d, s in entries.items()}
+        bound = {d: s[2] for d, s in _entries(state).items()}
+        start = {}
         for e, (u, v) in enumerate(g.edges):
             for d, tail, head in ((2 * e, u, v), (2 * e + 1, v, u)):
-                want = brute_start_path(g, phi, e, tail)
+                start[d] = want = brute_start_path(g, phi, e, tail)
                 assert bound[d] >= want, (e, tail)
                 tight_below += want == bound[d] < _head_bound(g, phi, bound, e, head)
-                if wit[d] is None:
-                    continue
-                witnessed += 1
-                mask, cells = wit[d]
-                vs, es = _unchain(cells)
-                assert bound[d] == want == len(es), (e, tail)
-                assert vs[:2] == (tail, head) and es[0] == e
-                assert mask == sum(1 << x for x in vs)
-                alt.verify_witness(g, phi, alt.PathResult("path", len(es), vs, es, True, 0))
+        witnessed += check_witness_tops(g, state, start)
         for budget in (None, 5, 50):
             search = _start_values(g, phi, budget)[0]
             for r in (search, alt.longest_increasing_path(g, phi, budget)):
@@ -164,8 +158,12 @@ def test_failure_records_bound_each_edge_on_paths_avoiding_their_mask() -> None:
     # d and visits no vertex of M after d is longer than L, and M never holds
     # d's head.  A capped search keeps the records written before the cap,
     # so every budget is checked; so is psi wherever the result is exact.
+    # The edge that a search settles gets no record (its K is the record's
+    # L), so the first family holds 1821 records; the second adds 708.
     written = tight = 0
-    for g, phi in random_instances(300, 5, 10, seed=29, m_max=16):
+    corpus = random_instances(300, 5, 10, seed=29, m_max=16)
+    corpus += random_instances(100, 6, 10, seed=31, m_max=20)
+    for g, phi in corpus:
         psi = brute_psi(g, phi)
         for budget in (None, 3, 20, 100):
             res, state = _start_values(g, phi, budget)
