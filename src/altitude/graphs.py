@@ -10,7 +10,7 @@ permutations of 0..m-1 offset by one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -44,31 +44,36 @@ class Graph:
     """Immutable simple undirected graph.
 
     ``edges`` is canonical: pairs (u, v) with u < v, strictly increasing
-    lexicographically.  ``adj[v]`` lists (neighbor, edge_index) pairs and is
-    exactly the inverse of the edge list.  ``adj_mask[v]`` is the neighbor
-    set of v as a bitmask, for bitset-based searches, built on first use.
+    lexicographically; the constructor checks each edge once, and
+    ``parse_graph`` checks its lines instead.  ``adj[v]`` lists (neighbor,
+    edge_index) pairs, exactly the inverse of the edge list, and
+    ``adj_mask[v]`` is v's neighbor set as a bitmask; both are built on
+    first read.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adj: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {self.n}")
-        prev = None
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        prev = ()  # below every pair
         for i, (u, v) in enumerate(self.edges):
-            if u == v:
-                raise LoopError(f"loop at vertex {u}")
-            if not (0 <= u < v < self.n):
+            if not 0 <= u < v < self.n:
+                if u == v:
+                    raise LoopError(f"loop at vertex {u}")
                 raise VertexRangeError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if prev is not None and (u, v) <= prev:
+            if (u, v) <= prev:
                 raise ValueError(f"edge list not strictly increasing at index {i}")
             prev = (u, v)
+
+    @cached_property
+    def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for i, (u, v) in enumerate(self.edges):
             adj[u].append((v, i))
             adj[v].append((u, i))
-        object.__setattr__(self, "adj", tuple(tuple(a) for a in adj))
+        return tuple(map(tuple, adj))
 
     @cached_property
     def adj_mask(self) -> tuple[int, ...]:
@@ -80,17 +85,23 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":
-        """Canonicalize an iterable of pairs: orient u < v, sort, reject dups."""
+        """Canonicalize an iterable of pairs: orient u < v, sort, reject loops
+        and dups; the constructor then checks n and the vertex range."""
         canon = []
         for u, v in pairs:
             if u == v:
                 raise LoopError(f"loop at vertex {u}")
             canon.append((u, v) if u < v else (v, u))
-        canon.sort()
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise DuplicateEdgeError(f"duplicate edge {a}")
-        return Graph(n, tuple(canon))
+        return Graph(n, _sorted_unique(canon))
+
+
+def _sorted_unique(canon: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The oriented pairs in increasing order, rejecting a repeated one."""
+    canon.sort()
+    for a, b in zip(canon, canon[1:]):
+        if a == b:
+            raise DuplicateEdgeError(f"duplicate edge {a}")
+    return tuple(canon)
 
 
 @dataclass(frozen=True)
@@ -214,7 +225,8 @@ def hypercube_dimension(g: Graph) -> int | None:
 # ----------------------------------------------------------------------
 
 def parse_graph(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines()]
+    """Read the edge-list format in one pass; a line number counts blank lines too."""
+    lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise MalformedLineError("missing header line 'n m'")
     head = lines[0].split()
@@ -226,24 +238,35 @@ def parse_graph(text: str) -> Graph:
         raise MalformedLineError(f"non-integer header {lines[0]!r}") from exc
     if n < 0 or m < 0:
         raise MalformedLineError(f"negative counts in header {lines[0]!r}")
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != m:
-        raise MalformedLineError(f"expected {m} edge lines, found {len(body)}")
-    pairs = []
-    for lineno, ln in enumerate(body, start=2):
-        tok = ln.split()
-        if len(tok) != 2:
-            raise MalformedLineError(f"line {lineno}: expected 'u v', got {ln!r}")
-        try:
-            u, v = int(tok[0]), int(tok[1])
-        except ValueError as exc:
-            raise MalformedLineError(f"line {lineno}: non-integer vertex in {ln!r}") from exc
-        if u == v:
-            raise LoopError(f"line {lineno}: loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexRangeError(f"line {lineno}: vertex out of range in {ln!r}")
-        pairs.append((u, v))
-    return Graph.from_edges(n, pairs)
+    canon: list[tuple[int, int]] = []
+    try:
+        for lineno, ln in enumerate(lines[1:], start=2):
+            tok = ln.split()
+            if not tok:
+                continue
+            try:
+                u, v = map(int, tok)
+            except ValueError as exc:  # too few or many tokens, or not integers
+                fault = "expected 'u v', got" if len(tok) != 2 else "non-integer vertex in"
+                raise MalformedLineError(f"line {lineno}: {fault} {ln!r}") from exc
+            if u > v:
+                u, v = v, u
+            elif u == v:
+                raise LoopError(f"line {lineno}: loop at vertex {u}")
+            if u < 0 or v >= n:
+                raise VertexRangeError(f"line {lineno}: vertex out of range in {ln!r}")
+            canon.append((u, v))
+    except GraphFormatError:  # a wrong line count is reported first
+        found = sum(1 for ln in lines[1:] if ln.strip())
+        if found == m:
+            raise
+    else:
+        found = len(canon)
+    if found != m:
+        raise MalformedLineError(f"expected {m} edge lines, found {found}")
+    g = object.__new__(Graph)  # every edge is checked above
+    vars(g).update(n=n, edges=_sorted_unique(canon))
+    return g
 
 
 def serialize_graph(g: Graph) -> str:

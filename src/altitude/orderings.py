@@ -216,9 +216,12 @@ def coloring_ordering(g: Graph, coloring: EdgeColoring, seed: int) -> EdgeOrderi
 # ----------------------------------------------------------------------
 
 def parse_ordering(text: str) -> EdgeOrdering:
+    """Read the ordering format; a line number counts blank lines too."""
     ranks = []
-    for lineno, ln in enumerate((l for l in text.splitlines() if l.strip()), start=1):
+    for lineno, ln in enumerate(text.splitlines(), start=1):
         tok = ln.split()
+        if not tok:
+            continue
         if len(tok) != 1:
             raise OrderingFormatError(f"line {lineno}: expected a single rank, got {ln!r}")
         try:

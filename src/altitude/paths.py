@@ -218,15 +218,17 @@ class PathValues:
     Every search starts at a vertex, blocked[0], and visits no vertex of
     ``blocked``: one that settles (a, b), in ``place`` or ``values``, starts
     at b with b and a blocked, and a ``reaches`` query at its vertex with
-    the vertices to avoid.  It keeps its own stack, so no recursion limit
-    caps the path length, and walks each vertex's edges from the last one
-    placed (before the edge it arrived by) back to the first.  Its gap is
-    the length to beat less the edges on the stack.  A child x reached by d'
-    is tried only if K[d'] beats the gap, and the path to x is the longest
-    yet if the gap is 0.  Each vertex keeps the prefix maxima of K over its
-    edges, appended as they are placed, so a frame stops (one bisection) at
-    the edge before which no K beats its gap; gaps only grow, so no
-    promising child lies beyond.
+    the vertices to avoid.  It keeps one stack, so no recursion limit caps
+    the path length: each vertex on the path has a frame, holding the entry
+    it was entered by and the untried edges and blocked mask of the frame
+    below it.  It walks each vertex's edges from the last one placed (before
+    the edge it arrived by) back to the first, and unmarks its vertices
+    however it ends.  Its gap is the length to beat less the edges on the
+    path.  A child x reached by d' is tried only if K[d'] beats the gap, and
+    the path to x is the longest yet if the gap is 0.  Each vertex keeps the
+    prefix maxima of K over its edges, appended as they are placed, so a
+    frame stops (one bisection) at the edge before which no K beats its gap;
+    gaps only grow, so no promising child lies beyond.
 
     Failure records.  Directed edge d = (p, x) may carry a record (L, M):
     no monotone path that starts with d and visits no vertex of M after x
@@ -243,8 +245,8 @@ class PathValues:
     search runs for gets K = B, which is the L of the record it would get.
     A child whose record has L' <= gap and M' inside the blocked and path
     vertices is skipped: a path extending the stack visits none of them, so
-    the record bounds it.  Each search keeps the blocked mask of every open
-    frame and passes it to the parent as the frame closes.  A record whose
+    the record bounds it.  A closing frame's blocked mask joins the one
+    below it on the stack.  A record whose
     M is empty bounds every path starting with d, whatever the path before
     it, so it is kept as K[d] instead (always lower, since d was entered
     with K[d] beating the gap), and the masked record in d's slot stays;
@@ -385,64 +387,58 @@ class PathValues:
             seen[x] = True
             path |= 1 << x
         length, found = gap, None
-        # A frame holds an open vertex's untried children.  stack holds the
-        # entries of the path's edges, held the top frame's blocked mask and
-        # masks those of the frames below it.
-        frames = [reversed(kids[a][bisect_right(pre[a], gap):])]
-        stack, masks, held = [], [], 0
-        while frames:
-            for kid in frames[-1]:
-                if kid[2] <= gap:
-                    continue
-                x = kid[1]
-                if seen[x]:
-                    held |= 1 << x
-                    continue
-                if kid[4] <= gap and not kid[5] & ~path:
-                    held |= kid[5]
-                    continue
-                if gap <= 0:  # the path to x is the longest yet
-                    length, gap = len(stack) + 1, 1
-                    found = [*stack, kid]
-                    if length >= need:  # stop: close every frame
-                        for s in stack:
-                            seen[s[1]] = False
-                        frames.clear()
-                        break
-                t = kid[3]
-                explored += t
-                if explored > limit:  # the path found so far is the incumbent
-                    if found and root:
-                        self.best, self.best_path = length + 1, (*root, _witness(a, found)[1])
-                    raise _Capped
-                seen[x] = True
-                path |= 1 << x
-                stack.append(kid)
-                masks.append(held)
-                held = 0
-                gap -= 1
-                frames.append(reversed(kids[x][bisect_right(pre[x], gap, 0, t + 1):t + 1]))
-                break
-            else:  # every child of the frame tried: step back
-                frames.pop()
-                if not stack:
+        # it and held are the top frame's untried children and blocked mask.
+        it, held, stack = reversed(kids[a][bisect_right(pre[a], gap):]), 0, []
+        try:
+            while True:
+                for kid in it:
+                    if kid[2] <= gap:
+                        continue
+                    x = kid[1]
+                    if seen[x]:
+                        held |= 1 << x
+                        continue
+                    if kid[4] <= gap and not kid[5] & ~path:
+                        held |= kid[5]
+                        continue
+                    if gap <= 0:  # the path to x is the longest yet
+                        length, gap = len(stack) + 1, 1
+                        found = [*(s[1] for s in stack), kid]
+                        if length >= need:
+                            return length, found
+                    t = kid[3]
+                    explored += t
+                    if explored > limit:  # the path found so far is the incumbent
+                        if found and root:
+                            self.best, self.best_path = length + 1, (*root, _witness(a, found)[1])
+                        raise _Capped
+                    seen[x] = True
+                    path |= 1 << x
+                    gap -= 1
+                    stack.append((it, kid, held))
+                    it, held = reversed(kids[x][bisect_right(pre[x], gap, 0, t + 1):t + 1]), 0
                     break
-                kid = stack.pop()
-                x = kid[1]
+                else:  # every child of the frame tried: step back
+                    if not stack:
+                        return length, found
+                    it, kid, below = stack.pop()
+                    x = kid[1]
+                    seen[x] = False
+                    path ^= 1 << x
+                    held &= path  # drops x
+                    gap += 1
+                    if found is None:
+                        if held:
+                            kid[4], kid[5] = gap, held
+                        else:  # bounds d in any context: keep it as K
+                            kid[2] = gap
+                    held |= below
+        finally:  # unmark the path and the blocked vertices, however the search ends
+            for _, kid, _ in stack:
+                seen[kid[1]] = False
+            for x in blocked:
                 seen[x] = False
-                path ^= 1 << x
-                held &= path  # drops x
-                gap += 1
-                if found is None:
-                    if held:
-                        kid[4], kid[5] = gap, held
-                    else:  # bounds d in any context: keep it as K
-                        kid[2] = gap
-                held |= masks.pop()
-        for x in blocked:
-            seen[x] = False
-        self.explored = explored
-        return length, found
+            self.explored = explored
 
 
 def _witness(a: int, entries: list) -> tuple[int, tuple]:

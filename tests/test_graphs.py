@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 import altitude as alt
-from corpus import random_graphs
+from corpus import named_small_graphs, random_graphs
 
 
 def test_edges_are_canonical_and_adjacency_inverts_them() -> None:
@@ -97,23 +98,84 @@ def test_parse_serialize_round_trip() -> None:
         assert alt.parse_graph(alt.serialize_graph(g)) == g
 
 
+# (parser, text, error class, message); a line number counts blank lines too.
+_MALFORMED = [
+    (alt.parse_graph, "", alt.MalformedLineError, "missing header line 'n m'"),
+    (alt.parse_graph, " \n3 1\n0 1\n", alt.MalformedLineError, "missing header line 'n m'"),
+    (alt.parse_graph, "3\n", alt.MalformedLineError, "header must be 'n m', got '3'"),
+    (alt.parse_graph, "3 2 1\n", alt.MalformedLineError, "header must be 'n m', got '3 2 1'"),
+    (alt.parse_graph, "x y\n", alt.MalformedLineError, "non-integer header 'x y'"),
+    (alt.parse_graph, "3 -1\n", alt.MalformedLineError, "negative counts in header '3 -1'"),
+    (alt.parse_graph, "3 2\n", alt.MalformedLineError, "expected 2 edge lines, found 0"),
+    (alt.parse_graph, "3 1\n0\n", alt.MalformedLineError, "line 2: expected 'u v', got '0'"),
+    (alt.parse_graph, "3 1\n0 1 2\n", alt.MalformedLineError,
+     "line 2: expected 'u v', got '0 1 2'"),
+    (alt.parse_graph, "3 1\n0 x\n", alt.MalformedLineError, "line 2: non-integer vertex in '0 x'"),
+    (alt.parse_graph, "3 2\n0 1\n", alt.MalformedLineError, "expected 2 edge lines, found 1"),
+    (alt.parse_graph, "3 1\n0 1\n1 2\n", alt.MalformedLineError,
+     "expected 1 edge lines, found 2"),
+    # the count is checked before any line
+    (alt.parse_graph, "3 2\n0 x\n", alt.MalformedLineError, "expected 2 edge lines, found 1"),
+    (alt.parse_graph, "3 1\n1 1\n", alt.LoopError, "line 2: loop at vertex 1"),
+    (alt.parse_graph, "2 1\n5 5\n", alt.LoopError, "line 2: loop at vertex 5"),
+    (alt.parse_graph, "3 2\n0 1\n1 0\n", alt.DuplicateEdgeError, "duplicate edge (0, 1)"),
+    (alt.parse_graph, "3 1\n0 5\n", alt.VertexRangeError, "line 2: vertex out of range in '0 5'"),
+    (alt.parse_graph, "3 1\n3 1\n", alt.VertexRangeError, "line 2: vertex out of range in '3 1'"),
+    (alt.parse_graph, "3 1\n-1 2\n", alt.VertexRangeError,
+     "line 2: vertex out of range in '-1 2'"),
+    (alt.parse_graph, "3 1\n2 -1\n", alt.VertexRangeError,
+     "line 2: vertex out of range in '2 -1'"),
+    (alt.parse_graph, "3 2\n\n0 1\n\n1 x\n", alt.MalformedLineError,
+     "line 5: non-integer vertex in '1 x'"),
+    (alt.parse_graph, "4 3\n0 1\n \n1 2\n\t\n2 2\n", alt.LoopError, "line 6: loop at vertex 2"),
+    (alt.parse_ordering, "1 2\n", alt.OrderingFormatError,
+     "line 1: expected a single rank, got '1 2'"),
+    (alt.parse_ordering, "1\nx\n", alt.OrderingFormatError, "line 2: non-integer rank 'x'"),
+    (alt.parse_ordering, "1\n\n\nx\n", alt.OrderingFormatError, "line 4: non-integer rank 'x'"),
+    (alt.parse_ordering, "1\n1\n", alt.OrderingFormatError, "ranks are not a bijection onto 1..2"),
+    (alt.parse_ordering, "2\n\n3\n", alt.OrderingFormatError,
+     "ranks are not a bijection onto 1..2"),
+]
+
+
 def test_parse_rejects_malformed_text() -> None:
-    with pytest.raises(alt.MalformedLineError):
-        alt.parse_graph("")
-    with pytest.raises(alt.MalformedLineError):
-        alt.parse_graph("3\n")
-    with pytest.raises(alt.MalformedLineError):
-        alt.parse_graph("x y\n")
-    with pytest.raises(alt.MalformedLineError):
-        alt.parse_graph("2 1\n0\n")
-    with pytest.raises(alt.MalformedLineError):
-        alt.parse_graph("3 2\n0 1\n")  # fewer edge lines than declared
-    with pytest.raises(alt.LoopError):
-        alt.parse_graph("2 1\n1 1\n")
-    with pytest.raises(alt.DuplicateEdgeError):
-        alt.parse_graph("3 2\n0 1\n1 0\n")
-    with pytest.raises(alt.VertexRangeError):
-        alt.parse_graph("2 1\n0 5\n")
-    # every format error is also a GraphFormatError and a ValueError
-    with pytest.raises(alt.GraphFormatError):
-        alt.parse_graph("2 1\n0 5\n")
+    for parse, text, error, message in _MALFORMED:
+        with pytest.raises(ValueError) as info:
+            parse(text)
+        assert (type(info.value), str(info.value)) == (error, message), text
+    # every graph format error is also a GraphFormatError
+    assert all(issubclass(error, alt.GraphFormatError)
+               for parse, _, error, _ in _MALFORMED if parse is alt.parse_graph)
+
+
+def _text_with_noise(g: alt.Graph, rng: random.Random) -> tuple[str, list[tuple[int, int]]]:
+    """g's edge-list text with its lines shuffled, some pairs flipped and
+    blank or whitespace lines and padding between them, and its pairs."""
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+    rng.shuffle(pairs)
+    lines = [f"{g.n} {g.m}"]
+    for u, v in pairs:
+        lines += rng.choice([[], [""], [" "], ["\t", ""]])
+        lines.append(rng.choice(["{} {}", " {}\t{} ", "{}  {}\t"]).format(u, v))
+    return "\n".join(lines) + rng.choice(["", "\n", "\n \n"]), pairs
+
+
+def test_parse_graph_agrees_with_from_edges_and_builds_adjacency_on_first_read() -> None:
+    # parse_graph checks and orients each line once and skips the
+    # constructor's checks; it must give the graph from_edges gives, whose
+    # adjacency, built on first read, a psi run on a file ordering never reads.
+    rng = random.Random(15)
+    corpus = [g for _, g in named_small_graphs()]
+    corpus += random_graphs(40, 1, 16, seed=14, nonempty=False)
+    for g in corpus:
+        text, pairs = _text_with_noise(g, rng)
+        h = alt.parse_graph(text)
+        assert h == alt.Graph.from_edges(g.n, pairs) == g
+        phi = alt.parse_ordering(alt.serialize_ordering(alt.random_ordering(h, rng.randrange(99))))
+        assert alt.verify_witness(h, phi, alt.longest_increasing_path(h, phi))
+        assert "adj" not in vars(h)
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(h.n)]
+        for e, (u, v) in enumerate(h.edges):
+            adj[u].append((v, e))
+            adj[v].append((u, e))
+        assert h.adj == tuple(tuple(a) for a in adj)

@@ -9,7 +9,7 @@ import re
 import pytest
 
 import altitude as alt
-from altitude.paths import _start_values, _trail_sweep
+from altitude.paths import PathValues, _start_values, _trail_sweep
 from corpus import psi_check_instances, random_instances
 from oracles import (
     brute_psi, brute_start_path, brute_suffix_trail, brute_trail, check_witness_tops,
@@ -180,6 +180,33 @@ def test_failure_records_bound_each_edge_on_paths_avoiding_their_mask() -> None:
                     written += 1
                     tight += want == length and mask != 0
     assert written > 2000 and tight > 1000
+
+
+def test_every_search_leaves_no_vertex_marked() -> None:
+    # A search marks its blocked and path vertices in state.seen and clears
+    # them however it ends: out of children, at ``need``, capped, or run by
+    # ``values`` or ``reaches``.  The G(50, .45) run is capped mid-search.
+    g = alt.sample_gnp(50, 0.45, 12345)
+    res, state = _start_values(g, alt.random_ordering(g, 7), 2000)
+    assert not res.exact and not any(state.seen)
+    stops = 0
+    for g, phi in random_instances(60, 6, 14, seed=37):
+        res, state = _start_values(g, phi, None)
+        assert res.exact and not any(state.seen)
+        state = PathValues(g)
+        half = g.m // 2
+        for e in reversed(phi.inverse[half:]):
+            state.place(e)
+        state.values(list(phi.inverse[:half]), g.m)
+        assert not any(state.seen)
+        for a in range(g.n):
+            for w, _ in g.adj[a]:
+                state.reaches(a, (w,), state.pre[a][-1])
+                assert not any(state.seen)
+            length, found = state._search((a,), -1, 1)
+            stops += found is not None
+            assert length <= 1 and not any(state.seen)
+    assert stops > 100
 
 
 # Edges scanned by the unbudgeted psi searches of the corpus below, summed,
