@@ -31,6 +31,7 @@ from typing import Callable
 from .graphs import Graph, SoundnessError, hypercube_dimension
 from .orderings import (
     EdgeOrdering,
+    _check_ordering,
     coloring_ordering,
     greedy_edge_coloring,
     hypercube_dimension_coloring,
@@ -113,8 +114,7 @@ def local_search_min_psi(
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
-    if init.m != g.m:
-        raise ValueError("initial ordering does not match the graph")
+    _check_ordering(g, init)
     return _anneal(g, init, _psi_or_trail(g, init, psi_budget), steps, seed, psi_budget)
 
 

@@ -33,8 +33,9 @@ def hypercube_k(d: int) -> int:
     """ceil(d / log2 d) decided exactly: the least k with d**k >= 2**d.
 
     Returns the float ceiling when d / log2 d lies farther than ``_TIE`` of
-    itself from an integer.  Otherwise starts just below the float estimate
-    and settles the boundary with a couple of integer power comparisons.
+    itself from an integer.  Otherwise counts up with integer power
+    comparisons from two below that ceiling, which the float error (far
+    under 1) keeps below the answer.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -45,8 +46,6 @@ def hypercube_k(d: int) -> int:
     target = 1 << d
     while d**k < target:
         k += 1
-    while k > 1 and d ** (k - 1) >= target:
-        k -= 1
     return k
 
 

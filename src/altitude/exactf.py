@@ -235,26 +235,14 @@ def exact_f(g: Graph, budget: int | None = None) -> AltitudeResult:
     depend on which of them a witness settles and which a search.
 
     A node computes this value for every unranked edge and dies, with its
-    whole subtree, when one of two bounds reaches the incumbent:
-
-    - top value: the largest of these values, since every unranked edge
-      ranks above the prefix in any completion;
-    - pair: unranked edges (a, b) and (b, c) with paths of incumbent - 2
-      edges ending at a and at c that avoid the other two vertices, since
-      whichever edge ranks first, the other extends it.  Only ends whose
-      largest K reaches incumbent - 2 are paired.
-
-    Both bounds read every unranked edge, but a node makes children only
-    for the edges outside its sleep set, an int with one bit per edge.  In
-    pop order, child c_i sleeps on the node's set plus c_1..c_(i-1), less
-    ``meets[c_i]``, the edges that share a vertex with c_i.  Edges that
-    share no vertex commute at adjacent ranks (the increasing paths stay
-    the same), so an ordering skipped under c_i ranks a sleeping z before
-    every edge that meets z, and moving z down to the node gives an
-    equivalent ordering through z's sibling.  That sibling was expanded,
-    or dropped or cut by a test on its prefix alone.  At the root only the
-    orbit representatives enter sleep sets, so a sleeping z is always a
-    searched representative; the module docstring gives the argument.
+    whole subtree, when the top-value or the pair cut of the module
+    docstring reaches the incumbent; only ends whose largest K reaches
+    incumbent - 2 are paired.  Both cuts read every unranked edge, but a
+    node makes children only for the edges outside its sleep set, an int
+    with one bit per edge: in pop order, child c_i sleeps on the node's set
+    plus c_1..c_(i-1), less ``meets[c_i]``, the edges that share a vertex
+    with c_i.  The module docstring gives why the sleep sets and the orbit
+    representatives at the root lose no ordering.
 
     A witness the search found, rather than the coloring ordering, is
     rechecked once by an unbudgeted psi search, and a mismatch raises

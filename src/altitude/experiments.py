@@ -189,7 +189,10 @@ def _expected_edges(n: int, p: float) -> float:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity mask where the OS has one)."""
+    """The CPUs rows may run on: this process's affinity mask where the OS
+    has one, and this process's CPU alone where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

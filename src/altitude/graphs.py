@@ -44,9 +44,9 @@ class Graph:
     """Immutable simple undirected graph.
 
     ``edges`` is canonical: pairs (u, v) with u < v, strictly increasing
-    lexicographically; the constructor checks each edge once, and
-    ``parse_graph`` checks its lines instead.  ``adj[v]`` lists (neighbor,
-    edge_index) pairs, exactly the inverse of the edge list, and
+    lexicographically.  The constructor is the one check of an edge list:
+    ``from_edges`` and ``parse_graph`` build through it.  ``adj[v]`` lists
+    (neighbor, edge_index) pairs, exactly the inverse of the edge list, and
     ``adj_mask[v]`` is v's neighbor set as a bitmask; both are built on
     first read.
     """
@@ -55,17 +55,22 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
+        n = self.n
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
         prev = ()  # below every pair
-        for i, (u, v) in enumerate(self.edges):
-            if not 0 <= u < v < self.n:
+        for e in self.edges:
+            u, v = e
+            if not 0 <= u < v < n or e <= prev:
                 if u == v:
                     raise LoopError(f"loop at vertex {u}")
-                raise VertexRangeError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if (u, v) <= prev:
+                if not 0 <= u < v < n:
+                    raise VertexRangeError(f"edge ({u}, {v}) out of range for n={n}")
+                if e == prev:
+                    raise DuplicateEdgeError(f"duplicate edge {e}")
+                i = self.edges.index(prev) + 1  # the pairs up to prev strictly increase
                 raise ValueError(f"edge list not strictly increasing at index {i}")
-            prev = (u, v)
+            prev = e
 
     @cached_property
     def adj(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -85,23 +90,9 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, pairs) -> "Graph":
-        """Canonicalize an iterable of pairs: orient u < v, sort, reject loops
-        and dups; the constructor then checks n and the vertex range."""
-        canon = []
-        for u, v in pairs:
-            if u == v:
-                raise LoopError(f"loop at vertex {u}")
-            canon.append((u, v) if u < v else (v, u))
-        return Graph(n, _sorted_unique(canon))
-
-
-def _sorted_unique(canon: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """The oriented pairs in increasing order, rejecting a repeated one."""
-    canon.sort()
-    for a, b in zip(canon, canon[1:]):
-        if a == b:
-            raise DuplicateEdgeError(f"duplicate edge {a}")
-    return tuple(canon)
+        """The graph on the given pairs, each oriented u < v and then sorted;
+        the constructor names the first fault in that order."""
+        return Graph(n, tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs)))
 
 
 @dataclass(frozen=True)
@@ -225,7 +216,14 @@ def hypercube_dimension(g: Graph) -> int | None:
 # ----------------------------------------------------------------------
 
 def parse_graph(text: str) -> Graph:
-    """Read the edge-list format in one pass; a line number counts blank lines too."""
+    """Read the edge-list format; a line number counts blank lines too.
+
+    The edge lines go to the constructor as oriented, sorted pairs.  Only if
+    a line does not read as two integers, the constructor raises or the line
+    count is wrong are the lines read again, in file order, to name the
+    fault: a wrong count first, then the first bad line, and otherwise the
+    constructor's first repeated pair.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise MalformedLineError("missing header line 'n m'")
@@ -240,33 +238,31 @@ def parse_graph(text: str) -> Graph:
         raise MalformedLineError(f"negative counts in header {lines[0]!r}")
     canon: list[tuple[int, int]] = []
     try:
-        for lineno, ln in enumerate(lines[1:], start=2):
+        for ln in lines[1:]:
             tok = ln.split()
-            if not tok:
-                continue
-            try:
+            if tok:
                 u, v = map(int, tok)
-            except ValueError as exc:  # too few or many tokens, or not integers
-                fault = "expected 'u v', got" if len(tok) != 2 else "non-integer vertex in"
-                raise MalformedLineError(f"line {lineno}: {fault} {ln!r}") from exc
-            if u > v:
-                u, v = v, u
-            elif u == v:
-                raise LoopError(f"line {lineno}: loop at vertex {u}")
-            if u < 0 or v >= n:
-                raise VertexRangeError(f"line {lineno}: vertex out of range in {ln!r}")
-            canon.append((u, v))
-    except GraphFormatError:  # a wrong line count is reported first
-        found = sum(1 for ln in lines[1:] if ln.strip())
-        if found == m:
-            raise
-    else:
-        found = len(canon)
-    if found != m:
-        raise MalformedLineError(f"expected {m} edge lines, found {found}")
-    g = object.__new__(Graph)  # every edge is checked above
-    vars(g).update(n=n, edges=_sorted_unique(canon))
-    return g
+                canon.append((u, v) if u < v else (v, u))
+        if len(canon) == m:
+            canon.sort()
+            return Graph(n, tuple(canon))
+    except ValueError as exc:  # a line not read as two integers, or the constructor's fault
+        fault = exc
+    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    if len(body) != m:
+        raise MalformedLineError(f"expected {m} edge lines, found {len(body)}")
+    for lineno, ln in body:
+        tok = ln.split()
+        try:
+            u, v = sorted(map(int, tok))
+        except ValueError as exc:  # too few or many tokens, or not integers
+            what = "expected 'u v', got" if len(tok) != 2 else "non-integer vertex in"
+            raise MalformedLineError(f"line {lineno}: {what} {ln!r}") from exc
+        if u == v:
+            raise LoopError(f"line {lineno}: loop at vertex {u}")
+        if u < 0 or v >= n:
+            raise VertexRangeError(f"line {lineno}: vertex out of range in {ln!r}")
+    raise fault  # every line is sound, so the constructor named a repeated pair
 
 
 def serialize_graph(g: Graph) -> str:

@@ -41,6 +41,12 @@ class EdgeOrdering:
         return len(self.rank)
 
 
+def _check_ordering(g: Graph, ordering: EdgeOrdering) -> None:
+    """Raise ValueError unless the ordering ranks exactly g's m edges."""
+    if ordering.m != g.m:
+        raise ValueError(f"the ordering ranks {ordering.m} edges, but the graph has {g.m}")
+
+
 @dataclass(frozen=True)
 class EdgeColoring:
     """Proper edge coloring with compact colors 0..num_colors-1."""

@@ -20,7 +20,7 @@ from math import inf
 from typing import Iterable
 
 from .graphs import Graph
-from .orderings import EdgeOrdering
+from .orderings import EdgeOrdering, _check_ordering
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,7 @@ def verify_witness(g: Graph, ordering: EdgeOrdering, result: PathResult) -> bool
     Deliberately shares no state with the search code: each edge index is
     range-checked, its pair read from ``g.edges``, and every claim checked.
     """
+    _check_ordering(g, ordering)
     if result.kind not in ("path", "trail"):
         raise WitnessError(f"unknown witness kind {result.kind!r}")
     vs, es = result.vertices, result.edges
@@ -126,6 +127,7 @@ def longest_increasing_trail(g: Graph, ordering: EdgeOrdering) -> PathResult:
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
+    _check_ordering(g, ordering)
     ends = g.edges
     pairs = [ends[e] for e in ordering.inverse]
     before: list[tuple[int, int]] = []
@@ -165,6 +167,7 @@ def longest_increasing_path(
     """
     if g.n == 0:
         raise ValueError("graph has no vertices")
+    _check_ordering(g, ordering)
     if g.m == 0:
         return PathResult("path", 0, (0,), (), True, 0)
 

@@ -26,7 +26,7 @@ from math import isqrt
 from typing import Sequence
 
 from .graphs import Graph
-from .orderings import EdgeOrdering
+from .orderings import EdgeOrdering, _check_ordering
 from .paths import PathResult, WitnessError, verify_witness
 
 
@@ -84,8 +84,7 @@ class CountingReport:
 
 def run_pedestrian(g: Graph, ordering: EdgeOrdering) -> PedestrianTranscript:
     """Simulate the pedestrians under the given ordering and record the walks."""
-    if ordering.m != g.m:
-        raise ValueError("ordering does not match the graph's edge count")
+    _check_ordering(g, ordering)
     n = g.n
     who = list(range(n))  # vertex -> pedestrian
     paths: list[list[int]] = [[i] for i in range(n)]
@@ -120,6 +119,7 @@ def check_invariants(g: Graph, ordering: EdgeOrdering, t: PedestrianTranscript) 
     from the replay or fails ``paths.verify_witness`` as an increasing path,
     or edge-membership parity not in {0, 2}.
     """
+    _check_ordering(g, ordering)
     n = g.n
     if len(t.paths) != n or len(t.walks) != n or len(t.swap_log) != g.m:
         raise TranscriptError("transcript shape does not match the graph")

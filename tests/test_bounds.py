@@ -109,6 +109,18 @@ def test_inequality_six_sweep_does_one_step_per_k(monkeypatch) -> None:
     assert calls <= hypercube_k(10**5) - hypercube_k(5) + 3
 
 
+def test_exact_branches_agree_with_the_float_screens(monkeypatch) -> None:
+    # A tie margin of 1 sends every comparison down its exact integer branch
+    # and makes the sweep walk every run of k from twice its y downwards.
+    ks = [bounds.hypercube_k(d) for d in range(2, 3001)]
+    holds = [bounds.verify_inequality_6(d) for d in range(5, 3001)]
+    sweep = bounds.sweep_inequality_6(5, 3000)
+    monkeypatch.setattr(bounds, "_TIE", 1.0)
+    assert [bounds.hypercube_k(d) for d in range(2, 3001)] == ks
+    assert [bounds.verify_inequality_6(d) for d in range(5, 3001)] == holds
+    assert bounds.sweep_inequality_6(5, 3000) == sweep == (True, ())
+
+
 def test_gnp_k_values_and_validation() -> None:
     assert alt.gnp_k(10**4, 0.05, omega=5.0, eps=0.1) == 9
     n = round(math.e**10)

@@ -894,6 +894,24 @@ def test_experiment_gnp_row_process_that_exits_unreported_is_an_error(
     assert childless()
 
 
+def test_experiment_gnp_runs_every_row_here_where_the_platform_cannot_fork(capsys,
+                                                                           monkeypatch):
+    argv = ["experiment", "gnp", "--n-list", "30,40", "--p", "0.5", "--trials", "1"]
+    rc, inline, _ = run(capsys, *argv, "--workers", "1")
+    assert rc == 0
+
+    def refuse(*args):
+        raise AssertionError("the row pool was asked for")
+
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(experiments, "_pooled_rows", refuse)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert [ln.rsplit(",", 1)[0] for ln in out.splitlines()] == [
+        ln.rsplit(",", 1)[0] for ln in inline.splitlines()]
+
+
 @pytest.mark.parametrize("campaign", [["gnp", "--n-list", "8", "--p", "0.3"],
                                       ["hypercube", "--d-max", "2"]], ids=["gnp", "hypercube"])
 @pytest.mark.parametrize("workers", ["0", "-2"])
@@ -944,6 +962,18 @@ def test_bad_ordering_file(capsys, k3_file, tmp_path):
     short.write_text("1\n2\n")  # K_3 has three edges
     rc, _, err = run(capsys, "psi", "--graph", k3_file, "--ordering", f"file:{short}")
     assert rc == 3 and "error:" in err
+
+
+@pytest.mark.parametrize("command", ["psi", "trail", "pedestrian", "verify", "adversary"])
+@pytest.mark.parametrize("ranks", ["1\n2\n", "1\n2\n3\n4\n"])
+def test_every_command_rejects_an_ordering_file_of_another_size(capsys, k3_file, tmp_path,
+                                                                 command, ranks):
+    order = tmp_path / "order.txt"
+    order.write_text(ranks)  # K_3 has three edges
+    rc, out, err = run(capsys, command, "--graph", k3_file, "--ordering", f"file:{order}")
+    size = ranks.count("\n")
+    assert (rc, out) == (3, "")
+    assert err == f"error: the ordering ranks {size} edges, but the graph has 3\n"
 
 
 def test_config_file_seed_and_flag_precedence(capsys, q3_file, tmp_path):

@@ -38,6 +38,29 @@ def test_graph_rejects_loops_duplicates_and_range_violations() -> None:
         alt.Graph(3, ((1, 2), (0, 1)))  # not sorted
 
 
+def test_the_constructor_names_each_fault_and_from_edges_the_first_in_sorted_order() -> None:
+    cases = [
+        (lambda: alt.Graph(-1, ()), ValueError, "vertex count must be nonnegative, got -1"),
+        (lambda: alt.Graph(3, ((1, 1),)), alt.LoopError, "loop at vertex 1"),
+        (lambda: alt.Graph(3, ((1, 0),)), alt.VertexRangeError, "edge (1, 0) out of range for n=3"),
+        (lambda: alt.Graph(3, ((0, 3),)), alt.VertexRangeError, "edge (0, 3) out of range for n=3"),
+        (lambda: alt.Graph(3, ((0, 1), (0, 1))), alt.DuplicateEdgeError, "duplicate edge (0, 1)"),
+        (lambda: alt.Graph(3, ((1, 2), (0, 1))), ValueError,
+         "edge list not strictly increasing at index 1"),
+        (lambda: alt.Graph.from_edges(3, [(2, 1), (1, 2)]), alt.DuplicateEdgeError,
+         "duplicate edge (1, 2)"),
+        # (0, 5) sorts before (1, 1), so the range fault is named, not the loop
+        (lambda: alt.Graph.from_edges(3, [(0, 5), (1, 1)]), alt.VertexRangeError,
+         "edge (0, 5) out of range for n=3"),
+        (lambda: alt.Graph.from_edges(3, [(2, 2), (1, 0), (0, 1)]), alt.DuplicateEdgeError,
+         "duplicate edge (0, 1)"),
+    ]
+    for build, error, message in cases:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_generators_have_expected_shape() -> None:
     assert alt.make_complete(5).m == 10
     assert alt.make_cycle(6).m == 6
@@ -128,6 +151,15 @@ _MALFORMED = [
     (alt.parse_graph, "3 2\n\n0 1\n\n1 x\n", alt.MalformedLineError,
      "line 5: non-integer vertex in '1 x'"),
     (alt.parse_graph, "4 3\n0 1\n \n1 2\n\t\n2 2\n", alt.LoopError, "line 6: loop at vertex 2"),
+    # with several faults: the count first, then the first bad line in file
+    # order, and only then a repeated pair
+    (alt.parse_graph, "4 3\n0 1\n2 2\n0 x\n", alt.LoopError, "line 3: loop at vertex 2"),
+    (alt.parse_graph, "3 3\n0 1\n1 0\n0 5\n", alt.VertexRangeError,
+     "line 4: vertex out of range in '0 5'"),
+    (alt.parse_graph, "3 3\n0 1\n1 0\n0 x\n", alt.MalformedLineError,
+     "line 4: non-integer vertex in '0 x'"),
+    (alt.parse_graph, "3 2\n0 1\n1 0\n0 2\n", alt.MalformedLineError,
+     "expected 2 edge lines, found 3"),
     (alt.parse_ordering, "1 2\n", alt.OrderingFormatError,
      "line 1: expected a single rank, got '1 2'"),
     (alt.parse_ordering, "1\nx\n", alt.OrderingFormatError, "line 2: non-integer rank 'x'"),
@@ -161,9 +193,9 @@ def _text_with_noise(g: alt.Graph, rng: random.Random) -> tuple[str, list[tuple[
 
 
 def test_parse_graph_agrees_with_from_edges_and_builds_adjacency_on_first_read() -> None:
-    # parse_graph checks and orients each line once and skips the
-    # constructor's checks; it must give the graph from_edges gives, whose
-    # adjacency, built on first read, a psi run on a file ordering never reads.
+    # parse_graph orients each line and builds through the constructor; it
+    # must give the graph from_edges gives, whose adjacency, built on first
+    # read, a psi run on a file ordering never reads.
     rng = random.Random(15)
     corpus = [g for _, g in named_small_graphs()]
     corpus += random_graphs(40, 1, 16, seed=14, nonempty=False)

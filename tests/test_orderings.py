@@ -269,3 +269,31 @@ def test_ordering_text_round_trip_and_errors() -> None:
         alt.parse_ordering("1\nx\n")
     with pytest.raises(alt.OrderingFormatError):
         alt.parse_ordering("1\n1\n")  # not a bijection
+
+
+@pytest.mark.parametrize("size", [4, 12])
+def test_every_entry_rejects_an_ordering_of_another_size(size) -> None:
+    # K_5 has ten edges; unchecked, a shorter ordering gives psi = 2 as exact
+    # and a longer one an IndexError
+    g = alt.make_complete(5)
+    phi = alt.EdgeOrdering(tuple(range(1, size + 1)))
+    good = alt.identity_ordering(g)
+    entries = [
+        lambda: alt.longest_increasing_trail(g, phi),
+        lambda: alt.longest_increasing_path(g, phi),
+        lambda: alt.verify_witness(g, phi, alt.longest_increasing_path(g, good)),
+        lambda: alt.run_pedestrian(g, phi),
+        lambda: alt.check_invariants(g, phi, alt.run_pedestrian(g, good)),
+        lambda: alt.local_search_min_psi(g, phi, steps=10, seed=0),
+    ]
+    for entry in entries:
+        with pytest.raises(ValueError) as info:
+            entry()
+        assert str(info.value) == f"the ordering ranks {size} edges, but the graph has 10"
+
+
+def test_an_edgeless_graph_takes_only_the_empty_ordering() -> None:
+    g = alt.Graph(3, ())
+    assert alt.longest_increasing_path(g, alt.EdgeOrdering(())).length == 0
+    with pytest.raises(ValueError, match="ranks 1 edges, but the graph has 0"):
+        alt.longest_increasing_path(g, alt.EdgeOrdering((1,)))
