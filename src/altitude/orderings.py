@@ -107,6 +107,10 @@ def greedy_edge_coloring(g: Graph) -> EdgeColoring:
     Implements the fan construction: for each uncolored edge (u, v), grow a
     maximal fan at u, and either rotate it directly or first invert the
     alternating cd-path through u to make the fan's terminal color free at u.
+    The fan is held as two lists, its vertices and their edges to u.  The
+    inversion swaps c and d along the path in one walk, and the rotation
+    shifts colors along the shortest fan prefix whose tip has d free; most
+    prefixes are the uncolored edge alone, which then just takes d.
 
     Memory is O(n + m): each vertex keeps a dict of its colored edges by
     color and a bitmask of its colors.  A table of max_degree + 1 slots per
@@ -119,34 +123,19 @@ def greedy_edge_coloring(g: Graph) -> EdgeColoring:
     at: list[dict[int, int]] = [{} for _ in range(g.n)]  # at[v][c]: v's c-colored edge
     used = [0] * g.n  # bit c of used[v]: v has a c-colored edge
 
-    def recolor(es: list[int], colors: list[int]) -> None:
-        # Two passes, since the old and new slots of the edges overlap.
-        for e in es:
-            c = color[e]
-            if c != -1:
-                x, y = edges[e]
-                del at[x][c], at[y][c]
-                used[x] ^= 1 << c
-                used[y] ^= 1 << c
-        for e, c in zip(es, colors):
-            color[e] = c
-            x, y = edges[e]
-            at[x][c] = at[y][c] = e
-            used[x] |= 1 << c
-            used[y] |= 1 << c
-
     for e0, (u, v) in enumerate(edges):
-        # Maximal fan at u (vertex -> edge to u): each edge's color is free on
-        # the vertex before.  avail holds u's colors not yet in the fan, so the
-        # next edge is u's lowest-colored one whose color is free on the tail.
+        # Maximal fan at u: each edge's color is free on the vertex before.
+        # avail holds u's colors not yet in the fan, so the next edge is u's
+        # lowest-colored one whose color is free on the tail.
         at_u = at[u]
-        fan, tail, avail = {v: e0}, v, used[u]
+        fan_v, fan_e, tail, avail = [v], [e0], v, used[u]
         while nxt := avail & ~used[tail]:
             bit = nxt & -nxt
             avail ^= bit
             e = at_u[bit.bit_length() - 1]
             tail = other[e] ^ u
-            fan[tail] = e
+            fan_v.append(tail)
+            fan_e.append(e)
 
         # c and d: the lowest colors free on u and on the tail; deg <= delta
         # leaves one below the palette.
@@ -154,23 +143,46 @@ def greedy_edge_coloring(g: Graph) -> EdgeColoring:
         d = (~used[tail] & (used[tail] + 1)).bit_length() - 1
         if c >= palette or d >= palette:
             raise SoundnessError("palette exhausted")
-        # Swap c and d on the maximal path from u colored d, c, d, ... (empty if d is free on u)
-        path, x, want = [], u, d
-        while used[x] >> want & 1:
-            e = at[x][want]
-            path.append(e)
-            x, want = other[e] ^ x, c + d - want
-        if path:
-            recolor(path, [c + d - color[e] for e in path])
+        dbit = 1 << d
+        if used[u] & dbit:
+            # Swap c and d on the maximal path from u colored d, c, d, ...:
+            # e reaches x with its old color old, and x's edge of the other
+            # color, if any, continues the path.
+            cd = 1 << c | dbit
+            e = at_u.pop(d)
+            at_u[c], color[e] = e, c
+            used[u] ^= cd
+            x, old = other[e] ^ u, d
+            while True:
+                at_x, new = at[x], c + d - old
+                f = at_x.get(new)
+                at_x[new] = e
+                if f is None:
+                    del at_x[old]
+                    used[x] ^= cd
+                    break
+                at_x[old], color[f] = f, old
+                e, x, old = f, other[f] ^ x, new
         # Rotate the shortest fan prefix whose tip has d free: edge i takes
         # edge (i+1)'s color, the tip takes d.  The prefix must still be a fan.
-        fan_edges = list(fan.values())
-        for i, x in enumerate(fan):
-            if not used[x] >> d & 1:
+        for i, x in enumerate(fan_v):
+            if not used[x] & dbit:
                 break
-            if i + 1 == len(fan) or used[x] >> color[fan_edges[i + 1]] & 1:
+            if i + 1 == len(fan_v) or used[x] >> color[fan_e[i + 1]] & 1:
                 raise SoundnessError("fan lemma violated")
-        recolor(fan_edges[: i + 1], [color[e] for e in fan_edges[1 : i + 1]] + [d])
+        for j in range(i):
+            e, w, x = fan_e[j], fan_v[j], fan_v[j + 1]
+            k = color[fan_e[j + 1]]
+            color[e] = k
+            at_u[k] = at[w][k] = e
+            used[w] |= 1 << k
+            del at[x][k]
+            used[x] ^= 1 << k
+        e, x = fan_e[i], fan_v[i]
+        color[e] = d
+        at_u[d] = at[x][d] = e
+        used[u] |= dbit
+        used[x] |= dbit
 
     return _compact(color)
 

@@ -216,6 +216,9 @@ class PathValues:
     = U if U cannot beat B; else a search runs from b, blocking a, and K[d]
     is B after it: the longest path starting with d if that beat B, else B.
     Either way no monotone path starting with d beats the new B.
+    ``place`` settles (u, v) and then (v, u), each written out, and builds
+    a direction's entry once its K and its tail's witness top are known;
+    both entries join their lists only after both directions settle.
     ``unplace`` pops e's entries and prefix maxima and restores B.
 
     Every search starts at a vertex, blocked[0], and visits no vertex of
@@ -272,13 +275,17 @@ class PathValues:
     path of ``pre``'s value there from v, as (vertex mask, cells), found
     when an entry up to this one with that K was placed, or None where no
     such placement found one.  ``pre[v][j]`` is the largest K in
-    kids[v][:j + 1] as they were placed.
+    kids[v][:j + 1] as they were placed.  Every vertex mask (a record's M,
+    a witness top's, a search's path and blocked masks) is built and tested
+    through the table ``bit[x] == 1 << x`` rather than by a shift, and a
+    record's M lies inside the path mask when ``M & path == M``.
     """
 
     def __init__(self, g: Graph, budget: int | None = None) -> None:
         self.ends = g.edges
         self.none = g.m + 1  # the length of an absent record: no gap reaches it
-        self.kids = [[[-1, v, 0, 0, self.none, 0, (1 << v, v)]] for v in range(g.n)]
+        self.bit = bit = [1 << x for x in range(g.n)]
+        self.kids = [[[-1, v, 0, 0, self.none, 0, (bit[v], v)]] for v in range(g.n)]
         self.pre = [[0] for _ in range(g.n)]
         self.placed: list[int] = []
         self.undo: list[tuple] = []  # B and its path before each placement
@@ -292,33 +299,46 @@ class PathValues:
         edges, raising B, then add them to the lists of their tails."""
         self.undo.append((self.best, self.best_path))
         u, v = self.ends[e]
-        kids, pre, none = self.kids, self.pre, self.none
-        du = [2 * e, v, 0, len(kids[v]) - 1, none, 0, None]
-        dv = [2 * e + 1, u, 0, len(kids[u]) - 1, none, 0, None]
-        tops = []  # each tail's largest K once its entry joins its list
-        for a, b, entry in (u, v, du), (v, u, dv):
-            k, w = pre[b][-1] + 1, kids[b][-1][6]
-            if w is None or w[0] >> a & 1:
-                if k <= self.best:
-                    w = None
-                else:  # B >= 1: the edge alone never beats B here
-                    length, found = self._search((b, a), self.best - 1, none, (a, e))
-                    k, w = 1 + length, found and _witness(b, found)
-            if w:  # a path of k - 1 edges from b that misses a
-                w = (w[0] | 1 << a, (a, e, w[1]))
-                if k > self.best:
-                    self.best, self.best_path = k, w[1]
-            top, top_w = pre[a][-1], kids[a][-1][6]
-            if k > top or (k == top and top_w is None):
-                top, top_w = k, w
-            entry[2], entry[6] = k, top_w
-            tops.append(top)
+        kids, pre, bit, none = self.kids, self.pre, self.bit, self.none
+        ku, kv, pu, pv = kids[u], kids[v], pre[u], pre[v]
+        # Direction (u, v).
+        k, w = pv[-1] + 1, kv[-1][6]
+        if w is None or w[0] & bit[u]:
+            if k <= self.best:
+                w = None
+            else:  # B >= 1: the edge alone never beats B here
+                length, found = self._search((v, u), self.best - 1, none, (u, e))
+                k, w = 1 + length, found and self._witness(v, found)
+        if w:  # a path of k - 1 edges from v that misses u
+            w = (w[0] | bit[u], (u, e, w[1]))
+            if k > self.best:
+                self.best, self.best_path = k, w[1]
+        top_u, top_w = pu[-1], ku[-1][6]
+        if k > top_u or (k == top_u and top_w is None):
+            top_u, top_w = k, w
+        du = [2 * e, v, k, len(kv) - 1, none, 0, top_w]
+        # Direction (v, u), against the same placed edges and the new B.
+        k, w = pu[-1] + 1, ku[-1][6]
+        if w is None or w[0] & bit[v]:
+            if k <= self.best:
+                w = None
+            else:
+                length, found = self._search((u, v), self.best - 1, none, (v, e))
+                k, w = 1 + length, found and self._witness(u, found)
+        if w:
+            w = (w[0] | bit[v], (v, e, w[1]))
+            if k > self.best:
+                self.best, self.best_path = k, w[1]
+        top_v, top_w = pv[-1], kv[-1][6]
+        if k > top_v or (k == top_v and top_w is None):
+            top_v, top_w = k, w
+        dv = [2 * e + 1, u, k, len(ku) - 1, none, 0, top_w]
         # Both directions settle against the edges placed before e, so the
         # entries join their lists only now.
-        kids[u].append(du)
-        kids[v].append(dv)
-        pre[u].append(tops[0])
-        pre[v].append(tops[1])
+        ku.append(du)
+        kv.append(dv)
+        pu.append(top_u)
+        pv.append(top_v)
         self.placed.append(e)
 
     def unplace(self) -> None:
@@ -338,18 +358,23 @@ class PathValues:
         far, and a search from b stops once it finds a path of U - 1 edges.
         The state stays as it was, apart from the records and lowered K that
         the searches write."""
-        ends, kids, pre = self.ends, self.kids, self.pre
+        ends, kids, pre, bit = self.ends, self.kids, self.pre, self.bit
         best, out = self.best, []
         for x in xs:
             u, v = ends[x]
             val = best
-            for a, b in (u, v), (v, u):
-                k = pre[b][-1] + 1
-                if k > val:
-                    w = kids[b][-1][6]
-                    if w is None or w[0] >> a & 1:  # no witness rule: search
-                        k = 1 + self._search((b, a), val - 1, k - 1)[0]
-                    val = k
+            k = pre[v][-1] + 1
+            if k > val:
+                w = kids[v][-1][6]
+                if w is None or w[0] & bit[u]:  # no witness rule: search
+                    k = 1 + self._search((v, u), val - 1, k - 1)[0]
+                val = k
+            k = pre[u][-1] + 1
+            if k > val:
+                w = kids[u][-1][6]
+                if w is None or w[0] & bit[v]:
+                    k = 1 + self._search((u, v), val - 1, k - 1)[0]
+                val = k
             out.append(val)
             if val >= stop:
                 break
@@ -364,10 +389,10 @@ class PathValues:
         """
         if t <= 0:
             return True
-        w = self.kids[a][-1][6]
+        w, bit = self.kids[a][-1][6], self.bit
         if w is not None:
             for x in avoid:
-                if w[0] >> x & 1:
+                if w[0] & bit[x]:
                     break
             else:
                 return True
@@ -380,7 +405,7 @@ class PathValues:
         at the first path of ``need`` edges.  ``root``, the (vertex, edge)
         before blocked[0] on a path that ``place`` settles, goes in front of
         the incumbent that a capped search reports."""
-        kids, pre, seen = self.kids, self.pre, self.seen
+        kids, pre, seen, bit = self.kids, self.pre, self.seen, self.bit
         a = blocked[0]
         explored, limit = self.explored + len(kids[a]), self.limit
         if explored > limit:
@@ -388,7 +413,7 @@ class PathValues:
         path = 0
         for x in blocked:
             seen[x] = True
-            path |= 1 << x
+            path |= bit[x]
         length, found = gap, None
         # it and held are the top frame's untried children and blocked mask.
         it, held, stack = reversed(kids[a][bisect_right(pre[a], gap):]), 0, []
@@ -399,9 +424,9 @@ class PathValues:
                         continue
                     x = kid[1]
                     if seen[x]:
-                        held |= 1 << x
+                        held |= bit[x]
                         continue
-                    if kid[4] <= gap and not kid[5] & ~path:
+                    if kid[4] <= gap and kid[5] & path == kid[5]:
                         held |= kid[5]
                         continue
                     if gap <= 0:  # the path to x is the longest yet
@@ -413,10 +438,11 @@ class PathValues:
                     explored += t
                     if explored > limit:  # the path found so far is the incumbent
                         if found and root:
-                            self.best, self.best_path = length + 1, (*root, _witness(a, found)[1])
+                            cells = self._witness(a, found)[1]
+                            self.best, self.best_path = length + 1, (*root, cells)
                         raise _Capped
                     seen[x] = True
-                    path |= 1 << x
+                    path |= bit[x]
                     gap -= 1
                     stack.append((it, kid, held))
                     it, held = reversed(kids[x][bisect_right(pre[x], gap, 0, t + 1):t + 1]), 0
@@ -427,7 +453,7 @@ class PathValues:
                     it, kid, below = stack.pop()
                     x = kid[1]
                     seen[x] = False
-                    path ^= 1 << x
+                    path ^= bit[x]
                     held &= path  # drops x
                     gap += 1
                     if found is None:
@@ -443,14 +469,14 @@ class PathValues:
                 seen[x] = False
             self.explored = explored
 
-
-def _witness(a: int, entries: list) -> tuple[int, tuple]:
-    """(vertex mask, cells) of the path from a along the given entries."""
-    vs = [a, *(s[1] for s in entries)]
-    cells = vs[-1]
-    for x, s in zip(vs[-2::-1], reversed(entries)):
-        cells = (x, s[0] >> 1, cells)
-    return sum(1 << x for x in vs), cells
+    def _witness(self, a: int, entries: list) -> tuple[int, tuple]:
+        """(vertex mask, cells) of the path from a along the given entries."""
+        vs = [a, *(s[1] for s in entries)]
+        cells = vs[-1]
+        for x, s in zip(vs[-2::-1], reversed(entries)):
+            cells = (x, s[0] >> 1, cells)
+        bit = self.bit
+        return sum(bit[x] for x in vs), cells
 
 
 def _start_values(

@@ -86,7 +86,9 @@ def test_greedy_coloring_known_class_counts() -> None:
 # other_end/invert_cd_path closures and two copies of the recolor step.  Over
 # these families the cd-path inversion runs 38808 times and the fan rotation
 # stops short of the fan's tip 50600 times, so a changed choice of fan, free
-# color, inversion or rotation prefix shows here.
+# color, inversion or rotation prefix shows here.  The two wide families,
+# recorded before the fan became two lists, need 32 to 64 colors, so their
+# color masks span more than one 30-bit integer digit.
 COLORING_GOLDEN = [
     ("named", 10, 39, "b9d40ac6244ab565"),
     ("random-small", 300, 7003, "6cc46d07d3c149a6"),
@@ -96,6 +98,8 @@ COLORING_GOLDEN = [
     ("star", 29, 435, "cd6c66f95f771641"),
     ("gnp-dense", 12, 4234, "7957139a0348ab18"),
     ("gnp-sparse", 3, 1764, "eb23649e4fd46fd5"),
+    ("complete-wide", 4, 4420, "ccc4b09871dda3ce"),
+    ("gnp-wide", 2, 6748, "a1275249c006611b"),
 ]
 
 
@@ -113,6 +117,8 @@ def test_greedy_coloring_golden() -> None:
             for p in (0.15, 0.2, 0.25, 0.3)
         ],
         "gnp-sparse": [alt.sample_gnp(n, 0.1, n) for n in (60, 100, 150)],
+        "complete-wide": [alt.make_complete(n) for n in (32, 40, 48, 64)],
+        "gnp-wide": [alt.sample_gnp(150, 0.3, s) for s in (1, 2)],
     }
     got = []
     for name, graphs in families.items():

@@ -215,9 +215,16 @@ def test_every_search_leaves_no_vertex_marked() -> None:
 # should lower the value.
 PSI_WORK_CEILING = 10401670
 
+# SHA-256 of every search's (length, exact, explored, vertices, edges) over
+# the same 72 searches, recorded before the vertex-bit table and the written
+# out directions of ``PathValues.place``.  Unlike ``PSI_CHECK`` it covers
+# n = 60 and 100 without a budget, so a change in any witness or count on
+# the large instances shows here.
+PSI_WORK_DIGEST = "a00adf53e5fdd9248ad1d5fdeccec8c1852fd250b37bb1c66dfc950bff6b021b"
+
 
 def test_psi_work_stays_under_its_recorded_ceiling() -> None:
-    total = 0
+    results = []
     for s in range(8):
         for n, p in ((30, 0.5), (40, 0.4), (50, 0.35), (60, 0.3), (100, 0.5)):
             g = alt.sample_gnp(n, p, 100 * s + n)
@@ -227,8 +234,13 @@ def test_psi_work_stays_under_its_recorded_ceiling() -> None:
             for phi in phis:
                 res = alt.longest_increasing_path(g, phi)
                 assert res.exact
-                total += res.explored
+                results.append(res)
+    total = sum(r.explored for r in results)
     assert total <= PSI_WORK_CEILING, total
+    digest = hashlib.sha256(
+        repr([(r.length, r.exact, r.explored, r.vertices, r.edges) for r in results]).encode()
+    ).hexdigest()
+    assert digest == PSI_WORK_DIGEST
 
 
 # (exact count, sum of explored, SHA-256 of every (length, exact, vertices,
