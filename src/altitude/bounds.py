@@ -112,11 +112,16 @@ def gnp_k(n: int, p: float, omega: float, eps: float) -> int:
         raise ValueError("n must be at least 2")
     if not 0 < p <= 1:
         raise ValueError("p must lie in (0, 1]")
-    if not omega > 0:  # also rejects NaN
+    _check_omega_eps(omega, eps)
+    return math.floor((1 - eps) * n * p / (omega * math.log(n)))
+
+
+def _check_omega_eps(omega: float, eps: float) -> None:
+    """Raise ValueError unless omega > 0 and 0 < eps < 1 (NaN fails both)."""
+    if not omega > 0:
         raise ValueError("omega must be positive")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
-    return math.floor((1 - eps) * n * p / (omega * math.log(n)))
 
 
 @dataclass(frozen=True)

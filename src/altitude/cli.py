@@ -30,7 +30,7 @@ import math
 import sys
 from pathlib import Path
 
-from .adversary import local_search_min_psi, upper_bound_report
+from .adversary import upper_bound_report
 from .bounds import (
     gnp_certificate,
     graham_kleitman,
@@ -213,8 +213,6 @@ _MODES = {
     "pedestrian": (_ordering_mode, _ORDERING_MODES),
     "verify": (_ordering_mode, _ORDERING_MODES),
     "zeta": (_zeta_mode, {"greedy": ("seed",), "exact": ("budget",)}),
-    "adversary": (lambda args: "portfolio" if args.portfolio else "anneal",
-                  {"anneal": ("ordering",), "portfolio": ("restarts",)}),
     "bounds": (_bounds_mode, {"gk": ("n",), "hypercube": ("d",), "ineq6": ("d",),
                               "sweep6": ("lo", "hi"), "gnp": ("n", "p", "omega", "eps")}),
     "experiment": (lambda args: args.campaign, {
@@ -380,37 +378,17 @@ def _cmd_exact_f(args: argparse.Namespace) -> int:
 
 def _cmd_adversary(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    if args.portfolio:
-        restarts = 2 if args.restarts is None else args.restarts
-        rep = upper_bound_report(
-            g, seed=args.seed, steps=args.steps, restarts=restarts, psi_budget=args.budget
-        )
-        best_psi, witness, verified = rep.best_psi, rep.witness, rep.verified
-        payload = {
-            "schema": "altitude/adversary/1",
-            "mode": "portfolio",
-            "best_psi": best_psi,
-            "verified": verified,
-            "strategies": [[s, v, e] for s, v, e in rep.strategies],
-        }
-    else:
-        init = _resolve_ordering(
-            g, "coloring" if args.ordering is None else args.ordering, args.seed
-        )
-        trace = local_search_min_psi(g, init, args.steps, args.seed, psi_budget=args.budget)
-        best_psi, witness, verified = trace.best_psi, trace.best_ordering, trace.verified
-        payload = {
-            "schema": "altitude/adversary/1",
-            "mode": "anneal",
-            "iterations": trace.iterations,
-            "best_psi": best_psi,
-            "verified": verified,
-            "best_history": [[s, v] for s, v in trace.best_history],
-        }
+    rep = upper_bound_report(g, seed=args.seed, steps=args.steps, psi_budget=args.budget)
+    payload = {
+        "schema": "altitude/adversary/2",
+        "best_psi": rep.best_psi,
+        "verified": rep.verified,
+        "strategies": [[s, v, e] for s, v, e in rep.strategies],
+    }
     if args.ordering_out:
-        _emit(serialize_ordering(witness), args.ordering_out)
+        _emit(serialize_ordering(rep.witness), args.ordering_out)
     _emit_json(payload, args.out)
-    return EXIT_OK if verified else EXIT_BUDGET
+    return EXIT_OK if rep.verified else EXIT_BUDGET
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -527,7 +505,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="altitude",
         description="Increasing paths in edge-ordered graphs: bounds on the altitude.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
+    # No abbreviated flags: a removed flag such as adversary's --ordering
+    # would otherwise name --ordering-out and write a file.
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     sp = sub.add_parser("gen", help="generate a graph file")
     sp.add_argument("--family", required=True, choices=list(_FAMILIES))
@@ -572,12 +553,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("adversary", help="heuristic ordering minimization")
     _add_common(sp)
-    sp.add_argument("--ordering", help="anneal mode's initial ordering spec (default coloring)")
-    sp.add_argument("--steps", type=int, default=2000)
-    sp.add_argument("--restarts", type=int, help="--portfolio's anneal count (default 2)")
-    sp.add_argument("--budget", type=int, default=200000, help="exact-psi verification budget")
-    sp.add_argument("--portfolio", action="store_true",
-                    help="run the full strategy portfolio")
+    sp.add_argument("--steps", type=int, default=100, help="class-order moves")
+    sp.add_argument("--budget", type=int, default=200000,
+                    help="edges the coloring's psi search, and each class-order move, may scan")
     sp.add_argument("--ordering-out", help="write the best ordering file here")
     sp.set_defaults(func="_cmd_adversary")
 

@@ -4,7 +4,7 @@ The search assigns ranks 1, 2, ..., m to edges one at a time.  Increasing
 paths live entirely among already-ranked edges, so the partial value can
 only grow as ranks are appended: a branch whose prefix already reaches the
 incumbent is dead.  The search starts from the ``f_bounds_sandwich``
-bracket: the coloring entry of the upper-bound portfolio
+bracket: the coloring entry of the upper bound report
 (``adversary.upper_bound_report``) and its exact value are the incumbent,
 and its proved lower bound (degree floor, density criterion) is the floor,
 which settles many small graphs at once.
@@ -331,7 +331,7 @@ def f_bounds_sandwich(g: Graph) -> SandwichReport:
     if g.m == 0:
         return SandwichReport(0, 0, (("empty", 0),), (("empty", 0),), identity_ordering(g))
 
-    rep = upper_bound_report(g, seed=0, restarts=0, psi_budget=None)
+    rep = upper_bound_report(g, seed=0, steps=0, psi_budget=None)
     if not rep.verified:
         raise SoundnessError("an unbudgeted psi search returned an inexact value")
     floor = sqrt_degree_floor(g)

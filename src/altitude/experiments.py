@@ -16,7 +16,7 @@ from io import StringIO
 from typing import Iterable, Sequence
 
 from .adversary import upper_bound_report
-from .bounds import gnp_certificate, gnp_threshold_p, hypercube_k
+from .bounds import _check_omega_eps, gnp_certificate, gnp_threshold_p, hypercube_k
 from .exactf import f_bounds_sandwich
 from .graphs import SoundnessError, degree_stats, make_hypercube, sample_gnp
 from .orderings import random_ordering
@@ -81,7 +81,8 @@ def _hypercube_row(d: int) -> ExperimentRow:
     t0 = time.perf_counter()
     g = make_hypercube(d)
     # The sandwich's psi is the dimension ordering's, unbudgeted and
-    # verified; no anneal, as its trail d = 2m/n is the annealer's floor.
+    # verified; no class climb, as every class order of the dimension
+    # coloring has psi d.
     # Where the bracket closes, f is exact and no adversary is needed.
     s = f_bounds_sandwich(g)
     closed = s.lower == s.upper
@@ -143,7 +144,7 @@ def _gnp_row(
     stats = degree_stats(g)
     delta1 = stats.max_degree + 1
 
-    rep = upper_bound_report(g, seed=row_seed, steps=800, restarts=1, psi_budget=psi_budget)
+    rep = upper_bound_report(g, seed=row_seed, steps=10, psi_budget=psi_budget)
     _, col_psi, col_exact = rep.strategies[0]
     ped_max = run_pedestrian(g, random_ordering(g, row_seed)).max_path_edges
     floor = sqrt_degree_floor(g)
@@ -209,7 +210,8 @@ def experiment_gnp(
     workers: int | None = None,
 ) -> str:
     """Rows over n_list x trials; p=None applies the threshold density rule,
-    capped at 1.  An explicit p must lie in [0, 1].
+    capped at 1.  An explicit p must lie in [0, 1], omega must be positive
+    and eps must lie in (0, 1), all checked before any row.
 
     When at least two rows are expected to have ``POOL_MIN_EDGES`` edges or
     more and this process may use at least two CPUs, the rows run on
@@ -218,8 +220,8 @@ def experiment_gnp(
     edge count left, so that no large row starts last.  ``workers`` caps
     the process count, this one included (None: no cap; below 2: no fork).
     Otherwise every row runs in this process and none is forked.  The
-    hypercube campaign forks none: it runs no anneal, so a row to d = 6
-    takes less than a process costs to start.
+    hypercube campaign forks none: it runs no class climb, so a row to
+    d = 6 takes less than a process costs to start.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -227,6 +229,7 @@ def experiment_gnp(
         raise ValueError("n_list must name at least one n")
     if p is not None and not 0 <= p <= 1:
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
+    _check_omega_eps(omega, eps)  # here, not only in rows that certify
     params = []
     for n in n_list:
         pn = min(gnp_threshold_p(n, omega), 1.0) if p is None else p

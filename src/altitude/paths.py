@@ -81,8 +81,7 @@ def verify_witness(g: Graph, ordering: EdgeOrdering, result: PathResult) -> bool
 
 
 def _trail_sweep(
-    g: Graph, pairs: Iterable[tuple[int, int]], before: list | None = None,
-    best: list[int] | None = None,
+    g: Graph, pairs: Iterable[tuple[int, int]], before: list | None = None
 ) -> list[int]:
     """Relax both ends of every edge, in the order given; the one trail kernel.
 
@@ -90,10 +89,7 @@ def _trail_sweep(
     best[v] is the longest increasing trail ending (forward sweep) or
     starting (reverse sweep) at v among the edges swept so far.  An edge
     (u, v) extends the trail at the end holding more, or at either on a tie,
-    so the other end rises to that value plus one.  The sweep starts from
-    ``best`` when given, which it updates in place and returns, so it can
-    resume where a sweep over the preceding edges stopped (the annealer
-    keeps such states at block boundaries); otherwise from all zeros.
+    so the other end rises to that value plus one.
 
     If ``before`` is a list, the sweep appends to it (best[u], best[v]) as
     they were on reaching each pair, so before[i] belongs to the i-th pair
@@ -103,8 +99,7 @@ def _trail_sweep(
     S_v(r+1)), where S_x(r) is the longest increasing trail leaving x on
     ranks >= r.
     """
-    if best is None:
-        best = [0] * g.n
+    best = [0] * g.n
     for u, v in pairs:
         bu, bv = best[u], best[v]
         if before is not None:
@@ -192,7 +187,8 @@ def _unchain(node) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 class _Capped(Exception):
-    """A search ran past the budget; B is the longest path found."""
+    """A search ran past the budget.  Out of ``PathValues.place``, its args
+    are the longest path found, as (length, cells)."""
 
 
 class PathValues:
@@ -296,49 +292,60 @@ class PathValues:
 
     def place(self, e: int) -> None:
         """Place edge e: settle K of its two directions against the placed
-        edges, raising B, then add them to the lists of their tails."""
-        self.undo.append((self.best, self.best_path))
+        edges, raising B, then add them to the lists of their tails.
+
+        A capped placement places nothing and leaves B as it was (the K and
+        records its searches wrote stay true); its ``_Capped`` carries the
+        longest path found, as (length, cells)."""
+        undo = self.best, self.best_path
         u, v = self.ends[e]
         kids, pre, bit, none = self.kids, self.pre, self.bit, self.none
         ku, kv, pu, pv = kids[u], kids[v], pre[u], pre[v]
-        # Direction (u, v).
-        k, w = pv[-1] + 1, kv[-1][6]
-        if w is None or w[0] & bit[u]:
-            if k <= self.best:
-                w = None
-            else:  # B >= 1: the edge alone never beats B here
-                length, found = self._search((v, u), self.best - 1, none, (u, e))
-                k, w = 1 + length, found and self._witness(v, found)
-        if w:  # a path of k - 1 edges from v that misses u
-            w = (w[0] | bit[u], (u, e, w[1]))
-            if k > self.best:
-                self.best, self.best_path = k, w[1]
-        top_u, top_w = pu[-1], ku[-1][6]
-        if k > top_u or (k == top_u and top_w is None):
-            top_u, top_w = k, w
-        du = [2 * e, v, k, len(kv) - 1, none, 0, top_w]
-        # Direction (v, u), against the same placed edges and the new B.
-        k, w = pu[-1] + 1, ku[-1][6]
-        if w is None or w[0] & bit[v]:
-            if k <= self.best:
-                w = None
-            else:
-                length, found = self._search((u, v), self.best - 1, none, (v, e))
-                k, w = 1 + length, found and self._witness(u, found)
-        if w:
-            w = (w[0] | bit[v], (v, e, w[1]))
-            if k > self.best:
-                self.best, self.best_path = k, w[1]
-        top_v, top_w = pv[-1], kv[-1][6]
-        if k > top_v or (k == top_v and top_w is None):
-            top_v, top_w = k, w
-        dv = [2 * e + 1, u, k, len(ku) - 1, none, 0, top_w]
+        try:
+            # Direction (u, v).
+            k, w = pv[-1] + 1, kv[-1][6]
+            if w is None or w[0] & bit[u]:
+                if k <= self.best:
+                    w = None
+                else:  # B >= 1: the edge alone never beats B here
+                    length, found = self._search((v, u), self.best - 1, none, (u, e))
+                    k, w = 1 + length, found and self._witness(v, found)
+            if w:  # a path of k - 1 edges from v that misses u
+                w = (w[0] | bit[u], (u, e, w[1]))
+                if k > self.best:
+                    self.best, self.best_path = k, w[1]
+            top_u, top_w = pu[-1], ku[-1][6]
+            if k > top_u or (k == top_u and top_w is None):
+                top_u, top_w = k, w
+            du = [2 * e, v, k, len(kv) - 1, none, 0, top_w]
+            # Direction (v, u), against the same placed edges and the new B.
+            k, w = pu[-1] + 1, ku[-1][6]
+            if w is None or w[0] & bit[v]:
+                if k <= self.best:
+                    w = None
+                else:
+                    length, found = self._search((u, v), self.best - 1, none, (v, e))
+                    k, w = 1 + length, found and self._witness(u, found)
+            if w:
+                w = (w[0] | bit[v], (v, e, w[1]))
+                if k > self.best:
+                    self.best, self.best_path = k, w[1]
+            top_v, top_w = pv[-1], kv[-1][6]
+            if k > top_v or (k == top_v and top_w is None):
+                top_v, top_w = k, w
+            dv = [2 * e + 1, u, k, len(ku) - 1, none, 0, top_w]
+        except _Capped as cap:
+            if not cap.args:  # no capped search beat B, which (u, v) may have raised
+                cap.args = self.best, self.best_path
+            self.best, self.best_path = undo
+            raise
         # Both directions settle against the edges placed before e, so the
         # entries join their lists only now.
         ku.append(du)
         kv.append(dv)
         pu.append(top_u)
         pv.append(top_v)
+        self.undo.append(undo)
         self.placed.append(e)
 
     def unplace(self) -> None:
@@ -438,8 +445,7 @@ class PathValues:
                     explored += t
                     if explored > limit:  # the path found so far is the incumbent
                         if found and root:
-                            cells = self._witness(a, found)[1]
-                            self.best, self.best_path = length + 1, (*root, cells)
+                            raise _Capped(length + 1, (*root, self._witness(a, found)[1]))
                         raise _Capped
                     seen[x] = True
                     path |= bit[x]
@@ -490,8 +496,9 @@ def _start_values(
     try:
         for e in reversed(ordering.inverse):
             state.place(e)
-        exact, explored = True, state.explored
-    except _Capped:
-        exact, explored = False, budget + 1
-    vs, es = _unchain(state.best_path)
-    return PathResult("path", state.best, vs, es, exact, explored), state
+    except _Capped as cap:
+        (length, cells), exact, explored = cap.args, False, budget + 1
+    else:
+        length, cells, exact, explored = state.best, state.best_path, True, state.explored
+    vs, es = _unchain(cells)
+    return PathResult("path", length, vs, es, exact, explored), state

@@ -403,44 +403,39 @@ def test_exact_f_golden_outputs(capsys, tmp_path, case):
 # adversary
 
 
-def test_adversary_anneal_triangle(capsys, k3_file):
+def test_adversary_triangle(capsys, k3_file):
     rc, out, _ = run(capsys, "adversary", "--graph", k3_file, "--steps", "200", "--seed", "1")
     assert rc == 0
     doc = json.loads(out)
-    assert doc["schema"] == "altitude/adversary/1"
-    assert doc["mode"] == "anneal"
-    assert doc["best_psi"] == 2
-    assert doc["verified"] is True
-    assert doc["iterations"] == 200
+    assert doc == {"schema": "altitude/adversary/2", "best_psi": 2, "verified": True,
+                   "strategies": [["coloring", 2, True], ["class-climb", 2, True]]}
 
 
-def test_adversary_portfolio_and_ordering_out(capsys, q3_file, tmp_path):
-    ord_file = tmp_path / "best.txt"
+def test_adversary_ordering_out(capsys, tmp_path):
+    graph, ord_file = tmp_path / "g.txt", tmp_path / "best.txt"
+    graph.write_text(serialize_graph(sample_gnp(12, 0.4, seed=2)))
     rc, out, _ = run(
         capsys,
-        "adversary", "--graph", q3_file, "--steps", "300", "--portfolio",
-        "--seed", "2", "--ordering-out", str(ord_file),
+        "adversary", "--graph", str(graph), "--steps", "30", "--seed", "2",
+        "--ordering-out", str(ord_file),
     )
     assert rc == 0
     doc = json.loads(out)
-    assert doc["mode"] == "portfolio"
-    names = [s[0] for s in doc["strategies"]]
-    assert any(n == "coloring" for n in names)
-    assert any(n.startswith("anneal") for n in names)
+    assert [s[0] for s in doc["strategies"]] == ["coloring", "class-climb"]
     assert doc["best_psi"] == min(s[1] for s in doc["strategies"])
     assert all(s[2] is True for s in doc["strategies"])
     # the exported ordering reproduces the reported value
     ordering = parse_ordering(ord_file.read_text())
-    assert brute_psi(make_hypercube(3), ordering) == doc["best_psi"]
+    assert brute_psi(sample_gnp(12, 0.4, seed=2), ordering) == doc["best_psi"]
 
 
 def test_adversary_schedule_flag(capsys, k3_file, tmp_path):
-    # The anneal's schedule is fixed, so --schedule is an unknown flag, and a
+    # The climb has no schedule, so --schedule is an unknown flag, and a
     # schedule= line in a --config file is ignored like any key naming no flag.
     argv = ["adversary", "--graph", k3_file, "--steps", "100"]
     rc, out, err = run(capsys, *argv, "--schedule", "decay=0.9,moves=20")
     assert (rc, out) == (2, "") and "--schedule" in err
-    conf = tmp_path / "anneal.conf"
+    conf = tmp_path / "climb.conf"
     conf.write_text("schedule=decay=0.9,moves=20\n")
     assert run(capsys, *argv, "--config", str(conf)) == run(capsys, *argv)
 
@@ -454,53 +449,45 @@ def test_adversary_rejects_bad_schedule(capsys, k3_file, spec):
     assert "unrecognized arguments: --schedule" in err
 
 
-def test_adversary_portfolio_rejects_a_schedule(capsys, k3_file):
-    rc, out, err = run(
-        capsys, "adversary", "--graph", k3_file, "--portfolio", "--schedule", "decay=0.9"
-    )
+@pytest.mark.parametrize("flags", [["--portfolio"], ["--restarts", "2"], ["--ordering", "rand"]],
+                         ids=["portfolio", "restarts", "ordering"])
+def test_adversary_rejects_a_removed_flag(capsys, k3_file, flags):
+    # the anneal mode, the portfolio's anneal count and its start ordering
+    # went with the annealer
+    rc, out, err = run(capsys, "adversary", "--graph", k3_file, *flags)
     assert (rc, out) == (2, "")
-    assert "unrecognized arguments: --schedule" in err
+    assert f"unrecognized arguments: {' '.join(flags)}" in err
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [["--portfolio", "--ordering", "rand"], ["--portfolio", "--ordering", "coloring"],
-     ["--restarts", "7"], ["--restarts", "2"], ["--steps", "-3"], ["--portfolio", "--steps", "-1"],
-     ["--portfolio", "--restarts", "-1"]],
-    ids=["portfolio-ordering", "portfolio-default-ordering", "anneal-restarts",
-         "anneal-default-restarts", "negative-steps", "portfolio-negative-steps",
-         "portfolio-negative-restarts"],
-)
+@pytest.mark.parametrize("flags", [["--steps", "-3"], ["--budget", "-1"]],
+                         ids=["negative-steps", "negative-budget"])
 def test_adversary_rejects_a_flag_it_would_ignore(capsys, k3_file, flags):
-    # the portfolio always starts from the coloring ordering and anneal mode
-    # runs one anneal, so either flag would go unused; a negative step or
-    # restart count would run no step or restart at all
+    # a negative step count would run no move, a negative budget no search
     rc, out, err = run(capsys, "adversary", "--graph", k3_file, *flags)
     assert rc == 3
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
 
 
-def test_adversary_documented_defaults_still_apply(capsys, k3_file):
-    # without --ordering anneal mode starts from the coloring ordering, and
-    # without --restarts the portfolio runs 2 anneals
+def test_adversary_documented_defaults_still_apply(capsys, tmp_path):
+    # without --steps the climb makes 100 moves; --steps 0 leaves it out
+    graph = tmp_path / "g.txt"
+    graph.write_text(serialize_graph(sample_gnp(12, 0.4, seed=2)))
+
     def doc(*flags):
-        rc, out, _ = run(capsys, "adversary", "--graph", k3_file, "--steps", "50", *flags)
+        rc, out, _ = run(capsys, "adversary", "--graph", str(graph), *flags)
         assert rc == 0
         return json.loads(out)
 
-    assert doc() == doc("--ordering", "coloring")
-    portfolio = doc("--portfolio")
-    assert portfolio == doc("--portfolio", "--restarts", "2")
-    assert portfolio != doc("--portfolio", "--restarts", "1")
-    assert doc("--steps", "0")["iterations"] == 0
+    assert doc() == doc("--steps", "100")
+    assert doc() != doc("--steps", "1")
+    assert [s[0] for s in doc("--steps", "0")["strategies"]] == ["coloring"]
 
 
-@pytest.mark.parametrize("mode", [[], ["--portfolio"]], ids=["anneal", "portfolio"])
-def test_adversary_on_graph_without_vertices_exits_3(capsys, tmp_path, mode):
+def test_adversary_on_graph_without_vertices_exits_3(capsys, tmp_path):
     null = tmp_path / "null.txt"
     null.write_text("0 0\n")
-    rc, out, err = run(capsys, "adversary", "--graph", str(null), *mode)
+    rc, out, err = run(capsys, "adversary", "--graph", str(null))
     assert rc == 3
     assert out == ""
     assert err == "error: graph has no vertices\n"
@@ -964,7 +951,7 @@ def test_bad_ordering_file(capsys, k3_file, tmp_path):
     assert rc == 3 and "error:" in err
 
 
-@pytest.mark.parametrize("command", ["psi", "trail", "pedestrian", "verify", "adversary"])
+@pytest.mark.parametrize("command", ["psi", "trail", "pedestrian", "verify"])
 @pytest.mark.parametrize("ranks", ["1\n2\n", "1\n2\n3\n4\n"])
 def test_every_command_rejects_an_ordering_file_of_another_size(capsys, k3_file, tmp_path,
                                                                  command, ranks):
@@ -1097,8 +1084,7 @@ _DEFAULT_NAMESPACES = {
     ),
     "adversary": (
         ["adversary", "--graph", "g.txt"],
-        {**_COMMON, "graph": "g.txt", "ordering": None, "steps": 2000, "restarts": None,
-         "budget": 200000, "portfolio": False, "ordering_out": None},
+        {**_COMMON, "graph": "g.txt", "steps": 100, "budget": 200000, "ordering_out": None},
     ),
     "bounds": (
         ["bounds", "--gk"],

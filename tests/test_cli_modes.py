@@ -45,9 +45,8 @@ BASE = {
     ("zeta", "greedy"): ["zeta", "--graph", "{hub}", "--k", "4", "--greedy"],
     ("zeta", "exact"): ["zeta", "--graph", "{q3_relabelled}", "--k", "3"],
     ("exact-f", None): ["exact-f", "--graph", "{c7}"],
-    ("adversary", "anneal"): ["adversary", "--graph", "{g8c}", "--steps", "200"],
-    ("adversary", "portfolio"): ["adversary", "--graph", "{g8b}", "--steps", "200",
-                                 "--portfolio"],
+    # three moves: seed 3 finds no lower class order where seed 0 does
+    ("adversary", None): ["adversary", "--graph", "{g8}", "--steps", "3"],
     ("bounds", "gk"): ["bounds", "--gk", "--n", "7"],
     ("bounds", "hypercube"): ["bounds", "--hypercube", "--d", "5"],
     ("bounds", "ineq6"): ["bounds", "--ineq6", "--d", "9"],
@@ -66,7 +65,6 @@ VALUES = {
     "family": ["complete", "gnp"], "ordering": ["rand", "identity", "file:{g8_ord}", "bogus"],
     "n": ["5", "3"], "d": ["3", "6"], "leaves": ["4"], "k": ["2", "3"], "ks": ["2,3", ","],
     "p": ["0.9", "0.01"], "budget": ["0"], "greedy": [], "steps": ["0", "7"],
-    "restarts": ["0", "1"], "portfolio": [],
     "gk": [], "hypercube": [], "ineq6": [], "sweep6": [], "gnp": [],
     "omega": ["2"], "eps": ["0.5"], "lo": ["6"], "hi": ["20"],
     "campaign": [], "d_max": ["3"], "n_list": ["6,7"], "trials": ["2"], "psi_budget": ["0"],
@@ -76,7 +74,7 @@ BAD = ["-1", "0", "x", "nan"]
 
 # The flags that pick each command's mode: the bases cover their values.
 SELECTORS = {
-    "gen": {"family"}, "zeta": {"greedy", "ks"}, "adversary": {"portfolio"},
+    "gen": {"family"}, "zeta": {"greedy", "ks"},
     "bounds": set(cli._MODES["bounds"][1]), "experiment": {"campaign"},
     **{command: {"ordering"} for command in ("psi", "trail", "pedestrian", "verify")},
 }
@@ -101,9 +99,7 @@ def files(tmp_path_factory) -> dict[str, str]:
     k4 = [(a, b) for a in range(21, 25) for b in range(a + 1, 25)]
     graphs = {
         "k3": make_complete(3), "q3": make_hypercube(3), "c7": make_cycle(7),
-        "g8": sample_gnp(8, 0.5, seed=1), "g8b": sample_gnp(8, 0.4, seed=3),
-        # psi checks of its anneal need search nodes, so --budget 0 caps them
-        "g8c": sample_gnp(8, 0.4, seed=4),
+        "g8": sample_gnp(8, 0.5, seed=1),
         # greedy zeta(4) finds the K_4 only from a random start inside it
         "hub": Graph.from_edges(25, hub + k4),
         # labels hypercube_dimension does not recognise, so zeta searches

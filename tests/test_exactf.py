@@ -181,15 +181,16 @@ def _connected_gnm(rng: random.Random, n: int, m: int) -> alt.Graph:
 
 
 def test_sandwich_incumbent_is_the_portfolio_coloring_entry() -> None:
-    # The sandwich's ordering and psi are the portfolio's coloring entry:
-    # off the cubes, the Misra-Gries coloring ordering at seed 0.
+    # The sandwich's ordering and psi are the report's coloring entry, with
+    # no class climb: off the cubes, the Misra-Gries coloring ordering at
+    # seed 0.
     rng = random.Random(131)
     graphs = random_graphs(300, 5, 9, 5, m_max=13)
     graphs += [_connected_gnm(rng, n, m) for n, m in ((6, 8), (7, 8), (8, 9), (7, 10), (8, 12))
                for _ in range(3)]
     for g in graphs:
         s = alt.f_bounds_sandwich(g)
-        rep = alt.upper_bound_report(g, seed=0, restarts=0)
+        rep = alt.upper_bound_report(g, seed=0, steps=0)
         assert rep.verified
         assert (s.ordering, s.upper) == (rep.witness, rep.best_psi), g.edges
         if alt.hypercube_dimension(g) is None:
@@ -197,7 +198,7 @@ def test_sandwich_incumbent_is_the_portfolio_coloring_entry() -> None:
 
 
 def test_inexact_start_value_raises_soundness_error(monkeypatch: pytest.MonkeyPatch) -> None:
-    # the start value is the portfolio's psi, which must be verified
+    # the start value is the coloring entry's psi, which must be verified
     real = adversary.longest_increasing_path
 
     def inexact(g, ordering, budget=None):

@@ -175,7 +175,9 @@ def test_gnp_campaign_reproducible() -> None:
 
 # Golden rows, recorded before the campaign rows took their coloring bound
 # from upper_bound_report; the reproducibility tests above compare two runs
-# of one version and cannot catch a refactor that changes rows.
+# of one version and cannot catch a refactor that changes rows.  The G(n, p)
+# rows' adversary_psi values are from the 10-move class-order climb, which
+# replaced a trail annealer and lowered 5 of the 9 rows below.
 HYPERCUBE_4 = [
     "# schema=altitude/experiment-hypercube/1",
     "d,n,m,lower_ratio,upper_dim,coloring_psi,coloring_psi_exact,cert_lower,"
@@ -189,32 +191,29 @@ GNP_14_18_SEED_9 = [
     "# schema=altitude/experiment-gnp/1",
     "n,p,trial,seed,m,delta_plus_1,coloring_psi,coloring_psi_exact,adversary_psi,"
     "adversary_verified,pedestrian_max,sqrt_floor,floor_ok,gnp_k,union_exponent,union_negative",
-    "14,0.3,0,9,33,7,6,true,6,true,7,3,true,0,,",
-    "14,0.3,1,1000012,33,7,6,true,6,true,6,3,true,0,,",
+    "14,0.3,0,9,33,7,6,true,5,true,7,3,true,0,,",
+    "14,0.3,1,1000012,33,7,6,true,5,true,6,3,true,0,,",
     "18,0.3,0,2000015,41,9,6,true,6,true,8,3,true,0,,",
-    "18,0.3,1,3000018,49,10,8,true,7,true,8,3,true,0,,",
+    "18,0.3,1,3000018,49,10,8,true,6,true,8,3,true,0,,",
 ]
 
-# One campaign-gnp row (n = 100, p = 0.1, seed 0, m = 511): its anneal
-# scores moves on a graph of many rank blocks.  Recorded while every anneal
-# move was scored by a full trail sweep.
+# One campaign-gnp row (n = 100, p = 0.1, seed 0, m = 511), whose coloring
+# has 20 classes for the climb to order.
 GNP_100_SEED_0 = [
     "# schema=altitude/experiment-gnp/1",
     "n,p,trial,seed,m,delta_plus_1,coloring_psi,coloring_psi_exact,adversary_psi,"
     "adversary_verified,pedestrian_max,sqrt_floor,floor_ok,gnp_k,union_exponent,union_negative",
-    "100,0.1,0,0,511,21,15,true,15,true,15,4,true,0,,",
+    "100,0.1,0,0,511,21,15,true,14,true,15,4,true,0,,",
 ]
 
-# A denser campaign (m 230-566), where each row's portfolio costs most.
-# Recorded while the portfolio also scored random orderings, which never
-# set a row's value.
+# A denser campaign (m 230-566), where each row's upper bound costs most.
 GNP_40_60_SEED_0 = [
     "# schema=altitude/experiment-gnp/1",
     "n,p,trial,seed,m,delta_plus_1,coloring_psi,coloring_psi_exact,adversary_psi,"
     "adversary_verified,pedestrian_max,sqrt_floor,floor_ok,gnp_k,union_exponent,union_negative",
     "40,0.3,0,0,230,18,14,true,14,true,13,4,true,0,,",
     "40,0.3,1,1000003,235,20,14,true,14,true,15,4,true,0,,",
-    "60,0.3,0,2000006,505,23,21,true,21,true,20,5,true,0,,",
+    "60,0.3,0,2000006,505,23,21,true,19,true,20,5,true,0,,",
     "60,0.3,1,3000009,566,31,21,true,21,true,22,5,true,0,,",
 ]
 
@@ -281,6 +280,26 @@ def test_campaign_argument_validation() -> None:
         experiment_hypercube(1)
     with pytest.raises(ValueError):
         experiment_gnp([10], 0.5, omega=5.0, eps=0.1, trials=0)
+
+
+@pytest.mark.parametrize("p,omega,eps,message", [
+    (0.0, -3.0, 5.0, "omega must be positive"), (0.1, -1.0, 0.1, "omega must be positive"),
+    (0.1, 5.0, 1.0, "eps must lie in (0, 1)"), (None, 5.0, math.nan, "eps must lie in (0, 1)")],
+    ids=["p0", "negative-omega", "eps-1", "eps-nan"])
+def test_gnp_campaign_checks_omega_and_eps_before_any_row(capsys, monkeypatch, p, omega, eps,
+                                                          message) -> None:
+    # a row checks them only where it certifies (p > 0, n >= 2); the
+    # campaign checks them once, before it computes or forks any row
+    def refuse(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(experiments, "_gnp_row", refuse)
+    with pytest.raises(ValueError) as info:
+        experiment_gnp([10, 12], p, omega=omega, eps=eps, trials=1)
+    assert str(info.value) == message
+    argv = ["experiment", "gnp", "--n-list", "10", "--omega", str(omega), "--eps", str(eps)]
+    assert cli.main(argv + ([] if p is None else ["--p", str(p)])) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_gnp_campaign_rejects_an_empty_n_list() -> None:

@@ -290,7 +290,6 @@ def test_every_entry_rejects_an_ordering_of_another_size(size) -> None:
         lambda: alt.verify_witness(g, phi, alt.longest_increasing_path(g, good)),
         lambda: alt.run_pedestrian(g, phi),
         lambda: alt.check_invariants(g, phi, alt.run_pedestrian(g, good)),
-        lambda: alt.local_search_min_psi(g, phi, steps=10, seed=0),
     ]
     for entry in entries:
         with pytest.raises(ValueError) as info:

@@ -29,21 +29,18 @@ def _pairs(g, edges):
 
 
 def test_value_only_trail_matches_trail_sweep_and_oracle() -> None:
-    # The annealer's value-only sweep (no before list) must agree with the
-    # witness-recording one: the same best[] forward, in reverse and resumed
-    # from a given best[], and a before list that grows by one per pair.
+    # The value-only sweep (no before list) must agree with the
+    # witness-recording one: the same best[] forward and in reverse, and a
+    # before list that grows by one per pair.
     for g, phi in random_instances(150, 2, 9, seed=23, m_max=8):
         want = brute_trail(g, phi)
         pairs = _pairs(g, phi.inverse)
         assert max(_trail_sweep(g, pairs)) == want
         assert alt.longest_increasing_trail(g, phi).length == want
-        half = len(pairs) // 2
         for sweep in (pairs, pairs[::-1]):
             before = []
             assert _trail_sweep(g, sweep, before) == _trail_sweep(g, sweep)
             assert len(before) == len(sweep)
-            head, rest = _trail_sweep(g, sweep[:half]), sweep[half:]
-            assert _trail_sweep(g, rest, [], head[:]) == _trail_sweep(g, rest, None, head[:])
 
 
 def test_reverse_sweep_before_matches_oracle() -> None:
@@ -57,31 +54,17 @@ def test_reverse_sweep_before_matches_oracle() -> None:
             assert before[g.m - r] == want, (e, r)  # the sweep reaches rank r at m - r
 
 
-def test_trail_sweep_resumes_from_best_in_place() -> None:
-    g = alt.make_hypercube(3)
-    phi = alt.random_ordering(g, 2)
-    head, tail = _pairs(g, phi.inverse[:5]), _pairs(g, phi.inverse[5:])
-    start = _trail_sweep(g, head)
-    out = _trail_sweep(g, tail, best=start)
-    assert out is start
-    assert out == _trail_sweep(g, _pairs(g, phi.inverse))
-
-
 def test_trail_value_splits_at_every_rank_cut() -> None:
     # An increasing trail's part below a cut q ends where its part from q on
-    # starts: the value is max over x of F_x(q) + S_x(q), the annealer's score.
+    # starts: the value is max over x of F_x(q) + S_x(q), the forward sweep
+    # of the ranks below q and the reverse sweep of the rest.
     for g, phi in random_instances(60, 2, 12, seed=25):
-        want = max(_trail_sweep(g, _pairs(g, phi.inverse)))
+        pairs = _pairs(g, phi.inverse)
+        want = max(_trail_sweep(g, pairs))
         if g.m <= 6:
             assert want == brute_trail(g, phi)
-        fwd = [[0] * g.n]
-        for e in phi.inverse:
-            fwd.append(_trail_sweep(g, [g.edges[e]], best=fwd[-1][:]))
-        bwd = [[0] * g.n]
-        for e in reversed(phi.inverse):
-            bwd.append(_trail_sweep(g, [g.edges[e]], best=bwd[-1][:]))
         for q in range(g.m + 1):
-            f, s = fwd[q], bwd[g.m - q]
+            f, s = _trail_sweep(g, pairs[:q]), _trail_sweep(g, reversed(pairs[q:]))
             assert max(a + b for a, b in zip(f, s)) == want, q
 
 
@@ -207,6 +190,26 @@ def test_every_search_leaves_no_vertex_marked() -> None:
             stops += found is not None
             assert length <= 1 and not any(state.seen)
     assert stops > 100
+
+
+def test_capped_placement_leaves_the_state_as_it_was() -> None:
+    # A capped place() pushes nothing: placed and undo stay paired and B is
+    # the value of the placed edges, so unplacing every edge restores the
+    # empty state.  The capped incumbent is still the result's.
+    g = alt.sample_gnp(40, 0.5, 3)
+    phi = alt.random_ordering(g, 1)
+    res, state = _start_values(g, phi, 500)
+    assert not res.exact and len(state.placed) == len(state.undo) < g.m
+    top = list(reversed(phi.inverse))[:len(state.placed)]
+    assert state.placed == top
+    want = _start_values(g, phi, None)[1]
+    for _ in range(g.m - len(top)):
+        want.unplace()
+    assert state.best == want.best <= res.length
+    while state.placed:
+        state.unplace()
+    assert (state.best, state.undo, any(state.seen)) == (0, [], False)
+    assert all(len(kids) == 1 for kids in state.kids) and all(p == [0] for p in state.pre)
 
 
 # Edges scanned by the unbudgeted psi searches of the corpus below, summed,

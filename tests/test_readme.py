@@ -25,7 +25,7 @@ def command_lines() -> list[list[str]]:
 
 def test_readme_command_block_runs_in_order(capsys, monkeypatch: pytest.MonkeyPatch,
                                             tmp_path: Path) -> None:
-    monkeypatch.chdir(tmp_path)  # the block writes q3.txt, best.txt and rows.csv
+    monkeypatch.chdir(tmp_path)  # the block writes graph, ordering and CSV files
     argvs = command_lines()
     assert len(argvs) >= 10
     for argv in argvs:
